@@ -9,11 +9,10 @@
 //! Results are merged by experiment id into any existing
 //! `EXPERIMENTS-results.json`, so a partial rerun (`-- e15`) updates only
 //! its own rows and leaves every other experiment's recorded output
-//! untouched. Running `e15` additionally writes `BENCH_resilience.json`
-//! with the raw retry-amplification curves and `BENCH_metrics.json` with
-//! the run's obs metrics snapshot.
+//! untouched. These are the paper's quality tables; performance numbers
+//! come from `perf-ledger/`.
 
-use saga_bench::{e15, run_experiment, ExperimentResult, Scale, EXPERIMENTS};
+use saga_bench::{run_experiment, ExperimentResult, Scale, EXPERIMENTS};
 
 /// Splits the top-level objects out of a JSON array document, string- and
 /// escape-aware, returning each object's raw text. Tolerates a missing or
@@ -142,23 +141,7 @@ fn main() {
     for id in &ids {
         eprintln!("running {id} ({scale:?})...");
         let start = std::time::Instant::now();
-        let result = if id == "e15" {
-            // E15 also emits the raw resilience curves and the obs metrics
-            // snapshot as side artifacts.
-            let (r, artifact, metrics) = e15::run_with_artifacts(scale);
-            match std::fs::write("BENCH_resilience.json", artifact) {
-                Ok(()) => eprintln!("wrote BENCH_resilience.json"),
-                Err(e) => eprintln!("could not write BENCH_resilience.json: {e}"),
-            }
-            match std::fs::write("BENCH_metrics.json", metrics) {
-                Ok(()) => eprintln!("wrote BENCH_metrics.json"),
-                Err(e) => eprintln!("could not write BENCH_metrics.json: {e}"),
-            }
-            Some(r)
-        } else {
-            run_experiment(id, scale)
-        };
-        match result {
+        match run_experiment(id, scale) {
             Some(r) => {
                 println!("{}", r.render());
                 eprintln!("{id} finished in {:.1}s", start.elapsed().as_secs_f64());

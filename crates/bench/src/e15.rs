@@ -8,10 +8,9 @@
 //! amplification. Part B sweeps `CheckpointedTrainer` over fault rates at
 //! `SITE_TRAIN_BUCKET` and measures bucket-attempt amplification and
 //! wall-round overhead, asserting the recovered model stays bit-identical
-//! to the failure-free one. Besides the usual result tables, the raw
-//! curves are emitted as `BENCH_resilience.json`.
+//! to the failure-free one.
 
-use crate::report::{f3, metrics_artifact_json, ExperimentResult, Table};
+use crate::report::{f3, ExperimentResult, Table};
 use crate::world::{Scale, World};
 use saga_annotation::{AnnotationService, LinkerConfig, Tier};
 use saga_core::fault::{BreakerConfig, FaultInjector, FaultPlan, RetryPolicy, SiteFaults};
@@ -40,7 +39,6 @@ struct TrainPoint {
     attempt_amplification: f64,
     wall_round_units: u64,
     wall_overhead_x: f64,
-    retries: u64,
     model_identical: bool,
     quarantined: usize,
 }
@@ -147,7 +145,6 @@ fn train_curve(world: &World, scale: Scale, obs: &saga_core::obs::Scope) -> Vec<
             attempt_amplification: r.bucket_attempts as f64 / r.buckets_trained.max(1) as f64,
             wall_round_units: r.wall_round_units,
             wall_overhead_x: r.wall_round_units as f64 / r.rounds_completed.max(1) as f64,
-            retries: r.retries,
             model_identical: model.entities.to_bytes() == baseline_bytes,
             quarantined: r.quarantined.len(),
         });
@@ -157,66 +154,14 @@ fn train_curve(world: &World, scale: Scale, obs: &saga_core::obs::Scope) -> Vec<
     points
 }
 
-/// Renders the raw curves as the `BENCH_resilience.json` artifact.
-fn artifact_json(odke: &[OdkePoint], train: &[TrainPoint]) -> String {
-    let mut out = format!(
-        "{{\n  \"provenance\": {},\n  \"odke_retry_amplification\": [\n",
-        crate::report::kernel_provenance_json("  ")
-    );
-    for (i, p) in odke.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"fault_rate\": {}, \"facts_written\": {}, \"fact_recovery\": {:.4}, \
-             \"retries\": {}, \"call_volume_x\": {:.4}, \"quarantined\": {}}}{}\n",
-            p.rate,
-            p.facts_written,
-            p.fact_recovery,
-            p.retries,
-            p.call_volume_x,
-            p.quarantined,
-            if i + 1 == odke.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"training_retry_amplification\": [\n");
-    for (i, p) in train.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"fault_rate\": {}, \"bucket_attempts\": {}, \"attempt_amplification\": {:.4}, \
-             \"wall_round_units\": {}, \"wall_overhead_x\": {:.4}, \"retries\": {}, \
-             \"model_identical\": {}, \"quarantined\": {}}}{}\n",
-            p.rate,
-            p.bucket_attempts,
-            p.attempt_amplification,
-            p.wall_round_units,
-            p.wall_overhead_x,
-            p.retries,
-            p.model_identical,
-            p.quarantined,
-            if i + 1 == train.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Runs E15 and also returns the `BENCH_resilience.json` artifact body.
-pub fn run_with_artifact(scale: Scale) -> (ExperimentResult, String) {
-    let (result, resilience, _metrics) = run_with_artifacts(scale);
-    (result, resilience)
-}
-
-/// Runs E15 and returns the result plus both artifact bodies: the raw
-/// resilience curves (`BENCH_resilience.json`) and the obs
-/// [`MetricsSnapshot`](saga_core::obs::MetricsSnapshot) of the whole run
-/// (`BENCH_metrics.json`).
-pub fn run_with_artifacts(scale: Scale) -> (ExperimentResult, String, String) {
+/// Runs E15.
+pub fn run(scale: Scale) -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "E15",
         "Sec. 2/4 — retry amplification of the resilient extraction and training layers",
     );
     let world = World::build(scale, 53);
     let registry = saga_core::obs::Registry::new();
-    // Which kernel backend served this run travels with the metrics
-    // snapshot (and thus BENCH_metrics.json).
-    saga_core::obs::record_kernel_backend(&registry);
     let scope = registry.scope("bench").child("e15");
 
     let odke = odke_curve(&world, scale, &scope.child("odke"));
@@ -280,49 +225,5 @@ pub fn run_with_artifacts(scale: Scale) -> (ExperimentResult, String, String) {
         "recovery degraded at some fault rate: see the fact_recovery / model_identical columns"
             .to_string()
     });
-
-    let json = artifact_json(&odke, &train);
-    let metrics = metrics_artifact_json("E15", &registry.snapshot());
-    (result, json, metrics)
-}
-
-/// Runs E15.
-pub fn run(scale: Scale) -> ExperimentResult {
-    run_with_artifact(scale).0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn artifact_json_is_balanced_and_complete() {
-        let odke = vec![OdkePoint {
-            rate: 0.3,
-            facts_written: 9,
-            fact_recovery: 1.0,
-            retries: 14,
-            call_volume_x: 1.41,
-            quarantined: 0,
-        }];
-        let train = vec![TrainPoint {
-            rate: 0.3,
-            bucket_attempts: 46,
-            attempt_amplification: 1.44,
-            wall_round_units: 19,
-            wall_overhead_x: 1.36,
-            retries: 14,
-            model_identical: true,
-            quarantined: 0,
-        }];
-        let json = artifact_json(&odke, &train);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"provenance\""));
-        assert!(json.contains("\"kernel_backend\""));
-        assert!(json.contains("\"odke_retry_amplification\""));
-        assert!(json.contains("\"training_retry_amplification\""));
-        assert!(json.contains("\"model_identical\": true"));
-        assert!(!json.contains(",\n  ]"), "no trailing commas");
-    }
+    result
 }

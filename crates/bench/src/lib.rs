@@ -1,9 +1,9 @@
 //! # saga-bench
 //!
 //! The experiment harness regenerating every figure of the paper (see
-//! DESIGN.md §5 for the experiment ↔ figure map) plus Criterion benchmarks
-//! over the hot paths. Run `cargo run -p saga-bench --bin experiments --
-//! all` for the full row-printing harness.
+//! DESIGN.md §5 for the experiment ↔ figure map). Run `cargo run -p
+//! saga-bench --bin experiments -- all` for the full row-printing harness.
+//! Performance numbers are not its job: those come from `perf-ledger/`.
 
 #![warn(missing_docs)]
 

@@ -149,8 +149,7 @@ impl Table {
 
 impl ExperimentResult {
     /// Serializes the result as pretty-printed JSON at the given base
-    /// indent (see [`Table::to_json`]). Every emitted result carries a
-    /// provenance block recording which kernel backend produced it.
+    /// indent (see [`Table::to_json`]).
     pub fn to_json(&self, indent: &str) -> String {
         let tables = if self.tables.is_empty() {
             "[]".to_string()
@@ -163,22 +162,13 @@ impl ExperimentResult {
             format!("[\n{}\n{indent}  ]", inner.join(",\n"))
         };
         format!(
-            "{{\n{indent}  \"id\": \"{}\",\n{indent}  \"paper_artifact\": \"{}\",\n{indent}  \"provenance\": {},\n{indent}  \"tables\": {},\n{indent}  \"notes\": {}\n{indent}}}",
+            "{{\n{indent}  \"id\": \"{}\",\n{indent}  \"paper_artifact\": \"{}\",\n{indent}  \"tables\": {},\n{indent}  \"notes\": {}\n{indent}}}",
             json_escape(&self.id),
             json_escape(&self.paper_artifact),
-            kernel_provenance_json(&format!("{indent}  ")),
             tables,
             json_string_array(&self.notes, &format!("{indent}  ")),
         )
     }
-}
-
-/// JSON object recording the execution environment every bench artifact
-/// should carry. Thin alias for [`saga_core::kernels::provenance_json`] —
-/// the canonical emitter, shared with the standalone `rustc` harnesses —
-/// kept so existing experiment call sites read naturally.
-pub fn kernel_provenance_json(indent: &str) -> String {
-    saga_core::kernels::provenance_json(indent)
 }
 
 /// Runs `f` inside an obs span recorded on `scope`'s `name` histogram,
@@ -197,29 +187,6 @@ pub fn timed<R>(
     let ticks = span.elapsed_ticks();
     drop(span);
     (out, std::time::Duration::from_micros(ticks))
-}
-
-/// Serializes a [`saga_core::obs::MetricsSnapshot`] as a standalone
-/// `BENCH_*.json`-style artifact document tagged with the producing
-/// experiment id. Hand-rolled like the rest of artifact emission.
-pub fn metrics_artifact_json(
-    experiment: &str,
-    snapshot: &saga_core::obs::MetricsSnapshot,
-) -> String {
-    let metrics = snapshot.to_json();
-    let metrics = metrics.trim_end();
-    let mut indented = String::new();
-    for (i, line) in metrics.lines().enumerate() {
-        if i > 0 {
-            indented.push_str("\n  ");
-        }
-        indented.push_str(line);
-    }
-    format!(
-        "{{\n  \"experiment\": \"{}\",\n  \"provenance\": {},\n  \"metrics\": {indented}\n}}\n",
-        json_escape(experiment),
-        kernel_provenance_json("  "),
-    )
 }
 
 /// Formats a float with 3 decimals.
@@ -279,29 +246,10 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\\\"quoted\\\""));
-        for key in [
-            "\"id\"",
-            "\"paper_artifact\"",
-            "\"provenance\"",
-            "\"tables\"",
-            "\"notes\"",
-            "\"rows\"",
-        ] {
+        for key in ["\"id\"", "\"paper_artifact\"", "\"tables\"", "\"notes\"", "\"rows\""] {
             assert!(json.contains(key), "missing {key}");
         }
         let empty = ExperimentResult::new("E0", "x").to_json("");
         assert!(empty.contains("\"tables\": []"));
-    }
-
-    #[test]
-    fn kernel_provenance_names_active_backend() {
-        let json = kernel_provenance_json("");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json
-            .contains(&format!("\"kernel_backend\": \"{}\"", saga_core::kernels::backend_name())));
-        assert!(json.contains("\"cpu_features\""));
-        assert!(
-            json.contains(&format!("\"simd_compiled\": {}", saga_core::kernels::simd_compiled()))
-        );
     }
 }

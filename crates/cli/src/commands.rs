@@ -25,16 +25,13 @@ pub const USAGE: &str = "usage:
   saga path KG MODEL --start NAME --via P1,P2[,..] [-k N]
   saga odke --seed N [--targets N]
   saga grow --seed N [--targets N] [--workers N] [--incremental] [--churn PCT] [--intervals N]
-  saga grow-bench [--seed N] [--out FILE] [--gate on [--max-ratio R]]
-  saga serve-bench [--mode quick|full] [--seed N] [--shards 2,4] [--out FILE] [--gate on [--min-qps N]]
   saga serve --listen ADDR [--seed N] [--vectors N] [--dim N] [--shards N] [-k N]
   saga query --connect ADDR [--entity N | --search SEED [-k N]] [--timeout-ms N]
   saga store create FILE [--page-size N] [--log-cap N]
   saga store grow FILE [--seed N] [--txns N]
   saga store stats FILE
   saga store changes FILE [--since C]
-  saga store scrub FILE
-  saga store bench [--sizes A,B[,..]] [--runs N] [--tail N] [--out FILE] [--gate on [--max-ratio R]]";
+  saga store scrub FILE";
 
 /// Simple flag parser: positional args + `--flag value` pairs (`-k` too).
 struct Args<'a> {
@@ -83,6 +80,33 @@ impl<'a> Args<'a> {
             Some(v) => v.parse().map_err(|_| format!("--{name}: invalid number '{v}'")),
             None => Ok(default),
         }
+    }
+}
+
+/// A per-process scratch path in the temp dir, removed (file or directory
+/// tree) when dropped, so a `?` return leaves nothing behind either.
+struct TempPath(std::path::PathBuf);
+
+impl TempPath {
+    fn new(stem: &str, ext: &str) -> Self {
+        let path = std::env::temp_dir().join(format!("{stem}-{}{ext}", std::process::id()));
+        let this = TempPath(path);
+        this.remove();
+        this
+    }
+
+    fn remove(&self) {
+        let _ = if self.0.is_dir() {
+            std::fs::remove_dir_all(&self.0)
+        } else {
+            std::fs::remove_file(&self.0)
+        };
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        self.remove();
     }
 }
 
@@ -137,8 +161,6 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
         "path" => cmd_path(&rest),
         "odke" => cmd_odke(&rest),
         "grow" => cmd_grow(&rest),
-        "grow-bench" => cmd_grow_bench(&rest),
-        "serve-bench" => cmd_serve_bench(&rest),
         "serve" => cmd_serve(&rest),
         "query" => cmd_query(&rest),
         "store" => cmd_store(&rest),
@@ -242,10 +264,10 @@ fn cmd_stats_pipeline(args: &Args) -> Result<(), String> {
     // entities, re-extracted targets, retrained partitions, ANN upserts
     // and deletes, lapses — land in the same metric tree.
     {
-        let (gs, mut gcorpus, gtruth, gcfg) = growth_fixture(seed, 8, GrowthScale::Demo);
-        let gdir = std::env::temp_dir().join(format!("saga-stats-grow-{}", std::process::id()));
+        let (gs, mut gcorpus, gtruth, gcfg) = growth_fixture(seed, 8);
+        let gdir = TempPath::new("saga-stats-grow", "");
         let (mut gstate, _) =
-            saga_pipeline::grow_batch(&gs.kg, &gcorpus, &gcfg, 2, &gdir, &registry)
+            saga_pipeline::grow_batch(&gs.kg, &gcorpus, &gcfg, 2, &gdir.0, &registry)
                 .map_err(|e| format!("growth bootstrap: {e}"))?;
         churn_interval(&mut gcorpus, &gs, &gtruth, 5, seed.wrapping_add(13));
         let grep = saga_pipeline::grow_incremental(&mut gstate, &gcorpus, &gcfg, 2, &registry)
@@ -257,17 +279,15 @@ fn cmd_stats_pipeline(args: &Args) -> Result<(), String> {
             grep.targets_reextracted,
             grep.partitions_retrained
         );
-        let _ = std::fs::remove_dir_all(&gdir);
     }
     print_delta_counters(&registry);
 
     // Persist the grown graph through the MVCC storage engine and reopen it,
     // so the `persist/engine` counters (pages written, log appends, recovery
     // cost) land in the same metric tree as the pipeline stages.
-    let store_file = std::env::temp_dir().join(format!("saga-pipeline-{}.db", std::process::id()));
-    let _ = std::fs::remove_file(&store_file);
+    let store_file = TempPath::new("saga-pipeline", ".db");
     {
-        let mut store = KgStore::create(&store_file, kg, &EngineOptions::default())
+        let mut store = KgStore::create(&store_file.0, kg, &EngineOptions::default())
             .map_err(|e| format!("persisting pipeline graph: {e}"))?;
         store.attach_obs(&registry.scope("persist"));
         store
@@ -277,7 +297,7 @@ fn cmd_stats_pipeline(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         store.checkpoint().map_err(|e| e.to_string())?;
     }
-    let mut store = KgStore::open(&store_file).map_err(|e| format!("reopening store: {e}"))?;
+    let mut store = KgStore::open(&store_file.0).map_err(|e| format!("reopening store: {e}"))?;
     store.attach_obs(&registry.scope("persist"));
     let es = store.engine().stats();
     println!(
@@ -286,8 +306,6 @@ fn cmd_stats_pipeline(args: &Args) -> Result<(), String> {
         es.last_commit,
         store.engine().recovery_micros()
     );
-    drop(store);
-    let _ = std::fs::remove_file(&store_file);
 
     // Exercise the network serving layer in-process (memory transport, no
     // sockets) so the `serve/net` counters — served, shed, expired — land in
@@ -541,55 +559,23 @@ fn cmd_odke(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Fixture scale for [`growth_fixture`]: `Demo` is the tiny world used by
-/// `saga grow` and `saga stats pipeline`; `Bench` is a ~4x larger world
-/// for `saga grow-bench`, where a 5% churn interval actually dirties ~5%
-/// of the graph instead of a third of it.
-enum GrowthScale {
-    Demo,
-    Bench,
-}
-
-/// Deterministic growth fixture shared by `saga grow` and `saga grow-bench`:
-/// a synthetic world, its rendered web corpus, and a fixed fact-target
-/// universe (the first `n_targets` subjects with a rendered `lives_in`
-/// page, sorted by entity id). The target universe lives in the config so
+/// Deterministic growth fixture shared by `saga grow` and `saga stats
+/// pipeline`: a tiny synthetic world, its rendered web corpus, and a fixed
+/// fact-target universe (the first `n_targets` subjects with a rendered
+/// `lives_in` page, sorted by entity id). The target universe lives in the config so
 /// a delta pass re-extracts a strict subset of what a batch pass would.
 fn growth_fixture(
     seed: u64,
     n_targets: usize,
-    scale: GrowthScale,
 ) -> (
     saga_core::synth::SynthKg,
     saga_webcorpus::Corpus,
     saga_webcorpus::CorpusTruth,
     saga_pipeline::GrowthConfig,
 ) {
-    let (synth_cfg, corpus_cfg, num_parts) = match scale {
-        GrowthScale::Demo => {
-            (SynthConfig::tiny(seed), saga_webcorpus::CorpusConfig::tiny(seed ^ 0x17), 4)
-        }
-        GrowthScale::Bench => (
-            SynthConfig {
-                num_people: 500,
-                num_movies: 160,
-                num_songs: 160,
-                num_orgs: 80,
-                num_places: 60,
-                num_teams: 25,
-                ..SynthConfig::tiny(seed)
-            },
-            saga_webcorpus::CorpusConfig {
-                entity_pages: 900,
-                news_pages: 160,
-                noise_pages: 80,
-                ..saga_webcorpus::CorpusConfig::tiny(seed ^ 0x17)
-            },
-            32,
-        ),
-    };
-    let s = generate(&synth_cfg);
-    let (corpus, truth) = saga_webcorpus::generate_corpus(&s, &[], &corpus_cfg);
+    let s = generate(&SynthConfig::tiny(seed));
+    let (corpus, truth) =
+        saga_webcorpus::generate_corpus(&s, &[], &saga_webcorpus::CorpusConfig::tiny(seed ^ 0x17));
     let mut subjects: Vec<u64> = truth
         .rendered_facts
         .iter()
@@ -621,7 +607,7 @@ fn growth_fixture(
             seed: seed ^ 11,
             ..TrainConfig::default()
         },
-        num_parts,
+        num_parts: 4,
         min_predicate_frequency: 2,
         targets,
     };
@@ -679,13 +665,13 @@ fn cmd_grow(args: &Args) -> Result<(), String> {
     let churn_pct: u32 = args.num("churn", 5)?;
     let intervals: usize = args.num("intervals", 2)?;
 
-    let (s, mut corpus, truth, cfg) = growth_fixture(seed, n_targets, GrowthScale::Demo);
-    let workdir = std::env::temp_dir().join(format!("saga-grow-{}", std::process::id()));
+    let (s, mut corpus, truth, cfg) = growth_fixture(seed, n_targets);
+    let workdir = TempPath::new("saga-grow", "");
     let registry = saga_core::obs::Registry::new();
 
     let t0 = std::time::Instant::now();
     let (mut state, boot) =
-        saga_pipeline::grow_batch(&s.kg, &corpus, &cfg, workers, &workdir, &registry)
+        saga_pipeline::grow_batch(&s.kg, &corpus, &cfg, workers, &workdir.0, &registry)
             .map_err(|e| format!("batch bootstrap: {e}"))?;
     println!(
         "bootstrap: {} pages, {} targets, {} links, {} facts written, {} buckets trained, {} rows indexed ({} ms)",
@@ -731,204 +717,6 @@ fn cmd_grow(args: &Args) -> Result<(), String> {
         saga_pipeline::published_bytes(state.store.graph()).len()
     );
     print_delta_counters(&registry);
-    let _ = std::fs::remove_dir_all(&workdir);
-    Ok(())
-}
-
-/// One measured point on the cost-vs-churn curve: bootstrap on the base
-/// corpus, churn by `pct`, run one incremental pass, then batch-rebuild on
-/// the churned corpus for the work baseline and the convergence check.
-struct ChurnPoint {
-    pct: u32,
-    millis: u128,
-    batch_millis: u128,
-    rep: saga_pipeline::GrowthReport,
-    batch: saga_pipeline::GrowthReport,
-    converged: bool,
-}
-
-impl ChurnPoint {
-    /// Normalized work ratio of the incremental pass against the batch
-    /// rebuild: the mean of the pages-reprocessed, targets-re-extracted
-    /// and training-buckets fractions.
-    fn work_ratio(&self) -> f64 {
-        let frac = |a: usize, b: usize| a as f64 / (b.max(1)) as f64;
-        (frac(self.rep.pages_reprocessed, self.batch.pages_reprocessed)
-            + frac(self.rep.targets_reextracted, self.batch.targets_reextracted)
-            + frac(self.rep.buckets_trained, self.batch.buckets_trained))
-            / 3.0
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"churn_pct\": {}, \"millis\": {}, \"batch_millis\": {}, \
-             \"pages_reprocessed\": {}, \"entities_dirtied\": {}, \"targets_reextracted\": {}, \
-             \"facts_changed\": {}, \"partitions_retrained\": {}, \"buckets_trained\": {}, \
-             \"ann_upserts\": {}, \"ann_deletes\": {}, \"lapsed\": {}, \
-             \"work_ratio\": {:.4}, \"converged\": {}}}",
-            self.pct,
-            self.millis,
-            self.batch_millis,
-            self.rep.pages_reprocessed,
-            self.rep.entities_dirtied,
-            self.rep.targets_reextracted,
-            self.rep.facts_changed,
-            self.rep.partitions_retrained,
-            self.rep.buckets_trained,
-            self.rep.ann_upserts,
-            self.rep.ann_deletes,
-            self.rep.lapsed,
-            self.work_ratio(),
-            self.converged
-        )
-    }
-}
-
-/// `saga grow-bench`: measure the cost-vs-churn curve of the incremental
-/// pipeline at 1/5/15/30% churn against full batch rebuilds, write
-/// `BENCH_incremental.json`, and optionally gate the way CI does: the 5%
-/// point must converge bit-identically and cost less than `--max-ratio`
-/// (default 0.25) of a full pass.
-fn cmd_grow_bench(args: &Args) -> Result<(), String> {
-    let seed: u64 = args.num("seed", 7)?;
-    let out = args.flag("out").filter(|v| !v.is_empty()).unwrap_or("BENCH_incremental.json");
-    let (s, base_corpus, truth, cfg) = growth_fixture(seed, 25, GrowthScale::Bench);
-    let tmp = std::env::temp_dir().join(format!("saga-grow-bench-{}", std::process::id()));
-
-    let mut points = Vec::new();
-    for pct in [1u32, 5, 15, 30] {
-        let mut corpus = base_corpus.clone();
-        let registry = saga_core::obs::Registry::new();
-        let (mut state, _) = saga_pipeline::grow_batch(
-            &s.kg,
-            &corpus,
-            &cfg,
-            2,
-            &tmp.join(format!("inc-{pct}")),
-            &registry,
-        )
-        .map_err(|e| format!("bootstrap at {pct}%: {e}"))?;
-
-        churn_interval(&mut corpus, &s, &truth, pct, seed.wrapping_add(400 + pct as u64));
-        let t = std::time::Instant::now();
-        let rep = saga_pipeline::grow_incremental(&mut state, &corpus, &cfg, 2, &registry)
-            .map_err(|e| format!("incremental at {pct}%: {e}"))?;
-        let millis = t.elapsed().as_millis();
-
-        let t = std::time::Instant::now();
-        let (_, batch) = saga_pipeline::grow_batch(
-            &s.kg,
-            &corpus,
-            &cfg,
-            2,
-            &tmp.join(format!("batch-{pct}")),
-            &saga_core::obs::Registry::new(),
-        )
-        .map_err(|e| format!("batch rebuild at {pct}%: {e}"))?;
-        let batch_millis = t.elapsed().as_millis();
-
-        let converged = rep.published == batch.published;
-        let point = ChurnPoint { pct, millis, batch_millis, rep, batch, converged };
-        eprintln!(
-            "  {pct:>2}% churn: work ratio {:.3} ({} ms incremental vs {} ms batch), converged: {}",
-            point.work_ratio(),
-            point.millis,
-            point.batch_millis,
-            point.converged
-        );
-        points.push(point);
-    }
-    let _ = std::fs::remove_dir_all(&tmp);
-
-    let max_ratio: f64 = args.num("max-ratio", 0.25)?;
-    let gate_point = points.iter().find(|p| p.pct == 5).ok_or("missing 5% churn point")?;
-    let gate_pass = gate_point.work_ratio() < max_ratio && points.iter().all(|p| p.converged);
-
-    let curve: Vec<String> = points.iter().map(|p| format!("    {}", p.json())).collect();
-    let doc = format!(
-        "{{\n  \"bench\": \"incremental_growth\",\n  \"seed\": {seed},\n  \
-         \"corpus_pages\": {},\n  \"targets\": {},\n  \"curve\": [\n{}\n  ],\n  \
-         \"gate\": {{\"churn_pct\": 5, \"max_ratio\": {max_ratio}, \"work_ratio\": {:.4}, \
-         \"pass\": {gate_pass}}}\n}}\n",
-        base_corpus.pages.len(),
-        cfg.targets.len(),
-        curve.join(",\n"),
-        gate_point.work_ratio(),
-    );
-    std::fs::write(out, &doc).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "incremental bench → {out}: 5% churn work ratio {:.3} (bound {max_ratio}), all points converged: {}",
-        gate_point.work_ratio(),
-        points.iter().all(|p| p.converged)
-    );
-
-    if args.flag("gate").is_some_and(|v| v != "off") {
-        if let Some(p) = points.iter().find(|p| !p.converged) {
-            return Err(format!(
-                "incremental gate failed: {}% churn did not converge to batch",
-                p.pct
-            ));
-        }
-        if gate_point.work_ratio() >= max_ratio {
-            return Err(format!(
-                "incremental gate failed: 5% churn work ratio {:.3} >= {max_ratio}",
-                gate_point.work_ratio()
-            ));
-        }
-        println!("incremental gate passed");
-    }
-    Ok(())
-}
-
-/// Serving benchmark: run the sharded front-end scenario matrix (closed /
-/// open loop × coalesced / per-request × flat / quantized × shard counts),
-/// write `BENCH_serving.json`, and optionally gate the way CI does.
-fn cmd_serve_bench(args: &Args) -> Result<(), String> {
-    let seed: u64 = args.num("seed", 7)?;
-    let mut cfg = match args.flag("mode").unwrap_or("quick") {
-        "quick" => saga_serve::ServeBenchConfig::quick(seed),
-        "full" => saga_serve::ServeBenchConfig::full(seed),
-        other => return Err(format!("unknown mode '{other}' (quick|full)")),
-    };
-    if let Some(s) = args.flag("shards") {
-        let parsed: Result<Vec<usize>, _> = s.split(',').map(|p| p.trim().parse()).collect();
-        cfg.shard_counts = parsed.map_err(|_| format!("--shards: invalid list '{s}'"))?;
-        if cfg.shard_counts.is_empty() {
-            return Err("--shards: need at least one shard count".into());
-        }
-    }
-    let out = args.flag("out").unwrap_or("BENCH_serving.json");
-    let (doc, summary) = saga_serve::server::run_serve_bench(&cfg, |line| eprintln!("  {line}"));
-    std::fs::write(out, &doc).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "serving bench → {out}: min closed {:.0} qps, max sustained {} qps, low-load shed {}",
-        summary.min_closed_qps, summary.max_sustained_qps, summary.low_load_shed
-    );
-    if args.flag("gate").is_some_and(|v| v != "off") {
-        let min_qps: f64 = args.num("min-qps", 200.0)?;
-        let a = &summary.acceptance;
-        if !a.pass() {
-            return Err(format!(
-                "serving gate failed: coalescing_wins={} brownout_sheds={} conservation={}",
-                a.coalescing_wins_sustained_qps,
-                a.brownout_sheds_not_collapses,
-                a.conservation_holds
-            ));
-        }
-        if summary.low_load_shed > 0 {
-            return Err(format!(
-                "serving gate failed: {} requests shed at low load (expected 0)",
-                summary.low_load_shed
-            ));
-        }
-        if summary.min_closed_qps < min_qps {
-            return Err(format!(
-                "serving gate failed: closed-loop floor {:.0} qps < required {min_qps} qps",
-                summary.min_closed_qps
-            ));
-        }
-        println!("serving gate passed");
-    }
     Ok(())
 }
 
@@ -1029,7 +817,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
 
 /// `saga store`: the crash-safe MVCC engine behind a small operational CLI —
 /// create a store file, grow it with deterministic transactions, inspect
-/// engine stats and the change cursor, scrub it, and run the recovery bench.
+/// engine stats and the change cursor, and scrub it.
 fn cmd_store(args: &Args) -> Result<(), String> {
     match args.positional.first().copied() {
         Some("create") => cmd_store_create(args),
@@ -1037,8 +825,7 @@ fn cmd_store(args: &Args) -> Result<(), String> {
         Some("stats") => cmd_store_stats(args),
         Some("changes") => cmd_store_changes(args),
         Some("scrub") => cmd_store_scrub(args),
-        Some("bench") => cmd_store_bench(args),
-        _ => Err("usage: saga store create|grow|stats|changes|scrub|bench ...".into()),
+        _ => Err("usage: saga store create|grow|stats|changes|scrub ...".into()),
     }
 }
 
@@ -1209,133 +996,6 @@ fn cmd_store_scrub(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Recovery benchmark: builds stores whose *database size* differs by an
-/// order of magnitude but whose *log tails* are byte-identical, then times
-/// [`KgStore::open`] on each. The crash-recovery protocol (superblock pick
-/// plus tail replay) must cost the same regardless of database size; image
-/// materialization is reported separately because loading the graph into
-/// memory legitimately scales with its size.
-fn cmd_store_bench(args: &Args) -> Result<(), String> {
-    let sizes_s = args.flag("sizes").unwrap_or("50,1000");
-    let sizes: Vec<u64> = sizes_s
-        .split(',')
-        .map(|p| p.trim().parse())
-        .collect::<Result<_, _>>()
-        .map_err(|_| format!("--sizes: invalid list '{sizes_s}'"))?;
-    if sizes.len() < 2 {
-        return Err("--sizes: need at least two store sizes to compare".into());
-    }
-    let runs: usize = args.num("runs", 7)?;
-    let tail: u64 = args.num("tail", 3)?;
-    let out = args.flag("out").unwrap_or("BENCH_storage.json");
-    let opts = EngineOptions { page_size: 256, log_cap: 4096 };
-
-    let dir = std::env::temp_dir().join("saga-store-bench");
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let mut rows: Vec<(u64, saga_core::EngineStats, u64, u64)> = Vec::new();
-    for &entities in &sizes {
-        let p = dir.join(format!("{}-bench-{entities}.db", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        let mut store = KgStore::create(&p, store_base_graph(), &opts)
-            .map_err(|e| format!("building {entities}-entity store: {e}"))?;
-        let person = store.graph().entity(EntityId(0)).entity_type;
-        store
-            .commit(|txn| {
-                for e in 0..entities {
-                    txn.add_entity(EntityBuilder::new(format!("bulk-{e}"), person));
-                }
-            })
-            .map_err(|e| e.to_string())?;
-        store.checkpoint().map_err(|e| e.to_string())?;
-        // Identical small tails: recovery replay work must not differ.
-        for _ in 0..tail {
-            store_grow_txn(&mut store, 1)?;
-        }
-        drop(store);
-
-        let mut best_recovery = u64::MAX;
-        let mut best_open = u64::MAX;
-        let mut stats = None;
-        for _ in 0..runs.max(1) {
-            let t0 = std::time::Instant::now();
-            let reopened = KgStore::open(&p).map_err(|e| e.to_string())?;
-            let open_micros = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-            best_recovery = best_recovery.min(reopened.engine().recovery_micros());
-            best_open = best_open.min(open_micros);
-            stats = Some(reopened.engine().stats());
-        }
-        let s = stats.ok_or("need at least one run")?;
-        eprintln!(
-            "  {entities:6} entities: {:4} pages, {} tail txns, {} log bytes → \
-             recovery {best_recovery} µs (full open {best_open} µs)",
-            s.page_count, s.tail_txns, s.log_used
-        );
-        rows.push((entities, s, best_recovery, best_open));
-        let _ = std::fs::remove_file(&p);
-    }
-
-    let min_rec = rows.iter().map(|r| r.2.max(1)).min().unwrap_or(1);
-    let max_rec = rows.iter().map(|r| r.2.max(1)).max().unwrap_or(1);
-    let ratio = max_rec as f64 / min_rec as f64;
-    let spread = sizes.iter().max().unwrap_or(&1) / sizes.iter().min().unwrap_or(&1).max(&1);
-
-    let mut doc = String::from("{\n  \"bench\": \"storage-recovery\",\n");
-    doc += &format!(
-        "  \"geometry\": {{ \"page_size\": {}, \"log_cap\": {}, \"tail_txns\": {tail} }},\n",
-        opts.page_size, opts.log_cap
-    );
-    doc += "  \"stores\": [\n";
-    for (i, (entities, s, rec, open)) in rows.iter().enumerate() {
-        doc += &format!(
-            "    {{ \"entities\": {entities}, \"page_count\": {}, \"log_used\": {}, \
-             \"tail_txns\": {}, \"recovery_micros\": {rec}, \"open_micros\": {open} }}{}\n",
-            s.page_count,
-            s.log_used,
-            s.tail_txns,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    doc += "  ],\n";
-    doc += &format!("  \"size_spread\": {spread},\n");
-    doc += &format!("  \"recovery_ratio\": {ratio:.3},\n");
-    doc += &format!("  \"provenance\": {}\n}}\n", saga_core::kernels::provenance_json("  "));
-    std::fs::write(out, &doc).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "storage bench → {out}: recovery {min_rec}–{max_rec} µs across a {spread}x size spread \
-         (ratio {ratio:.2})"
-    );
-
-    if args.flag("gate").is_some_and(|v| v != "off") {
-        let max_ratio: f64 = args.num("max-ratio", 5.0)?;
-        let (first, rest) = rows.split_first().ok_or("no rows")?;
-        for (entities, s, _, _) in rest {
-            if s.tail_txns != first.1.tail_txns || s.log_used != first.1.log_used {
-                return Err(format!(
-                    "storage gate failed: {entities}-entity store has a different log tail \
-                     ({} txns / {} bytes vs {} / {}) — replay work leaked database size",
-                    s.tail_txns, s.log_used, first.1.tail_txns, first.1.log_used
-                ));
-            }
-        }
-        let min_pages = rows.iter().map(|r| r.1.page_count).min().unwrap_or(0);
-        let max_pages = rows.iter().map(|r| r.1.page_count).max().unwrap_or(0);
-        if max_pages < min_pages * 4 {
-            return Err(format!(
-                "storage gate failed: size spread did not materialize ({min_pages} vs \
-                 {max_pages} pages) — pick sizes further apart"
-            ));
-        }
-        if ratio > max_ratio {
-            return Err(format!(
-                "storage gate failed: recovery ratio {ratio:.2} exceeds {max_ratio} across a \
-                 {spread}x size spread (expected flat)"
-            ));
-        }
-        println!("storage gate passed");
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1411,6 +1071,25 @@ mod tests {
     }
 
     #[test]
+    fn temp_path_is_removed_on_an_error_return() {
+        fn fails_midway(seen: &mut Vec<std::path::PathBuf>) -> Result<(), String> {
+            let dir = TempPath::new("saga-cli-temp-path", "");
+            let file = TempPath::new("saga-cli-temp-path", ".db");
+            std::fs::create_dir_all(dir.0.join("nested")).map_err(|e| e.to_string())?;
+            std::fs::write(dir.0.join("nested/log"), b"x").map_err(|e| e.to_string())?;
+            std::fs::write(&file.0, b"x").map_err(|e| e.to_string())?;
+            seen.extend([dir.0.clone(), file.0.clone()]);
+            Err("stage failed".into())
+        }
+        let mut seen = Vec::new();
+        assert!(fails_midway(&mut seen).is_err());
+        assert_eq!(seen.len(), 2);
+        for path in seen {
+            assert!(!path.exists(), "{} leaked", path.display());
+        }
+    }
+
+    #[test]
     fn odke_command_runs() {
         run(&["odke", "--seed", "3", "--targets", "4"]).unwrap();
     }
@@ -1432,46 +1111,10 @@ mod tests {
     }
 
     #[test]
-    fn store_bench_writes_report_and_gates() {
-        let out = tmpfile("BENCH_storage.json");
-        // A lenient ratio keeps this plumbing test robust under debug-mode
-        // timing noise; CI runs the real gate in release mode.
-        run(&[
-            "store",
-            "bench",
-            "--sizes",
-            "20,200",
-            "--runs",
-            "5",
-            "--out",
-            &out,
-            "--gate",
-            "on",
-            "--max-ratio",
-            "25",
-        ])
-        .unwrap();
-        let doc = std::fs::read_to_string(&out).unwrap();
-        assert!(doc.contains("\"bench\": \"storage-recovery\""));
-        assert!(doc.contains("\"recovery_ratio\""));
-        assert!(doc.contains("\"provenance\""));
-        std::fs::remove_file(&out).ok();
-    }
-
-    #[test]
     fn store_rejects_bad_input() {
         assert!(run(&["store"]).is_err());
         assert!(run(&["store", "unknown-sub"]).is_err());
         assert!(run(&["store", "stats", "/nonexistent/x.db"]).is_err());
-        assert!(run(&["store", "bench", "--sizes", "50"]).is_err());
-        assert!(run(&["store", "bench", "--sizes", "5,x"]).is_err());
-    }
-
-    #[test]
-    fn serve_bench_rejects_bad_flags_before_running() {
-        assert!(run(&["serve-bench", "--mode", "bogus"]).is_err());
-        assert!(run(&["serve-bench", "--shards", "2,x"]).is_err());
-        assert!(run(&["serve-bench", "--shards", ""]).is_err());
     }
 
     #[test]

@@ -38,10 +38,6 @@
 //! `tests/kernels_properties.rs`. The `*_batch` variants score one query
 //! against a contiguous row-major block, writing into a caller-owned buffer
 //! so steady-state serving performs no allocation.
-//!
-//! This module is deliberately std-only (no intra-crate dependencies) so
-//! the standalone bench harness (`tools/bench_simd.rs`) can compile it
-//! directly with `rustc` in environments without cargo.
 
 pub mod portable;
 
@@ -96,7 +92,9 @@ pub struct Backend {
 /// query vector + four row streams + four accumulators fit comfortably in
 /// 16 vector registers, and each query load is amortized over four FMAs —
 /// the single-row kernels are load-port bound, so this is where the batch
-/// speedup comes from (measured in `BENCH_simd.json`, `*_batch` rows).
+/// speedup comes from (1.35–1.49× per row at dim 128 × 256 rows on AVX2,
+/// measured at PR 7; the scan's current cost is the `ann.flat_search_us`
+/// row of `perf-ledger`).
 pub const ROW_TILE: usize = 4;
 
 /// The always-available reference backend.
@@ -213,8 +211,8 @@ pub const fn simd_compiled() -> bool {
 }
 
 /// Scoring-relevant CPU features detected at runtime, independent of which
-/// backend is active — recorded in bench provenance so artifacts from
-/// different hosts are comparable.
+/// backend is active — recorded beside the backend name in the obs
+/// registry (`record_kernel_backend`) and in `saga stats` output.
 pub fn detected_cpu_features() -> Vec<&'static str> {
     #[allow(unused_mut)]
     let mut features: Vec<&'static str> = Vec::new();
@@ -368,8 +366,8 @@ pub fn norm_sq_i8(v: &[i8]) -> i32 {
 /// norm-expansion algebra even with both norms precomputed: the expansion's
 /// fixed cost (a separate dot kernel call plus the scalar algebra) is not
 /// amortized until the row is long enough for the dot's wider loop to
-/// dominate. Measured with `tools/bench_simd.rs` (see `BENCH_simd.json`,
-/// `l2_f32i8_crossover` row).
+/// dominate (measured at PR 7: direct wins through dim 16, the two tie
+/// from dim 32 to 64, the expansion wins at 128).
 pub const L2_F32I8_DIRECT_MAX_DIM: usize = 32;
 
 /// Squared Euclidean distance between an f32 query and a dequantized i8
@@ -472,22 +470,6 @@ pub fn dot_i8i8_batch(q: &[i8], block: &[i8], out: &mut Vec<i32>) {
 /// — this is the quantized table's full-scan scoring shape.
 pub fn dot_f32i8_batch(q: &[f32], block: &[i8], out: &mut Vec<f32>) {
     block_body!(dot_f32i8_block, q, block, out, q, block, out);
-}
-
-/// JSON object recording the execution environment every bench artifact
-/// should carry: the kernel backend that served the run, the CPU features
-/// runtime dispatch saw, and whether the intrinsic backends were compiled
-/// in at all. Numbers from an `avx2` run and a `portable` run are not
-/// comparable, so the distinction must travel with the artifact. Lives
-/// here (std-only) so the standalone `rustc` harnesses emit the same
-/// provenance block as the cargo bench binaries.
-pub fn provenance_json(indent: &str) -> String {
-    format!(
-        "{{\n{indent}  \"kernel_backend\": \"{}\",\n{indent}  \"cpu_features\": \"{}\",\n{indent}  \"simd_compiled\": {}\n{indent}}}",
-        backend_name(),
-        detected_cpu_features().join(","),
-        simd_compiled(),
-    )
 }
 
 #[cfg(test)]

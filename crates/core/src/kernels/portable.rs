@@ -259,8 +259,8 @@ pub fn norm_sq_i8(v: &[i8]) -> i32 {
 // resident across a [`super::ROW_TILE`]-row tile requires explicit register
 // accumulators; expressed as scalar accumulator arrays the tile body
 // defeats LLVM's autovectorizer and measures *slower* than the row loop
-// (0.66–0.86× at dim 128 × 256 rows, `BENCH_simd.json`
-// `batch_tiling_dim128_rows256`) — the same rule that keeps [`cosine`]
+// (0.66–0.86× at dim 128 × 256 rows, measured at PR 7) — the same rule
+// that keeps [`cosine`]
 // composed of single-reduction passes. The intrinsic backends
 // ([`super::x86`], [`super::neon`]) implement the true tiles.
 

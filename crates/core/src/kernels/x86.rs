@@ -439,7 +439,7 @@ unsafe fn dot_i8i8_impl(a: &[i8], b: &[i8]) -> i32 {
 /// The headline mixed-precision sequence: 16 i8 sign-extend to two 8-lane
 /// i32 vectors (`vpmovsxbd`), convert to f32 (`vcvtdq2ps`), FMA against the
 /// f32 query — the ~2.4× the default-target autovectorized form leaves on
-/// the table (`BENCH_quant.json`).
+/// the table (measured at PR 2).
 #[target_feature(enable = "avx2,fma")]
 unsafe fn dot_f32i8_impl(q: &[f32], b: &[i8]) -> f32 {
     let n = q.len().min(b.len());
@@ -501,8 +501,8 @@ unsafe fn norm_sq_i8_impl(v: &[i8]) -> i32 {
 /// single-row kernel issues two loads (query + row) per FMA and saturates
 /// the load ports at one FMA per cycle; here each 8-lane query load is
 /// amortized over four row FMAs (1.25 loads/FMA), which is where the batch
-/// speedup in `BENCH_simd.json` comes from. Remainder rows (`out.len() %
-/// 4`) fall back to the single-row kernel.
+/// speedup (1.47× per row at dim 128 × 256 rows, measured at PR 7) comes
+/// from. Remainder rows (`out.len() % 4`) fall back to the single-row kernel.
 #[target_feature(enable = "avx2,fma")]
 unsafe fn dot_block_impl(q: &[f32], block: &[f32], out: &mut [f32]) {
     let dim = q.len();

@@ -1,19 +1,15 @@
 //! Deterministic Zipfian request traces for the serving load harness.
 //!
-//! The serving benchmarks (`saga-serve`, `saga serve-bench`, and the
-//! standalone `tools/bench_serve.rs` harness) all replay the same synthetic
-//! open-domain workload: a skewed mix of point lookups and ANN searches whose
-//! popularity follows the [`zipf_popularity`] curve the synthetic KG uses for
-//! entity popularity. Generating the trace up front — instead of sampling
-//! inside the load generator — is what makes the harness reproducible: a
-//! fixed seed yields a bit-identical request sequence regardless of how many
-//! worker threads later replay it, so shed/served counts can be asserted
-//! exactly across configurations.
-//!
-//! Like `kernels`, this module is deliberately dependency-free (`std` only,
-//! hand-rolled SplitMix64/xorshift instead of the `rand` crate) so the
-//! standalone serving harness can compile it directly via `#[path]` without
-//! cargo.
+//! The serving load generators (`saga-serve`'s tests and `perf-ledger`)
+//! replay the same synthetic open-domain workload: a skewed mix of point
+//! lookups and ANN searches whose popularity follows the
+//! [`zipf_popularity`] curve the synthetic KG uses for entity popularity.
+//! Generating the trace up front — instead of sampling inside the load
+//! generator — is what makes the harness reproducible: a fixed seed yields a
+//! bit-identical request sequence regardless of how many worker threads later
+//! replay it, so shed/served counts can be asserted exactly across
+//! configurations. The hand-rolled SplitMix64 (not the `rand` crate) is part
+//! of that contract: the bit stream is this file's.
 
 /// One step of the SplitMix64 mixer: a high-quality 64→64 bit finalizer.
 ///

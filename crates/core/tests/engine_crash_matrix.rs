@@ -235,8 +235,9 @@ fn bit_flips_anywhere_never_panic_and_never_serve_silent_corruption() {
 fn recovery_cost_tracks_log_tail_not_database_size() {
     // Two stores with a 20x size difference but identical log tails: the
     // recovery byte counter (what open() actually reads beyond the
-    // superblocks) must not scale with database size. Wall-clock timing is
-    // asserted only loosely here (the CI bench gates it properly).
+    // superblocks) must not scale with database size. The `tail_txns` and
+    // `log_used` equalities below are the gate: replay work is counted, and
+    // no wall clock is consulted.
     let build = |name: &str, entities: u64| {
         let p = tmp(name);
         let mut store =

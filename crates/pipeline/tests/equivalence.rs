@@ -11,7 +11,7 @@ use saga_core::obs::Registry;
 use saga_core::synth::{generate, SynthConfig, SynthKg};
 use saga_embeddings::{build_flat_index, ModelKind, TrainConfig};
 use saga_odke::{FactTarget, OdkeConfig, TargetReason};
-use saga_pipeline::{grow_batch, grow_incremental, GrowthConfig, GrowthState};
+use saga_pipeline::{grow_batch, grow_incremental, GrowthConfig, GrowthReport, GrowthState};
 use saga_webcorpus::{
     apply_churn, apply_fact_churn, generate_corpus, ChurnConfig, Corpus, CorpusConfig, CorpusTruth,
 };
@@ -29,6 +29,29 @@ fn workdir(name: &str) -> PathBuf {
 fn fixture() -> (SynthKg, Corpus, CorpusTruth) {
     let s = generate(&SynthConfig::tiny(231));
     let (c, t) = generate_corpus(&s, &[], &CorpusConfig::tiny(17));
+    (s, c, t)
+}
+
+/// A world about four times the tiny one (seed 7: 500 people, 900 entity +
+/// 160 news + 80 noise pages), where a 5% interval dirties about 5% of the
+/// graph instead of a third of it. Grown over 32 partitions.
+fn large_fixture() -> (SynthKg, Corpus, CorpusTruth) {
+    let s = generate(&SynthConfig {
+        num_people: 500,
+        num_movies: 160,
+        num_songs: 160,
+        num_orgs: 80,
+        num_places: 60,
+        num_teams: 25,
+        ..SynthConfig::tiny(7)
+    });
+    let pages = CorpusConfig {
+        entity_pages: 900,
+        news_pages: 160,
+        noise_pages: 80,
+        ..CorpusConfig::tiny(7 ^ 0x17)
+    };
+    let (c, t) = generate_corpus(&s, &[], &pages);
     (s, c, t)
 }
 
@@ -104,53 +127,98 @@ fn assert_ann_parity(state: &GrowthState) {
     }
 }
 
+/// Bootstraps on `base_corpus`, churns it by `pct`%, advances with one
+/// incremental pass and rebuilds the churned corpus in batch. Asserts the
+/// two converge (published bytes, ANN parity) and that the delta pass's
+/// work accounting holds; returns the (incremental, batch) reports.
+fn interval_vs_rebuild(
+    (s, base_corpus, truth): &(SynthKg, Corpus, CorpusTruth),
+    cfg: &GrowthConfig,
+    pct: u32,
+    churn_seed: u64,
+    tag: &str,
+) -> (GrowthReport, GrowthReport) {
+    let mut corpus = base_corpus.clone();
+    let reg = Registry::new();
+    let (mut state, _) =
+        grow_batch(&s.kg, &corpus, cfg, 2, &workdir(&format!("{tag}-inc-{pct}")), &reg)
+            .expect("bootstrap");
+
+    churn(&mut corpus, s, truth, pct, churn_seed);
+    let inc = grow_incremental(&mut state, &corpus, cfg, 2, &reg).expect("incremental pass");
+    assert!(!inc.lapsed, "retained deltas must cover one interval");
+
+    let (batch_state, batch) = grow_batch(
+        &s.kg,
+        &corpus,
+        cfg,
+        2,
+        &workdir(&format!("{tag}-batch-{pct}")),
+        &Registry::new(),
+    )
+    .expect("batch rebuild");
+
+    assert_eq!(inc.published, batch.published, "{tag}: snapshots diverge at {pct}% churn");
+    assert_ann_parity(&state);
+    assert_ann_parity(&batch_state);
+
+    // Work accounting: a delta pass touches a strict subset of the
+    // target universe, and the registry agrees with the report.
+    let snap = reg.snapshot();
+    assert_eq!(snap.counter("delta/targets_reextracted"), inc.targets_reextracted as u64);
+    assert!(
+        inc.targets_reextracted < cfg.targets.len(),
+        "{tag}: {pct}% churn re-extracted every target"
+    );
+    assert_eq!(snap.counter("delta/lapses"), 0);
+    (inc, batch)
+}
+
 #[test]
 fn incremental_converges_to_batch_rebuild_across_churn_levels() {
-    let (s, base_corpus, truth) = fixture();
-    let cfg = config(&s, &truth);
-    let mut reextracted = Vec::new();
-
-    for pct in [1u32, 15, 30] {
-        let mut corpus = base_corpus.clone();
-        let reg = Registry::new();
-        let (mut state, _) =
-            grow_batch(&s.kg, &corpus, &cfg, 2, &workdir(&format!("inc-{pct}")), &reg)
-                .expect("bootstrap");
-
-        churn(&mut corpus, &s, &truth, pct, 400 + pct as u64);
-        let inc = grow_incremental(&mut state, &corpus, &cfg, 2, &reg).expect("incremental pass");
-        assert!(!inc.lapsed, "retained deltas must cover one interval");
-
-        let (batch_state, batch) = grow_batch(
-            &s.kg,
-            &corpus,
-            &cfg,
-            2,
-            &workdir(&format!("batch-{pct}")),
-            &Registry::new(),
-        )
-        .expect("batch rebuild");
-
-        assert_eq!(inc.published, batch.published, "published snapshots diverge at {pct}% churn");
-        assert_ann_parity(&state);
-        assert_ann_parity(&batch_state);
-
-        // Work accounting: a delta pass touches a strict subset of the
-        // target universe, and the registry agrees with the report.
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("delta/targets_reextracted"), inc.targets_reextracted as u64);
-        assert!(
-            inc.targets_reextracted < cfg.targets.len(),
-            "{pct}% churn re-extracted every target"
-        );
-        assert_eq!(snap.counter("delta/lapses"), 0);
-        reextracted.push(inc.targets_reextracted);
-    }
+    let world = fixture();
+    let cfg = config(&world.0, &world.2);
+    let reextracted: Vec<usize> = [1u32, 15, 30]
+        .into_iter()
+        .map(|pct| {
+            interval_vs_rebuild(&world, &cfg, pct, 400 + pct as u64, "tiny").0.targets_reextracted
+        })
+        .collect();
 
     // Cost scales with churn: more churn, no less re-extraction.
     assert!(
         reextracted.windows(2).all(|w| w[0] <= w[1]),
         "re-extraction not monotone in churn: {reextracted:?}"
+    );
+
+    // Cost is a fraction of a rebuild: on the large world a 5% interval does
+    // under a quarter of the batch pass's work — the mean of its shares of
+    // pages reprocessed, targets re-extracted and training buckets. Counts
+    // only, so the bound holds on any host. The partition layout follows the
+    // training seed, and the bucket share with it: this seed is the one the
+    // bound was set on.
+    let world = large_fixture();
+    let base = config(&world.0, &world.2);
+    let cfg = GrowthConfig {
+        num_parts: 32,
+        train: TrainConfig { seed: 7 ^ 11, ..base.train.clone() },
+        ..base
+    };
+    let (inc, batch) = interval_vs_rebuild(&world, &cfg, 5, 7 + 405, "large");
+    let share = |inc: usize, batch: usize| inc as f64 / batch.max(1) as f64;
+    let work_ratio = (share(inc.pages_reprocessed, batch.pages_reprocessed)
+        + share(inc.targets_reextracted, batch.targets_reextracted)
+        + share(inc.buckets_trained, batch.buckets_trained))
+        / 3.0;
+    assert!(
+        work_ratio < 0.25,
+        "5% churn cost {work_ratio:.3} of a rebuild: pages {}/{}, targets {}/{}, buckets {}/{}",
+        inc.pages_reprocessed,
+        batch.pages_reprocessed,
+        inc.targets_reextracted,
+        batch.targets_reextracted,
+        inc.buckets_trained,
+        batch.buckets_trained
     );
 }
 

@@ -2,44 +2,34 @@
 //!
 //! Serves point lookups (graph facts by entity) and vector searches
 //! (flat / HNSW / quantized k-NN) behind a sharded, concurrent front-end,
-//! and ships the load harness that sizes it:
+//! with the load generators its tests drive it with:
 //!
 //! * [`policy`] — shard routing (entity-hash), coalescing windows, and the
 //!   latency-budget admission rule ([`policy::should_shed`]) with its
 //!   sliding-window p99 histogram. Pure data + arithmetic: the same
-//!   decision code runs in the engine, the simulator, and the standalone
-//!   harness.
+//!   decision code runs in the engine and the simulator.
 //! * [`shard`] — the threaded engine: one persistent worker per shard
 //!   coalescing concurrent requests into micro-batches, shedding at
 //!   admission when the shard's p99 burns its budget.
 //! * [`sim`] — bit-reproducible virtual-time replay of the same policies,
 //!   for determinism tests and policy reasoning.
 //! * [`loadgen`] — closed-loop (capacity) and open-loop (offered-load)
-//!   generators over [`trace`] request traces, with exact percentiles.
+//!   generators over [`saga_core::trace`] request traces, with exact
+//!   percentiles. They are the in-process reference for the `retry_after`
+//!   discipline the [`net`] client follows; performance numbers come from
+//!   `perf-ledger/`, not from here.
 //! * [`server`] — the engine bound to real backends: partitioned ANN
 //!   indexes, the graph store's [`saga_graph::PointLookupIndex`], obs
-//!   counters, fault-driven brownout, and the `serve-bench` orchestrator.
-//! * [`report`] — `BENCH_serving.json` emission.
-//!
+//!   counters and fault-driven brownout.
 //! * [`net`] — the fault-tolerant network layer: framed wire protocol,
 //!   TCP/memory transports, a deadline-propagating server, a shed-aware
 //!   retry client, and the seeded chaos transport that proves them.
-//!
-//! The engine modules ([`policy`], [`shard`], [`sim`], [`loadgen`],
-//! [`report`]) are pure std and refer to siblings via `crate::` paths, so
-//! `tools/bench_serve.rs` can include them standalone (no cargo) next to
-//! `saga_core::trace` — which is re-exported here as [`trace`] for exactly
-//! that symmetry. The [`net`] family is cargo-only (it needs the fault and
-//! codec layers) and is deliberately NOT pulled into the standalone build.
 
 #![deny(clippy::unwrap_used)]
-
-pub use saga_core::trace;
 
 pub mod loadgen;
 pub mod net;
 pub mod policy;
-pub mod report;
 pub mod server;
 pub mod shard;
 pub mod sim;
@@ -49,7 +39,7 @@ pub use loadgen::{
 };
 pub use net::{ClientConfig, NetServer, NetServerConfig, SagaClient};
 pub use policy::{route, should_shed, CoalescePolicy, ShedPolicy, WindowHistogram};
-pub use server::{run_serve_bench, IndexKind, ServeBenchConfig, ServeBenchSummary, ShardedService};
+pub use server::{IndexKind, ShardedService};
 pub use shard::{
     BatchExecutor, EngineClock, Job, MicrosClock, ShardEngine, ShardStats, SubmitOutcome,
 };

@@ -1,6 +1,6 @@
 //! Closed- and open-loop load generation against the threaded engine.
 //!
-//! Both loops replay a [`crate::trace`] request trace against a running
+//! Both loops replay a [`saga_core::trace`] request trace against a running
 //! [`ShardEngine`]:
 //!
 //! * **Closed loop** — `workers` client threads each own a strided slice of
@@ -23,7 +23,7 @@
 //! histogram buckets.
 
 use crate::shard::{EngineClock, ShardEngine};
-use crate::trace::{Request, RequestKind};
+use saga_core::trace::{Request, RequestKind};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -129,7 +129,7 @@ pub enum LoadMode {
         /// Offered request rate, requests per second.
         target_qps: u64,
         /// The trace's own mean inter-arrival gap (from its
-        /// [`crate::trace::TraceConfig`]), used to rescale arrival ticks
+        /// [`saga_core::trace::TraceConfig`]), used to rescale arrival ticks
         /// onto the target rate.
         trace_mean_interarrival_ticks: u64,
     },
@@ -180,7 +180,6 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
 }
 
 /// Submit one request: arm its slot, route its shard shares, record sheds.
-/// Returns the fan-out that was actually enqueued.
 fn submit_request(engine: &ShardEngine, board: &SlotBoard, r: &Request, now: u64) {
     let shards = engine.num_shards();
     match r.kind {
@@ -318,7 +317,7 @@ pub struct RetryConfig {
     /// Submission attempts per request, including the first.
     pub max_attempts: u32,
     /// Total retries available across the whole run (a shared budget, the
-    /// std-only mirror of `saga_core::fault::RetryBudget`).
+    /// single-threaded counterpart of `saga_core::fault::RetryBudget`).
     pub budget: u64,
 }
 
@@ -462,7 +461,7 @@ pub fn run_load_retry(
                 RetryStyle::Naive { backoff_ticks } => backoff_ticks,
                 RetryStyle::ShedAware => {
                     // hint ± 25%, deterministic per (request, attempt).
-                    let h = crate::trace::splitmix64(
+                    let h = saga_core::trace::splitmix64(
                         trace[idx as usize].id as u64 ^ (u64::from(attempt) << 32),
                     );
                     let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
@@ -521,28 +520,13 @@ pub fn run_load_retry(
     (report, st)
 }
 
-/// Pick the max sustained rate from a `(rate, report)` ladder: the largest
-/// rate whose shed fraction stays within `max_shed_rate` AND whose p99
-/// stays within `p99_budget_ticks`. `None` when no rung qualifies.
-pub fn sustained_from_ladder(
-    ladder: &[(u64, LoadReport)],
-    max_shed_rate: f64,
-    p99_budget_ticks: u64,
-) -> Option<u64> {
-    ladder
-        .iter()
-        .filter(|(_, rep)| rep.shed_rate() <= max_shed_rate && rep.p99_ticks <= p99_budget_ticks)
-        .map(|(rate, _)| *rate)
-        .max()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::policy::{CoalescePolicy, ShedPolicy};
     use crate::shard::{BatchExecutor, Job, MicrosClock};
-    use crate::trace::{generate_trace, TraceConfig};
+    use saga_core::trace::{generate_trace, TraceConfig};
 
     /// Executor that spins ~`per_job_us` per job then completes the board.
     struct SpinExecutor {
@@ -673,8 +657,7 @@ mod tests {
         // The goodput win needs the real engine cadence: debug builds slow
         // the workers ~10×, shrinking the drain window the shed hints are
         // estimated from until the comparison is noise. The release-mode CI
-        // jobs (and the serve-bench acceptance gate at 10k-request scale)
-        // enforce the win; debug keeps the structural assertions above.
+        // job enforces the win; debug keeps the structural assertions above.
         #[cfg(not(debug_assertions))]
         assert!(
             aware_rep.served >= naive_rep.served,
@@ -684,29 +667,5 @@ mod tests {
         );
         #[cfg(debug_assertions)]
         let _ = (&aware_rep, &naive_rep);
-    }
-
-    #[test]
-    fn ladder_picks_largest_healthy_rung() {
-        let rep = |shed: u64, p99: u64| LoadReport {
-            served: 100 - shed,
-            shed,
-            p50_ticks: 10,
-            p99_ticks: p99,
-            p999_ticks: p99 * 2,
-            wall_ticks: 1_000,
-            qps: 1.0,
-            mean_batch: 1.0,
-        };
-        let ladder = vec![
-            (1_000, rep(0, 100)),
-            (2_000, rep(0, 400)),
-            (4_000, rep(1, 900)),    // shed but within 5% tolerance
-            (8_000, rep(40, 600)),   // sheds too much
-            (16_000, rep(0, 5_000)), // blows the p99 budget
-        ];
-        assert_eq!(sustained_from_ladder(&ladder, 0.05, 1_000), Some(4_000));
-        assert_eq!(sustained_from_ladder(&ladder, 0.0, 200), Some(1_000));
-        assert_eq!(sustained_from_ladder(&ladder, 0.0, 10), None);
     }
 }

@@ -79,7 +79,7 @@ pub enum RequestBody {
         entity: u64,
     },
     /// Vector search: the query vector derives deterministically from
-    /// `query_seed` (the corpus scheme shared with the bench world).
+    /// `query_seed` (the scheme the in-process `ShardedService` also uses).
     Search {
         /// Seed of the synthetic query vector.
         query_seed: u64,

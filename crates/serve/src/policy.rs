@@ -2,12 +2,10 @@
 //! latency-budget admission control.
 //!
 //! Everything here is pure data + arithmetic so the exact same decision
-//! logic runs in three places: the real threaded engine
-//! ([`crate::shard`]), the deterministic virtual-time simulator
-//! ([`crate::sim`]), and the standalone load harness
-//! (`tools/bench_serve.rs`). In particular [`should_shed`] is THE admission
-//! rule — the simulator does not approximate the engine, it executes the
-//! same function.
+//! logic runs in both the real threaded engine ([`crate::shard`]) and the
+//! deterministic virtual-time simulator ([`crate::sim`]). In particular
+//! [`should_shed`] is THE admission rule — the simulator does not
+//! approximate the engine, it executes the same function.
 //!
 //! The shed rule implements brownout-style graceful degradation: a request
 //! is rejected up front (cheap, bounded work) either when the queue is at
@@ -16,7 +14,7 @@
 //! admitted requests bounded instead of letting every request time out
 //! together — shed rate rises, p99 stays near budget.
 
-use crate::trace::splitmix64;
+use saga_core::trace::splitmix64;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How a shard worker forms batches from its queue.
@@ -79,8 +77,7 @@ pub fn route(entity: u64, shards: usize) -> usize {
 const BUCKETS: usize = 65;
 
 /// Log2 bucket of a value — same layout as the obs histogram (bucket 0 is
-/// exactly 0, bucket b ≥ 1 covers `[2^(b-1), 2^b - 1]`), duplicated here so
-/// the policy layer stays dependency-free for the standalone harness.
+/// exactly 0, bucket b ≥ 1 covers `[2^(b-1), 2^b - 1]`).
 #[inline]
 fn bucket_of(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize

@@ -1,6 +1,5 @@
 //! The engine bound to real backends: partitioned ANN indexes, graph point
-//! lookups, obs counters, fault-driven brownout — plus the `serve-bench`
-//! orchestrator behind `saga serve-bench` and `BENCH_serving.json`.
+//! lookups, obs counters, fault-driven brownout.
 //!
 //! ## Sharding model
 //!
@@ -23,24 +22,15 @@
 //! it is a large part of why coalescing sustains more QPS at the same p99
 //! budget.
 
-use crate::loadgen::{
-    run_load, run_load_retry, sustained_from_ladder, LoadMode, LoadReport, RetryConfig, RetryStyle,
-    SlotBoard,
-};
-use crate::policy::{CoalescePolicy, ShedPolicy};
-use crate::report::{
-    serving_json, BrownoutReport, ClientRetryReport, RetryEntry, Scenario, ServingAcceptance,
-    SustainedEntry,
-};
-use crate::shard::{BatchExecutor, EngineClock, Job, MicrosClock, ShardEngine};
-use crate::trace::{generate_trace, Request, RequestKind, SplitMix64, TraceConfig};
+use crate::loadgen::SlotBoard;
+use crate::shard::{BatchExecutor, EngineClock, Job};
 use saga_ann::{
     FlatIndex, FlatScratch, Hit, HnswIndex, HnswParams, Metric, QuantScratch, QuantizedTable,
     SearchScratch,
 };
-use saga_core::fault::{FaultPlan, SiteFaults};
+use saga_core::fault::FaultPlan;
 use saga_core::obs::{Counter, Histogram, Registry};
-use saga_core::synth::{generate, SynthConfig};
+use saga_core::trace::{Request, RequestKind, SplitMix64};
 use saga_core::EntityId;
 use saga_graph::PointLookupIndex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,27 +45,6 @@ pub enum IndexKind {
     Quant,
     /// HNSW graph (approximate).
     Hnsw,
-}
-
-impl IndexKind {
-    /// Stable lowercase name used in artifacts and CLI flags.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IndexKind::Flat => "flat",
-            IndexKind::Quant => "quant",
-            IndexKind::Hnsw => "hnsw",
-        }
-    }
-
-    /// Parse a CLI flag value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "flat" => Some(IndexKind::Flat),
-            "quant" => Some(IndexKind::Quant),
-            "hnsw" => Some(IndexKind::Hnsw),
-            _ => None,
-        }
-    }
 }
 
 /// Deterministic synthetic vector for a seed: uniform in [-1, 1).
@@ -116,7 +85,7 @@ pub(crate) struct ShardSlot {
 }
 
 /// Builds the partitioned index slots over the deterministic synthetic
-/// corpus, routed by [`crate::policy::route`]. Shared by the bench-world
+/// corpus, routed by [`crate::policy::route`]. Shared by the in-process
 /// [`ShardedService`] and the network [`crate::net`] server, so the two
 /// serve bit-identical corpora for a given (seed, dim, vectors) — the
 /// loopback parity tests depend on that.
@@ -214,7 +183,7 @@ pub struct ServiceConfig {
     /// Seed for the synthetic vector corpus.
     pub seed: u64,
     /// Capture per-ticket search results for equivalence tests (adds an
-    /// allocation per search — leave off when benchmarking).
+    /// allocation per search — leave off when measuring).
     pub capture: bool,
     /// Optional brownout fault injection.
     pub brownout: Option<BrownoutFaults>,
@@ -373,416 +342,73 @@ impl BatchExecutor for ShardedService {
     }
 }
 
-/// Scenario matrix configuration for `saga serve-bench`.
-pub struct ServeBenchConfig {
-    /// Master seed: trace, corpus, KG and fault plan all derive from it.
-    pub seed: u64,
-    /// Requests per run.
-    pub requests: usize,
-    /// Vector corpus size.
-    pub vectors: usize,
-    /// Vector dimensionality.
-    pub dim: usize,
-    /// Top-k per search.
-    pub k: usize,
-    /// Shard counts to sweep.
-    pub shard_counts: Vec<usize>,
-    /// Index kinds to sweep.
-    pub kinds: Vec<IndexKind>,
-    /// Closed-loop client threads.
-    pub closed_workers: usize,
-    /// Open-loop ladder rungs, as fractions of measured closed-loop QPS.
-    pub ladder_fracs: Vec<f64>,
-    /// p99 budget (µs) a sustained rung must hold.
-    pub p99_budget_us: u64,
-    /// Shed tolerance a sustained rung must hold.
-    pub max_shed_rate: f64,
-}
-
-impl ServeBenchConfig {
-    /// CI-sized configuration (seconds, not minutes).
-    pub fn quick(seed: u64) -> Self {
-        ServeBenchConfig {
-            seed,
-            requests: 2_000,
-            vectors: 2_048,
-            dim: 32,
-            k: 8,
-            shard_counts: vec![2, 4],
-            kinds: vec![IndexKind::Flat, IndexKind::Quant],
-            // Enough concurrency that the closed-loop measurement reflects
-            // saturation throughput (and actually fills coalesced batches)
-            // rather than 1/latency × a handful of clients — the open-loop
-            // ladder is derived from it and must reach past breaking point.
-            closed_workers: 32,
-            ladder_fracs: vec![0.5, 0.7, 0.9, 1.1, 1.3, 1.5],
-            p99_budget_us: 50_000,
-            max_shed_rate: 0.01,
-        }
-    }
-
-    /// Full benchmark configuration.
-    pub fn full(seed: u64) -> Self {
-        ServeBenchConfig { requests: 10_000, vectors: 8_192, dim: 64, ..Self::quick(seed) }
-    }
-
-    fn trace_config(&self) -> TraceConfig {
-        TraceConfig {
-            seed: self.seed,
-            requests: self.requests,
-            // A hot query pool with a search-heavy mix: Zipf duplicates
-            // recur within a coalescing window, which is where the batch
-            // dedup memo earns its keep (the default 1 000-query pool
-            // spreads traffic too thin for dedup to fire).
-            query_pool: 64,
-            lookup_fraction: 0.6,
-            mean_interarrival_ticks: 1_000,
-            ..TraceConfig::default()
-        }
-    }
-}
-
-/// Shared immutable world for one bench invocation.
-struct BenchWorld {
-    lookup: Arc<PointLookupIndex>,
-    num_entities: usize,
-    trace: Arc<Vec<Request>>,
-    registry: Registry,
-}
-
-impl BenchWorld {
-    fn build(cfg: &ServeBenchConfig) -> Self {
-        let synth = generate(&SynthConfig::tiny(cfg.seed));
-        let lookup = Arc::new(PointLookupIndex::build(&synth.kg));
-        let num_entities = synth.kg.num_entities();
-        let trace = Arc::new(generate_trace(&cfg.trace_config()));
-        BenchWorld { lookup, num_entities, trace, registry: Registry::new() }
-    }
-
-    /// One fresh engine + service for a run.
-    fn engine(
-        &self,
-        cfg: &ServeBenchConfig,
-        kind: IndexKind,
-        shards: usize,
-        coalesce: CoalescePolicy,
-        shed: ShedPolicy,
-        brownout: Option<BrownoutFaults>,
-    ) -> (ShardEngine, Arc<SlotBoard>, Arc<dyn EngineClock>) {
-        let clock: Arc<dyn EngineClock> = Arc::new(MicrosClock::new());
-        let board = Arc::new(SlotBoard::new(self.trace.len()));
-        let service = ShardedService::build(
-            ServiceConfig {
-                kind,
-                shards,
-                dim: cfg.dim,
-                vectors: cfg.vectors,
-                k: cfg.k,
-                seed: cfg.seed,
-                capture: false,
-                brownout,
-            },
-            Arc::clone(&self.lookup),
-            self.num_entities,
-            Arc::clone(&self.trace),
-            Arc::clone(&board),
-            Arc::clone(&clock),
-            &self.registry,
-        );
-        let engine = ShardEngine::start(shards, coalesce, shed, 1_024, service, Arc::clone(&clock));
-        (engine, board, clock)
-    }
-}
-
-/// Default coalescing window for benched runs. The window is deliberately
-/// opportunistic (20µs): a generous wait throttles closed-loop capacity by
-/// locking the worker into step with the blocked clients, while under
-/// open-loop overload the queue is deep enough that batches fill instantly
-/// and the window never engages (DESIGN.md §9).
-fn coalesced_policy() -> CoalescePolicy {
-    CoalescePolicy { max_batch: 64, max_wait_ticks: 20 }
-}
-
-/// Headline numbers `saga serve-bench --gate` and CI check against.
-#[derive(Debug, Clone)]
-pub struct ServeBenchSummary {
-    /// Computed acceptance block (also embedded in the JSON document).
-    pub acceptance: ServingAcceptance,
-    /// Requests shed across the lowest (most lightly loaded) coalesced
-    /// open-loop rungs — the zero-shed-at-low-load gate.
-    pub low_load_shed: u64,
-    /// Slowest closed-loop coalesced throughput across the matrix — the
-    /// minimum-QPS sanity floor.
-    pub min_closed_qps: f64,
-    /// Best sustained open-loop rate with coalescing, across the matrix.
-    pub max_sustained_qps: u64,
-}
-
-/// Run the full scenario matrix and render `BENCH_serving.json`. Returns
-/// the document and the gate summary. `log` receives one line per run for
-/// progress output.
-pub fn run_serve_bench(
-    cfg: &ServeBenchConfig,
-    mut log: impl FnMut(&str),
-) -> (String, ServeBenchSummary) {
-    let world = BenchWorld::build(cfg);
-    let n = world.trace.len() as u64;
-    let mut scenarios: Vec<Scenario> = Vec::new();
-    let mut sustained: Vec<SustainedEntry> = Vec::new();
-    let mut conservation = true;
-    let mut track = |rep: &LoadReport| conservation &= rep.served + rep.shed == n;
-    let mut low_load_shed = 0u64;
-    let mut min_closed_qps = f64::INFINITY;
-
-    for &kind in &cfg.kinds {
-        for &shards in &cfg.shard_counts {
-            // Closed loop, both dispatch styles. Closed loop self-throttles,
-            // so shedding stays off and the run measures capacity.
-            let styles = [(true, coalesced_policy()), (false, CoalescePolicy::per_request())];
-            let mut closed_qps = [0.0f64; 2];
-            for (i, (coalesced, pol)) in styles.iter().enumerate() {
-                let (engine, board, clock) =
-                    world.engine(cfg, kind, shards, *pol, ShedPolicy::unbounded(), None);
-                let rep = run_load(
-                    &engine,
-                    &board,
-                    &world.trace,
-                    LoadMode::Closed { workers: cfg.closed_workers },
-                    &clock,
-                );
-                engine.shutdown();
-                track(&rep);
-                closed_qps[i] = rep.qps;
-                if *coalesced {
-                    min_closed_qps = min_closed_qps.min(rep.qps);
-                }
-                log(&format!(
-                    "closed {} s{} {}: {:.0} qps p99={}us",
-                    kind.as_str(),
-                    shards,
-                    if *coalesced { "coalesced" } else { "per-request" },
-                    rep.qps,
-                    rep.p99_ticks
-                ));
-                scenarios.push(Scenario {
-                    index: kind.as_str().into(),
-                    mode: "closed".into(),
-                    shards,
-                    coalesced: *coalesced,
-                    target_qps: None,
-                    report: rep,
-                });
-            }
-            // Open-loop ladder: identical rungs for both styles, derived
-            // from the *faster* closed-loop capacity so both dispatch
-            // styles are probed past their breaking point. Deriving from
-            // only one style's capacity censors the comparison — every
-            // rung would sit below the other style's limit and the
-            // sustained-QPS numbers would tie.
-            let cap = closed_qps[0].max(closed_qps[1]);
-            let rungs: Vec<u64> =
-                cfg.ladder_fracs.iter().map(|f| ((cap * f) as u64).max(100)).collect();
-            let shed_pol =
-                ShedPolicy { queue_cap: 512, p99_budget_ticks: cfg.p99_budget_us, min_depth: 8 };
-            let mut best: [Option<u64>; 2] = [None, None];
-            for (i, (coalesced, pol)) in styles.iter().enumerate() {
-                let mut ladder: Vec<(u64, LoadReport)> = Vec::new();
-                for &rate in &rungs {
-                    let (engine, board, clock) =
-                        world.engine(cfg, kind, shards, *pol, shed_pol, None);
-                    let rep = run_load(
-                        &engine,
-                        &board,
-                        &world.trace,
-                        LoadMode::Open { target_qps: rate, trace_mean_interarrival_ticks: 1_000 },
-                        &clock,
-                    );
-                    engine.shutdown();
-                    track(&rep);
-                    if *coalesced && rate == rungs[0] {
-                        low_load_shed += rep.shed;
-                    }
-                    log(&format!(
-                        "open {} s{} {} @{}: shed={:.1}% p99={}us",
-                        kind.as_str(),
-                        shards,
-                        if *coalesced { "coalesced" } else { "per-request" },
-                        rate,
-                        rep.shed_rate() * 100.0,
-                        rep.p99_ticks
-                    ));
-                    ladder.push((rate, rep));
-                }
-                best[i] = sustained_from_ladder(&ladder, cfg.max_shed_rate, cfg.p99_budget_us);
-                // Record the winning rung (or the lowest, if none held) as
-                // this style's open-loop scenario.
-                let pick = best[i].unwrap_or(rungs[0]);
-                if let Some((rate, rep)) = ladder.into_iter().find(|(r, _)| *r == pick) {
-                    scenarios.push(Scenario {
-                        index: kind.as_str().into(),
-                        mode: "open".into(),
-                        shards,
-                        coalesced: *coalesced,
-                        target_qps: Some(rate),
-                        report: rep,
-                    });
-                }
-            }
-            sustained.push(SustainedEntry {
-                index: kind.as_str().into(),
-                shards,
-                coalesced_qps: best[0].unwrap_or(0),
-                per_request_qps: best[1].unwrap_or(0),
-                p99_budget_us: cfg.p99_budget_us,
-                max_shed_rate: cfg.max_shed_rate,
-            });
-        }
-    }
-
-    // Brownout: overload + injected slow jobs, shed policy on vs off.
-    let b_kind = *cfg.kinds.last().expect("at least one kind");
-    let b_shards = *cfg.shard_counts.iter().max().expect("at least one shard count");
-    let offered = (scenarios
-        .iter()
-        .find(|s| {
-            s.index == b_kind.as_str() && s.shards == b_shards && s.mode == "closed" && s.coalesced
-        })
-        .map(|s| s.report.qps)
-        .unwrap_or(10_000.0)
-        * 1.5) as u64;
-    let brownout_plan = || {
-        Some(BrownoutFaults {
-            plan: FaultPlan::reliable(cfg.seed)
-                .with_site("serve.shard", SiteFaults::transient(0.2)),
-            site: "serve.shard".into(),
-            slowdown_ticks: 1_000,
-        })
-    };
-    let tight = ShedPolicy { queue_cap: 128, p99_budget_ticks: cfg.p99_budget_us, min_depth: 8 };
-    let mut brownout_runs = Vec::new();
-    for shed in [Some(tight), None] {
-        let (engine, board, clock) = world.engine(
-            cfg,
-            b_kind,
-            b_shards,
-            coalesced_policy(),
-            shed.unwrap_or_else(ShedPolicy::unbounded),
-            brownout_plan(),
-        );
-        let rep = run_load(
-            &engine,
-            &board,
-            &world.trace,
-            LoadMode::Open { target_qps: offered, trace_mean_interarrival_ticks: 1_000 },
-            &clock,
-        );
-        engine.shutdown();
-        track(&rep);
-        log(&format!(
-            "brownout {}: shed={:.1}% p99={}us",
-            if shed.is_some() { "with-shed" } else { "no-shed" },
-            rep.shed_rate() * 100.0,
-            rep.p99_ticks
-        ));
-        brownout_runs.push(rep);
-    }
-    let without_shed = brownout_runs.pop().expect("no-shed run");
-    let with_shed = brownout_runs.pop().expect("with-shed run");
-    let brownout =
-        BrownoutReport { with_shed, without_shed, offered_qps: offered, faults_injected: true };
-
-    // Client-retry comparison under the same brownout + shed policy: a
-    // naive client that hammers a fixed tiny backoff vs a shed-aware one
-    // that honors the verdict's retry_after hint. Equal attempt caps and
-    // budgets — only the waiting discipline differs.
-    let mut retry_entries = Vec::new();
-    for (name, style) in
-        [("naive", RetryStyle::Naive { backoff_ticks: 50 }), ("shed_aware", RetryStyle::ShedAware)]
-    {
-        let (engine, board, clock) =
-            world.engine(cfg, b_kind, b_shards, coalesced_policy(), tight, brownout_plan());
-        let (rep, rstats) = run_load_retry(
-            &engine,
-            &board,
-            &world.trace,
-            offered,
-            1_000,
-            RetryConfig { style, max_attempts: 4, budget: n * 4 },
-            &clock,
-        );
-        engine.shutdown();
-        track(&rep);
-        log(&format!(
-            "retry {}: goodput={:.0} qps shed={:.1}% amp={:.2}",
-            name,
-            rep.qps,
-            rep.shed_rate() * 100.0,
-            rstats.amplification(n)
-        ));
-        retry_entries.push(RetryEntry { style: name.into(), report: rep, stats: rstats });
-    }
-    let shed_aware_entry = retry_entries.pop().expect("shed-aware run");
-    let naive_entry = retry_entries.pop().expect("naive run");
-    let client_retry = ClientRetryReport {
-        offered_qps: offered,
-        offered: n,
-        naive: naive_entry,
-        shed_aware: shed_aware_entry,
-    };
-
-    let acceptance = ServingAcceptance {
-        coalescing_wins_sustained_qps: sustained
-            .iter()
-            .all(|s| s.coalesced_qps >= s.per_request_qps)
-            && sustained.iter().map(|s| s.coalesced_qps).sum::<u64>()
-                > sustained.iter().map(|s| s.per_request_qps).sum::<u64>(),
-        brownout_sheds_not_collapses: brownout.with_shed.shed_rate()
-            > brownout.without_shed.shed_rate()
-            && brownout.with_shed.p99_ticks <= brownout.without_shed.p99_ticks,
-        conservation_holds: conservation,
-        shed_aware_retry_wins: client_retry.shed_aware_wins()
-            && client_retry.amplification_bounded(),
-    };
-    let config_json = format!(
-        "{{ \"seed\": {}, \"requests\": {}, \"vectors\": {}, \"dim\": {}, \"k\": {}, \"closed_workers\": {}, \"p99_budget_us\": {}, \"max_shed_rate\": {}, \"cores\": {} }}",
-        cfg.seed,
-        cfg.requests,
-        cfg.vectors,
-        cfg.dim,
-        cfg.k,
-        cfg.closed_workers,
-        cfg.p99_budget_us,
-        cfg.max_shed_rate,
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    );
-    let doc = serving_json(
-        "saga serve-bench",
-        &config_json,
-        &saga_core::kernels::provenance_json("  "),
-        &scenarios,
-        &sustained,
-        &brownout,
-        &client_retry,
-        &acceptance,
-    );
-    let summary = ServeBenchSummary {
-        acceptance,
-        low_load_shed,
-        min_closed_qps: if min_closed_qps.is_finite() { min_closed_qps } else { 0.0 },
-        max_sustained_qps: sustained.iter().map(|s| s.coalesced_qps).max().unwrap_or(0),
-    };
-    (doc, summary)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::policy::route;
+    use crate::loadgen::{run_load, LoadMode};
+    use crate::policy::{route, CoalescePolicy, ShedPolicy};
+    use crate::shard::{MicrosClock, ShardEngine};
+    use saga_core::fault::SiteFaults;
+    use saga_core::synth::{generate, SynthConfig};
+    use saga_core::trace::{generate_trace, TraceConfig};
 
-    fn tiny_world(requests: usize) -> BenchWorld {
-        let cfg = ServeBenchConfig { requests, ..ServeBenchConfig::quick(11) };
-        BenchWorld::build(&cfg)
+    /// Everything a service is built over besides its config: the tiny
+    /// synthetic KG's lookup CSR and a search-heavy Zipf trace whose hot
+    /// 64-query pool makes duplicates recur within a coalescing window.
+    struct World {
+        lookup: Arc<PointLookupIndex>,
+        num_entities: usize,
+        trace: Arc<Vec<Request>>,
+        registry: Registry,
+    }
+
+    fn tiny_world(requests: usize) -> World {
+        let synth = generate(&SynthConfig::tiny(11));
+        let trace = generate_trace(&TraceConfig {
+            seed: 11,
+            requests,
+            query_pool: 64,
+            lookup_fraction: 0.6,
+            mean_interarrival_ticks: 1_000,
+            ..TraceConfig::default()
+        });
+        World {
+            lookup: Arc::new(PointLookupIndex::build(&synth.kg)),
+            num_entities: synth.kg.num_entities(),
+            trace: Arc::new(trace),
+            registry: Registry::new(),
+        }
+    }
+
+    /// One service over `world` and a running engine in front of it.
+    fn start(
+        world: &World,
+        cfg: ServiceConfig,
+        coalesce: CoalescePolicy,
+        shed: ShedPolicy,
+    ) -> (Arc<ShardedService>, ShardEngine, Arc<SlotBoard>, Arc<dyn EngineClock>) {
+        let shards = cfg.shards;
+        let clock: Arc<dyn EngineClock> = Arc::new(MicrosClock::new());
+        let board = Arc::new(SlotBoard::new(world.trace.len()));
+        let service = ShardedService::build(
+            cfg,
+            Arc::clone(&world.lookup),
+            world.num_entities,
+            Arc::clone(&world.trace),
+            Arc::clone(&board),
+            Arc::clone(&clock),
+            &world.registry,
+        );
+        let engine = ShardEngine::start(
+            shards,
+            coalesce,
+            shed,
+            256,
+            Arc::clone(&service) as Arc<dyn BatchExecutor>,
+            Arc::clone(&clock),
+        );
+        (service, engine, board, clock)
     }
 
     /// Unsharded reference search over the same synthetic corpus.
@@ -807,8 +433,6 @@ mod tests {
     #[test]
     fn sharded_search_merges_to_exact_global_top_k() {
         let world = tiny_world(300);
-        let clock: Arc<dyn EngineClock> = Arc::new(MicrosClock::new());
-        let board = Arc::new(SlotBoard::new(world.trace.len()));
         let svc_cfg = ServiceConfig {
             kind: IndexKind::Flat,
             shards: 4,
@@ -819,22 +443,11 @@ mod tests {
             capture: true,
             brownout: None,
         };
-        let service = ShardedService::build(
+        let (service, engine, board, clock) = start(
+            &world,
             svc_cfg,
-            Arc::clone(&world.lookup),
-            world.num_entities,
-            Arc::clone(&world.trace),
-            Arc::clone(&board),
-            Arc::clone(&clock),
-            &world.registry,
-        );
-        let engine = ShardEngine::start(
-            4,
-            coalesced_policy(),
+            CoalescePolicy { max_batch: 64, max_wait_ticks: 20 },
             ShedPolicy::unbounded(),
-            256,
-            Arc::clone(&service) as Arc<dyn BatchExecutor>,
-            Arc::clone(&clock),
         );
         let rep = run_load(&engine, &board, &world.trace, LoadMode::Closed { workers: 4 }, &clock);
         engine.shutdown();
@@ -857,8 +470,6 @@ mod tests {
         // Single shard + huge batch window ⇒ hot queries coalesce into the
         // same batch; capture must still equal the reference for each.
         let world = tiny_world(600);
-        let clock: Arc<dyn EngineClock> = Arc::new(MicrosClock::new());
-        let board = Arc::new(SlotBoard::new(world.trace.len()));
         let svc_cfg = ServiceConfig {
             kind: IndexKind::Quant,
             shards: 1,
@@ -869,22 +480,11 @@ mod tests {
             capture: true,
             brownout: None,
         };
-        let service = ShardedService::build(
+        let (service, engine, board, clock) = start(
+            &world,
             svc_cfg,
-            Arc::clone(&world.lookup),
-            world.num_entities,
-            Arc::clone(&world.trace),
-            Arc::clone(&board),
-            Arc::clone(&clock),
-            &world.registry,
-        );
-        let engine = ShardEngine::start(
-            1,
             CoalescePolicy { max_batch: 64, max_wait_ticks: 2_000 },
             ShedPolicy::unbounded(),
-            256,
-            Arc::clone(&service) as Arc<dyn BatchExecutor>,
-            Arc::clone(&clock),
         );
         let rep = run_load(&engine, &board, &world.trace, LoadMode::Closed { workers: 16 }, &clock);
         engine.shutdown();
@@ -912,6 +512,55 @@ mod tests {
             }
         }
         assert!(spot > 0);
+    }
+
+    #[test]
+    fn brownout_overload_sheds_and_conserves_requests() {
+        // A fifth of the jobs cost an extra 1 ms of shard time, so a shard
+        // sustains at most ~5k jobs/s whatever the host; 20k requests/s
+        // open-loop is past that, the queues reach the tight cap, and the
+        // engine must refuse work rather than lose or strand any of it.
+        let world = tiny_world(2_000);
+        let svc_cfg = ServiceConfig {
+            kind: IndexKind::Flat,
+            shards: 2,
+            dim: 16,
+            vectors: 400,
+            k: 6,
+            seed: 11,
+            capture: false,
+            brownout: Some(BrownoutFaults {
+                plan: FaultPlan::reliable(11).with_site("serve.shard", SiteFaults::transient(0.2)),
+                site: "serve.shard".into(),
+                slowdown_ticks: 1_000,
+            }),
+        };
+        let (_service, engine, board, clock) = start(
+            &world,
+            svc_cfg,
+            CoalescePolicy { max_batch: 64, max_wait_ticks: 20 },
+            ShedPolicy { queue_cap: 32, p99_budget_ticks: 5_000, min_depth: 4 },
+        );
+        let rep = run_load(
+            &engine,
+            &board,
+            &world.trace,
+            LoadMode::Open { target_qps: 20_000, trace_mean_interarrival_ticks: 1_000 },
+            &clock,
+        );
+        let stats = engine.shutdown();
+        assert_eq!(rep.served + rep.shed, world.trace.len() as u64, "a request was lost");
+        assert!(rep.shed > 0, "overload under brownout never shed");
+        assert_eq!(stats.served + stats.shed, stats.submitted, "engine lost jobs");
+        // Each slowed job held its shard for the plan's 1 ms, so the two
+        // shards cannot have finished sooner than their combined penalty / 2.
+        let slowed = world.registry.scope("serve").counter("fault_slowdowns").value();
+        assert!(slowed > 0, "the fault plan never slowed a job");
+        assert!(
+            rep.wall_ticks >= slowed * 1_000 / 2,
+            "{slowed} slowed jobs cost only {} ticks of wall time",
+            rep.wall_ticks
+        );
     }
 
     #[test]

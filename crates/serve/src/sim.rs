@@ -22,7 +22,7 @@
 //! wakes).
 
 use crate::policy::{should_shed, CoalescePolicy, ShedPolicy, WindowHistogram, SHED_QUANTILE};
-use crate::trace::{splitmix64, Request, RequestKind};
+use saga_core::trace::{splitmix64, Request, RequestKind};
 
 /// Analytic batch service time: `base + per_job · batch_len` virtual ticks.
 /// The affine shape is what makes coalescing win — the `base` term
@@ -249,7 +249,7 @@ pub fn simulate_partitioned(trace: &[Request], cfg: &SimConfig, threads: usize) 
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::trace::{generate_trace, TraceConfig};
+    use saga_core::trace::{generate_trace, TraceConfig};
 
     fn cfg(shards: usize) -> SimConfig {
         SimConfig {
