@@ -115,10 +115,18 @@ impl ClientStats {
 /// attempt is declared failed (guards against a frame-flooding peer).
 const MAX_STALE_PER_ATTEMPT: u32 = 64;
 
+/// An idle connection and the frame buffer its requests are encoded into;
+/// the buffer keeps its capacity across calls, so a warm call encodes
+/// without allocating.
+struct PooledConn {
+    conn: Box<dyn FrameConn>,
+    frame: Vec<u8>,
+}
+
 /// A pooled, breaker-guarded, shed-aware client for one endpoint.
 pub struct SagaClient {
     transport: Arc<dyn Transport>,
-    pool: Mutex<Vec<Box<dyn FrameConn>>>,
+    pool: Mutex<Vec<PooledConn>>,
     cfg: ClientConfig,
     clock: Arc<VirtualClock>,
     budget: RetryBudget,
@@ -201,7 +209,9 @@ impl SagaClient {
         self.counters.calls.fetch_add(1, Ordering::Relaxed);
         let call_id = self.next_call.fetch_add(1, Ordering::Relaxed);
         let breaker = self.breakers.breaker(self.transport.endpoint());
-        let mut last_err = SagaError::Unavailable { site: "net/client".into(), transient: true };
+        // One envelope per call: each attempt only restamps the id.
+        let mut req = Request { request_id: 0, timeout_micros: self.cfg.deadline_micros, body };
+        let mut last_err = None;
         for attempt in 0..self.cfg.retry.max_attempts {
             self.counters.attempts.fetch_add(1, Ordering::Relaxed);
             if attempt > 0 {
@@ -211,17 +221,16 @@ impl SagaClient {
                 self.counters.breaker_rejections.fetch_add(1, Ordering::Relaxed);
                 return Err(SagaError::Unavailable { site: "net/breaker".into(), transient: true });
             }
-            let request_id = (call_id << 8) | u64::from(attempt & 0xff);
-            match self.attempt(request_id, &body) {
+            req.request_id = (call_id << 8) | u64::from(attempt & 0xff);
+            let (err, wait_ms) = match self.attempt(&req) {
                 Ok(ResponseBody::Shed { retry_after_micros }) => {
                     self.counters.shed_received.fetch_add(1, Ordering::Relaxed);
                     // The server answered: it is healthy, just saturated.
                     breaker.record(self.clock.now_ms(), true);
-                    last_err = SagaError::Unavailable { site: "net/shed".into(), transient: true };
-                    if !self.take_retry() {
-                        return Err(last_err);
-                    }
-                    self.sleep_ms(self.shed_wait_ms(retry_after_micros, call_id, attempt));
+                    (
+                        SagaError::Unavailable { site: "net/shed".into(), transient: true },
+                        self.shed_wait_ms(retry_after_micros, call_id, attempt),
+                    )
                 }
                 Ok(ResponseBody::Error { code: ErrorCode::BadRequest, message }) => {
                     // Our own frame was malformed; retrying identical bytes
@@ -231,12 +240,10 @@ impl SagaClient {
                 }
                 Ok(ResponseBody::Error { .. }) => {
                     breaker.record(self.clock.now_ms(), false);
-                    last_err =
-                        SagaError::Unavailable { site: "net/server-error".into(), transient: true };
-                    if !self.take_retry() {
-                        return Err(last_err);
-                    }
-                    self.sleep_ms(self.cfg.retry.delay_ms(attempt, call_id));
+                    (
+                        SagaError::Unavailable { site: "net/server-error".into(), transient: true },
+                        self.cfg.retry.delay_ms(attempt, call_id),
+                    )
                 }
                 Ok(resp) => {
                     breaker.record(self.clock.now_ms(), true);
@@ -250,31 +257,35 @@ impl SagaClient {
                         _ => self.counters.io_errors.fetch_add(1, Ordering::Relaxed),
                     };
                     breaker.record(self.clock.now_ms(), false);
-                    last_err = e;
-                    if !self.take_retry() {
-                        return Err(last_err);
-                    }
-                    self.sleep_ms(self.cfg.retry.delay_ms(attempt, call_id));
+                    (e, self.cfg.retry.delay_ms(attempt, call_id))
                 }
+            };
+            if !self.take_retry() {
+                return Err(err);
             }
+            last_err = Some(err);
+            self.sleep_ms(wait_ms);
         }
-        Err(last_err)
+        // Only a zero-attempt policy gets here without an error in hand.
+        Err(last_err.unwrap_or_else(|| SagaError::Unavailable {
+            site: "net/client".into(),
+            transient: true,
+        }))
     }
 
     /// One wire attempt. A connection that saw any error is dropped, never
     /// pooled; a clean exchange returns its connection for reuse.
-    fn attempt(&self, request_id: u64, body: &RequestBody) -> Result<ResponseBody> {
-        let mut conn = match self.pool.lock().expect("conn pool").pop() {
-            Some(c) => c,
-            None => self.transport.connect()?,
+    fn attempt(&self, req: &Request) -> Result<ResponseBody> {
+        let pooled = self.pool.lock().expect("conn pool").pop();
+        let mut pooled = match pooled {
+            Some(p) => p,
+            None => PooledConn { conn: self.transport.connect()?, frame: Vec::new() },
         };
-        let frame =
-            Request { request_id, timeout_micros: self.cfg.deadline_micros, body: body.clone() }
-                .to_frame()?;
-        conn.send_frame(&frame)?;
+        req.encode_into(&mut pooled.frame)?;
+        pooled.conn.send_frame(&pooled.frame)?;
         let mut stale = 0u32;
         loop {
-            match conn.recv_frame(self.cfg.request_timeout) {
+            match pooled.conn.recv_frame(self.cfg.request_timeout) {
                 Ok(None) => {
                     // No response within the attempt window: the request
                     // (or its reply) is lost somewhere. The conn may still
@@ -286,7 +297,7 @@ impl SagaClient {
                 }
                 Err(e) => return Err(e),
                 Ok(Some(bytes)) => {
-                    if peek_request_id(&bytes)? != request_id {
+                    if peek_request_id(&bytes)? != req.request_id {
                         // Late/duplicate answer to an abandoned attempt.
                         self.counters.stale_discarded.fetch_add(1, Ordering::Relaxed);
                         stale += 1;
@@ -301,7 +312,7 @@ impl SagaClient {
                     let resp = Response::from_frame(&bytes)?;
                     let mut pool = self.pool.lock().expect("conn pool");
                     if pool.len() < self.cfg.pool_size {
-                        pool.push(conn);
+                        pool.push(pooled);
                     }
                     return Ok(resp.body);
                 }

@@ -3,17 +3,38 @@
 //!
 //! ## Request lifecycle
 //!
-//! accept → decode frame → admission (max-inflight) → rebase the frame's
-//! relative `timeout_micros` onto the engine clock → allocate a call slot →
-//! fan shard shares through [`ShardEngine::try_submit`] (deadline rides
-//! every [`Job`]) → block on the call's condvar → build the typed response:
+//! accept → receive frame → decode → admission at the door (`max_inflight`)
+//! → one of two paths → encode the reply into the connection's reused frame
+//! buffer → send.
 //!
-//! * every share admitted and scored → `LookupOk` / `SearchOk`
+//! **Point lookups never leave the connection thread.** A `Lookup` — alone
+//! or as a `Batch` item — is a read of the immutable, pinned
+//! [`PointLookupIndex`]: it has no co-rider to wait for, so it takes no call
+//! slot, no ticket, no queue and no wake-up. The contract that follows: a
+//! lookup is admitted at the door only, is never shed by a shard's queue cap
+//! or p99 budget, and cannot expire once admitted (its `timeout_micros` is
+//! not consulted — the probe is nanoseconds).
+//!
+//! **Searches go through the engine.** The frame's relative
+//! `timeout_micros` is rebased onto the engine clock, a call slot is
+//! allocated, one share per shard is fanned through
+//! [`ShardEngine::try_submit`] (the deadline rides every [`Job`]), and the
+//! connection thread blocks on the call's condvar until every share
+//! resolves:
+//!
+//! * every share admitted and scored → `SearchOk`
 //! * some shares shed at admission → `Degraded` (partial merged top-k)
-//! * every share shed → `Shed { retry_after_micros }` from the shard's own
-//!   drain estimate — the feedback the client retry policy honors
+//! * every share shed, or no call slot free → `Shed { retry_after_micros }`
+//!   from the shard's own drain estimate — the feedback the client retry
+//!   policy honors
 //! * any share expired at dequeue → `Expired` (dropped before scoring,
 //!   counted under `serve/net/expired`)
+//!
+//! A `Batch` fans every search item out before waiting on any, so its items
+//! coalesce in the shard queues; its lookup and ping items are answered in
+//! the same pass. The `serve/net` counters (`served`, `shed`, `expired`,
+//! `degraded`) count logical operations on both paths, `requests` counts
+//! frames, `latency_us` is door-to-reply residence.
 //!
 //! ## Shutdown drain
 //!
@@ -25,7 +46,7 @@
 
 use crate::net::transport::{Acceptor, FrameConn};
 use crate::net::wire::{ErrorCode, Request, RequestBody, Response, ResponseBody, WireHit, MAX_K};
-use crate::policy::{route, CoalescePolicy, ShedPolicy};
+use crate::policy::{CoalescePolicy, ShedPolicy};
 use crate::server::{build_partitions, search_slot, synth_vector, IndexKind, ShardSlot};
 use crate::shard::{BatchExecutor, EngineClock, Job, MicrosClock, ShardEngine, SubmitOutcome};
 use saga_core::obs::{Counter, Histogram, Registry};
@@ -93,13 +114,10 @@ const CALL_WAIT_CAP: Duration = Duration::from_secs(30);
 /// cap) rather than in a shard queue.
 const DOOR_SHED_RETRY_MICROS: u64 = 2_000;
 
-enum NetOp {
-    Lookup { entity: u64 },
-    Search { query_seed: u64, k: u32 },
-}
-
+/// One search in flight through the engine.
 struct CallState {
-    op: NetOp,
+    query_seed: u64,
+    k: u32,
     /// Shard shares still outstanding (admitted or not yet resolved).
     remaining: u32,
     /// Total shares fanned out.
@@ -109,7 +127,6 @@ struct CallState {
     /// Largest per-share shed back-off hint, in engine ticks (µs).
     retry_hint_ticks: u64,
     hits: Vec<saga_ann::Hit>,
-    fact_count: u64,
 }
 
 struct CallSlot {
@@ -117,7 +134,16 @@ struct CallSlot {
     cv: Condvar,
 }
 
-/// The network-facing executor: resolves call-slot tickets to operations,
+/// A `Batch` item between the fan-out pass and the collect pass.
+enum Pending {
+    /// Answered on the connection thread.
+    Ready(ResponseBody),
+    /// A search waiting on its call slot.
+    Search(u32),
+}
+
+/// The network-facing service: answers point lookups inline, and is the
+/// engine's executor for searches — resolves call-slot tickets to queries,
 /// runs them against the shared partitions, and completes waiters.
 pub struct NetService {
     parts: Vec<ShardSlot>,
@@ -178,34 +204,38 @@ impl NetService {
         Some(ticket)
     }
 
-    /// Fans one operation out to the engine. Returns the ticket, or the
-    /// shed response when no share (or no slot) was admitted.
-    fn submit_call(
+    /// Answers a point lookup on the calling thread: one probe of the
+    /// pinned index, no slot, no queue.
+    fn lookup_inline(&self, entity: u64) -> ResponseBody {
+        let fact_count = self.lookup.fact_count(EntityId(entity % self.num_entities)) as u64;
+        self.served.inc();
+        ResponseBody::LookupOk { entity, fact_count }
+    }
+
+    /// Fans one search out to every shard. Returns the ticket to wait on,
+    /// or the (counted) shed response when no call slot is free.
+    fn submit_search(
         &self,
         engine: &ShardEngine,
-        op: NetOp,
+        query_seed: u64,
+        k: u32,
         deadline_ticks: u64,
     ) -> std::result::Result<u32, ResponseBody> {
-        let shards = self.parts.len();
-        let (fan, first_shard) = match &op {
-            NetOp::Lookup { entity } => (1u32, route(*entity, shards)),
-            NetOp::Search { .. } => (shards as u32, 0),
-        };
+        let fan = self.parts.len() as u32;
         let Some(ticket) = self.alloc(CallState {
-            op,
+            query_seed,
+            k,
             remaining: fan,
             fan,
             shed_shares: 0,
             expired_shares: 0,
             retry_hint_ticks: 0,
             hits: Vec::new(),
-            fact_count: 0,
         }) else {
+            self.shed.inc();
             return Err(ResponseBody::Shed { retry_after_micros: DOOR_SHED_RETRY_MICROS });
         };
-        let single = fan == 1;
-        for i in 0..fan as usize {
-            let shard = if single { first_shard } else { i };
+        for shard in 0..fan as usize {
             if let SubmitOutcome::Shed { retry_after_ticks } =
                 engine.try_submit(shard, ticket, deadline_ticks)
             {
@@ -248,39 +278,27 @@ impl NetService {
         drop(guard);
         self.free.lock().expect("free list").push(ticket);
 
-        let hint_micros = st.retry_hint_ticks.max(DOOR_SHED_RETRY_MICROS);
-        let resp = if st.expired_shares > 0 {
-            ResponseBody::Expired
-        } else if st.shed_shares == st.fan {
-            ResponseBody::Shed { retry_after_micros: hint_micros }
-        } else {
-            match st.op {
-                NetOp::Lookup { entity } => {
-                    ResponseBody::LookupOk { entity, fact_count: st.fact_count }
-                }
-                NetOp::Search { k, .. } => {
-                    let mut hits = st.hits;
-                    hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
-                    hits.truncate(k as usize);
-                    let hits: Vec<WireHit> = hits.into_iter().map(WireHit::from).collect();
-                    if st.shed_shares > 0 {
-                        ResponseBody::Degraded { hits, shards_missing: st.shed_shares }
-                    } else {
-                        ResponseBody::SearchOk { hits }
-                    }
-                }
-            }
-        };
-        match &resp {
-            ResponseBody::Shed { .. } => self.shed.inc(),
-            ResponseBody::Expired => self.expired.inc(),
-            ResponseBody::Degraded { .. } => {
-                self.degraded.inc();
-                self.served.inc();
-            }
-            _ => self.served.inc(),
+        if st.expired_shares > 0 {
+            self.expired.inc();
+            return ResponseBody::Expired;
         }
-        resp
+        if st.shed_shares == st.fan {
+            self.shed.inc();
+            return ResponseBody::Shed {
+                retry_after_micros: st.retry_hint_ticks.max(DOOR_SHED_RETRY_MICROS),
+            };
+        }
+        let mut hits = st.hits;
+        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+        hits.truncate(st.k as usize);
+        let hits: Vec<WireHit> = hits.into_iter().map(WireHit::from).collect();
+        self.served.inc();
+        if st.shed_shares > 0 {
+            self.degraded.inc();
+            ResponseBody::Degraded { hits, shards_missing: st.shed_shares }
+        } else {
+            ResponseBody::SearchOk { hits }
+        }
     }
 
     /// Executes one decoded request end to end.
@@ -289,66 +307,48 @@ impl NetService {
         let arrival = clock.now_ticks();
         let deadline_ticks =
             if req.timeout_micros == 0 { u64::MAX } else { arrival + req.timeout_micros };
+        let search = |query_seed, k| match self.submit_search(engine, query_seed, k, deadline_ticks)
+        {
+            Ok(ticket) => Pending::Search(ticket),
+            Err(resp) => Pending::Ready(resp),
+        };
+        let collect = |p| match p {
+            Pending::Ready(resp) => resp,
+            Pending::Search(ticket) => self.wait_call(ticket),
+        };
         let body = match req.body {
-            RequestBody::Ping => {
-                // Counters track logical operations, not frames; a ping is
-                // served work even though it never reaches the engine.
-                self.served.inc();
-                ResponseBody::Pong
-            }
-            RequestBody::Lookup { entity } => {
-                self.call(engine, NetOp::Lookup { entity }, deadline_ticks)
-            }
-            RequestBody::Search { query_seed, k } => {
-                self.call(engine, NetOp::Search { query_seed, k }, deadline_ticks)
-            }
+            RequestBody::Ping => self.pong(),
+            RequestBody::Lookup { entity } => self.lookup_inline(entity),
+            RequestBody::Search { query_seed, k } => collect(search(query_seed, k)),
             RequestBody::Batch(items) => {
-                // Fan every item out before waiting on any, so batch items
+                // Fan every search out before waiting on any, so batch items
                 // coalesce across shards instead of executing serially.
-                let submitted: Vec<std::result::Result<u32, ResponseBody>> = items
+                let pending: Vec<Pending> = items
                     .into_iter()
                     .map(|item| match item {
-                        RequestBody::Ping => {
-                            self.served.inc();
-                            Err(ResponseBody::Pong)
-                        }
+                        RequestBody::Ping => Pending::Ready(self.pong()),
                         RequestBody::Lookup { entity } => {
-                            self.submit_call(engine, NetOp::Lookup { entity }, deadline_ticks)
+                            Pending::Ready(self.lookup_inline(entity))
                         }
-                        RequestBody::Search { query_seed, k } => self.submit_call(
-                            engine,
-                            NetOp::Search { query_seed, k },
-                            deadline_ticks,
-                        ),
-                        RequestBody::Batch(_) => Err(ResponseBody::Error {
+                        RequestBody::Search { query_seed, k } => search(query_seed, k),
+                        RequestBody::Batch(_) => Pending::Ready(ResponseBody::Error {
                             code: ErrorCode::BadRequest,
                             message: "nested batch".into(),
                         }),
                     })
                     .collect();
-                ResponseBody::BatchOk(
-                    submitted
-                        .into_iter()
-                        .map(|s| match s {
-                            Ok(ticket) => self.wait_call(ticket),
-                            Err(resp) => resp,
-                        })
-                        .collect(),
-                )
+                ResponseBody::BatchOk(pending.into_iter().map(collect).collect())
             }
         };
         self.latency.record(clock.now_ticks().saturating_sub(arrival));
         Response { request_id: req.request_id, body }
     }
 
-    fn call(&self, engine: &ShardEngine, op: NetOp, deadline_ticks: u64) -> ResponseBody {
-        match self.submit_call(engine, op, deadline_ticks) {
-            Ok(ticket) => self.wait_call(ticket),
-            Err(resp) => {
-                self.shed.inc();
-                resp
-            }
-        }
+    /// Counters track logical operations, not frames; a ping is served
+    /// work even though it never reaches the engine.
+    fn pong(&self) -> ResponseBody {
+        self.served.inc();
+        ResponseBody::Pong
     }
 }
 
@@ -360,18 +360,10 @@ impl BatchExecutor for NetService {
             let slot = &self.slots[j.ticket as usize];
             let mut guard = slot.state.lock().expect("call slot");
             let Some(st) = guard.as_mut() else { continue };
-            match &st.op {
-                NetOp::Lookup { entity } => {
-                    let e = EntityId(*entity % self.num_entities);
-                    st.fact_count = self.lookup.fact_count(e) as u64;
-                }
-                NetOp::Search { query_seed, k } => {
-                    let (seed, k) = (*query_seed, (*k as usize).min(MAX_K as usize));
-                    synth_vector(seed, self.dim, &mut scratch.query);
-                    search_slot(part, k, &mut scratch);
-                    st.hits.extend_from_slice(&scratch.out);
-                }
-            }
+            let k = (st.k as usize).min(MAX_K as usize);
+            synth_vector(st.query_seed, self.dim, &mut scratch.query);
+            search_slot(part, k, &mut scratch);
+            st.hits.extend_from_slice(&scratch.out);
             st.remaining -= 1;
             if st.remaining == 0 {
                 slot.cv.notify_all();
@@ -558,6 +550,8 @@ fn handle_conn(
     stop: &AtomicBool,
 ) {
     let mut idle = Duration::ZERO;
+    // Every reply on this connection is encoded into this one buffer.
+    let mut out = Vec::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -590,8 +584,7 @@ fn handle_conn(
                             }
                         };
                         service.inflight.fetch_sub(1, Ordering::SeqCst);
-                        let Ok(bytes) = resp.to_frame() else { return };
-                        if conn.send_frame(&bytes).is_err() {
+                        if resp.encode_into(&mut out).is_err() || conn.send_frame(&out).is_err() {
                             return;
                         }
                     }
@@ -606,8 +599,8 @@ fn handle_conn(
                                 message: "corrupt frame".into(),
                             },
                         };
-                        if let Ok(bytes) = resp.to_frame() {
-                            let _ = conn.send_frame(&bytes);
+                        if resp.encode_into(&mut out).is_ok() {
+                            let _ = conn.send_frame(&out);
                         }
                         return;
                     }
@@ -625,10 +618,13 @@ mod tests {
     use crate::net::wire::peek_request_id;
 
     fn start_mem_server(seed: u64) -> (NetServer, MemListener) {
+        start_mem_server_with(NetServerConfig::small(seed))
+    }
+
+    fn start_mem_server_with(cfg: NetServerConfig) -> (NetServer, MemListener) {
         let listener = MemListener::new();
         let registry = Registry::new();
-        let server =
-            NetServer::start(Box::new(listener.clone()), NetServerConfig::small(seed), &registry);
+        let server = NetServer::start(Box::new(listener.clone()), cfg, &registry);
         (server, listener)
     }
 
@@ -738,6 +734,83 @@ mod tests {
         assert_eq!(resp.body, ResponseBody::Expired);
         let stats = server.shutdown();
         assert_eq!(stats.expired, 1);
+    }
+
+    #[test]
+    fn lookups_never_touch_a_shard_queue() {
+        // A zero queue cap makes every shard refuse every job. Searches are
+        // shed; lookups — alone or as batch items — are still answered, and
+        // bit-identically to the oracle, because they never reach a queue.
+        let cfg = NetServerConfig {
+            shed: ShedPolicy { queue_cap: 0, ..ShedPolicy::unbounded() },
+            ..NetServerConfig::small(15)
+        };
+        let (server, listener) = start_mem_server_with(cfg.clone());
+        let mut conn = MemTransport::new(listener).connect().unwrap();
+        let lookup_ok =
+            |entity| ResponseBody::LookupOk { entity, fact_count: oracle_lookup(&cfg, entity) };
+
+        let sr = roundtrip(
+            &mut conn,
+            Request {
+                request_id: 1,
+                timeout_micros: 0,
+                body: RequestBody::Search { query_seed: 3, k: 4 },
+            },
+        );
+        assert!(matches!(sr.body, ResponseBody::Shed { .. }), "{sr:?}");
+
+        // A 1 µs deadline cannot expire a lookup either.
+        let lk = roundtrip(
+            &mut conn,
+            Request { request_id: 2, timeout_micros: 1, body: RequestBody::Lookup { entity: 5 } },
+        );
+        assert_eq!(lk.body, lookup_ok(5));
+
+        let bt = roundtrip(
+            &mut conn,
+            Request {
+                request_id: 3,
+                timeout_micros: 0,
+                body: RequestBody::Batch(vec![
+                    RequestBody::Lookup { entity: 9 },
+                    RequestBody::Search { query_seed: 3, k: 4 },
+                    RequestBody::Lookup { entity: u64::MAX },
+                ]),
+            },
+        );
+        let ResponseBody::BatchOk(items) = bt.body else { panic!("{bt:?}") };
+        assert_eq!(items[0], lookup_ok(9));
+        assert!(matches!(items[1], ResponseBody::Shed { .. }), "{items:?}");
+        assert_eq!(items[2], lookup_ok(u64::MAX));
+
+        let stats = server.shutdown();
+        assert_eq!((stats.served, stats.shed, stats.expired), (3, 2, 0));
+    }
+
+    #[test]
+    fn batch_overflowing_the_slot_table_counts_every_item() {
+        // At `max_inflight` 4 the slot table is at its 256-call floor, and
+        // a batch frees no slot until every item is fanned out, so 300
+        // searches leave 44 refused by the table. Every logical op must
+        // land in exactly one counter.
+        let (server, listener) = start_mem_server_with(NetServerConfig {
+            max_inflight: 4,
+            ..NetServerConfig::small(16)
+        });
+        let mut conn = MemTransport::new(listener).connect().unwrap();
+        let items: Vec<RequestBody> =
+            (0..300).map(|i| RequestBody::Search { query_seed: i, k: 1 }).collect();
+        let bt = roundtrip(
+            &mut conn,
+            Request { request_id: 1, timeout_micros: 0, body: RequestBody::Batch(items) },
+        );
+        let ResponseBody::BatchOk(replies) = bt.body else { panic!("{bt:?}") };
+        let shed = replies.iter().filter(|r| matches!(r, ResponseBody::Shed { .. })).count();
+        assert_eq!(shed, 44);
+        let stats = server.shutdown();
+        assert_eq!(stats.shed, 44, "slot-table refusals inside a batch must be counted");
+        assert_eq!(stats.served + stats.shed + stats.expired, 300);
     }
 
     #[test]

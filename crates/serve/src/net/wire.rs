@@ -34,6 +34,8 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"SGW1");
 pub const VERSION: u8 = 1;
 /// Fixed frame-header size in bytes.
 pub const HEADER_LEN: usize = 4 + 1 + 1 + 8 + 4 + 8;
+/// Offset of `payload_len` (the checksum follows it) inside the header.
+const LEN_OFFSET: usize = 4 + 1 + 1 + 8;
 /// Hard payload ceiling, validated before allocating a receive buffer. A
 /// hostile length header therefore costs at most `HEADER_LEN` bytes of
 /// reads, never a multi-gigabyte allocation.
@@ -406,32 +408,55 @@ fn frame_checksum(kind: u8, request_id: u64, payload: &[u8]) -> u64 {
     body ^ hdr
 }
 
-/// Encodes a complete frame: header + `BinCodec` payload.
-fn encode_frame(kind: FrameKind, request_id: u64, payload: &[u8]) -> Result<Vec<u8>> {
-    if payload.len() > MAX_PAYLOAD as usize {
-        return Err(SagaError::InvalidArgument(format!(
-            "frame payload {} exceeds MAX_PAYLOAD {MAX_PAYLOAD}",
-            payload.len()
-        )));
-    }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+/// Encodes a complete frame into `out`, replacing whatever it held (its
+/// capacity is kept): the header is written with the length and checksum
+/// fields zeroed, `payload` appends the body, then both fields are patched
+/// in place. An oversized payload empties `out` and is a typed error.
+fn encode_frame_into(
+    kind: FrameKind,
+    request_id: u64,
+    out: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<()> {
+    out.clear();
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(VERSION);
     out.push(kind.tag());
     out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_checksum(kind.tag(), request_id, payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
+    out.extend_from_slice(&[0u8; 4 + 8]);
+    payload(out);
+    let payload_len = out.len() - HEADER_LEN;
+    if payload_len > MAX_PAYLOAD as usize {
+        out.clear();
+        return Err(SagaError::InvalidArgument(format!(
+            "frame payload {payload_len} exceeds MAX_PAYLOAD {MAX_PAYLOAD}"
+        )));
+    }
+    let checksum = frame_checksum(kind.tag(), request_id, &out[HEADER_LEN..]);
+    out[LEN_OFFSET..LEN_OFFSET + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    out[LEN_OFFSET + 4..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+    Ok(())
 }
 
+/// Capacity a fresh frame buffer starts with: the header plus the largest
+/// single-operation body, so point requests and replies never regrow it.
+const SMALL_FRAME: usize = 64;
+
 impl Request {
+    /// Encodes this request as a complete frame into `out`, replacing
+    /// whatever it held. A warm buffer is reused without allocating.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
+        encode_frame_into(FrameKind::Request, self.request_id, out, |out| {
+            self.timeout_micros.enc(out);
+            self.body.enc(out);
+        })
+    }
+
     /// Encodes this request as a complete frame.
     pub fn to_frame(&self) -> Result<Vec<u8>> {
-        let mut payload = Vec::new();
-        self.timeout_micros.enc(&mut payload);
-        self.body.enc(&mut payload);
-        encode_frame(FrameKind::Request, self.request_id, &payload)
+        let mut out = Vec::with_capacity(SMALL_FRAME);
+        self.encode_into(&mut out)?;
+        Ok(out)
     }
 
     /// Decodes a request from a complete frame.
@@ -454,11 +479,17 @@ impl Request {
 }
 
 impl Response {
+    /// Encodes this response as a complete frame into `out`, replacing
+    /// whatever it held. A warm buffer is reused without allocating.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
+        encode_frame_into(FrameKind::Response, self.request_id, out, |out| self.body.enc(out))
+    }
+
     /// Encodes this response as a complete frame.
     pub fn to_frame(&self) -> Result<Vec<u8>> {
-        let mut payload = Vec::new();
-        self.body.enc(&mut payload);
-        encode_frame(FrameKind::Response, self.request_id, &payload)
+        let mut out = Vec::with_capacity(SMALL_FRAME);
+        self.encode_into(&mut out)?;
+        Ok(out)
     }
 
     /// Decodes a response from a complete frame.
@@ -672,7 +703,9 @@ mod tests {
         payload.push(REQ_BATCH); // batch inside batch
         1u64.enc(&mut payload);
         payload.push(REQ_PING);
-        let frame = encode_frame(FrameKind::Request, 1, &payload).unwrap();
+        let mut frame = Vec::new();
+        encode_frame_into(FrameKind::Request, 1, &mut frame, |out| out.extend_from_slice(&payload))
+            .unwrap();
         assert!(matches!(Request::from_frame(&frame), Err(SagaError::Corrupt(_))));
     }
 

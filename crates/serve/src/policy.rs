@@ -4,8 +4,9 @@
 //! Everything here is pure data + arithmetic so the exact same decision
 //! logic runs in both the real threaded engine ([`crate::shard`]) and the
 //! deterministic virtual-time simulator ([`crate::sim`]). In particular
-//! [`should_shed`] is THE admission rule — the simulator does not
-//! approximate the engine, it executes the same function.
+//! [`should_shed`] is THE admission rule and [`should_hold_window`] THE
+//! coalescing-window rule — the simulator does not approximate the engine,
+//! it executes the same functions.
 //!
 //! The shed rule implements brownout-style graceful degradation: a request
 //! is rejected up front (cheap, bounded work) either when the queue is at
@@ -23,7 +24,8 @@ pub struct CoalescePolicy {
     /// Largest batch handed to the executor in one call.
     pub max_batch: usize,
     /// Longest a queued job may wait for co-riders before the batch
-    /// dispatches anyway, in clock ticks.
+    /// dispatches anyway, in clock ticks. The wait is only taken when
+    /// [`should_hold_window`] says it can pay.
     pub max_wait_ticks: u64,
 }
 
@@ -33,6 +35,22 @@ impl CoalescePolicy {
     pub fn per_request() -> Self {
         CoalescePolicy { max_batch: 1, max_wait_ticks: 0 }
     }
+}
+
+/// The window rule: whether a shard worker that wakes to `queued` jobs holds
+/// the coalescing window open for co-riders or dispatches at once.
+/// `prev_batch` is the size of the batch it dispatched last.
+///
+/// Holding costs every queued job up to `max_wait_ticks`, so it must be
+/// likely to pay: either co-riders are already here (`queued > 1`), or the
+/// last batch had some and this job is probably the first of the next wave
+/// (`prev_batch > 1`). A depth-1 closed loop satisfies neither and never
+/// waits. The rule deliberately ignores arrival gaps: in a closed loop the
+/// gap is the previous op's latency, so a gap rule re-arms the window the
+/// moment an op gets faster than it, and latency oscillates.
+#[inline]
+pub fn should_hold_window(queued: usize, prev_batch: usize) -> bool {
+    queued > 1 || prev_batch > 1
 }
 
 /// When to refuse a request at admission.
@@ -209,6 +227,16 @@ mod tests {
         assert!(should_shed(3, 101, &pol), "over budget with backlog");
         assert!(!should_shed(2, 101, &pol), "over budget but no backlog");
         assert!(!should_shed(3, 100, &pol), "exactly at budget is fine");
+    }
+
+    #[test]
+    fn window_is_held_only_when_holding_can_pay() {
+        assert!(!should_hold_window(1, 0), "first job ever: nothing to wait for");
+        assert!(!should_hold_window(1, 1), "depth-1 closed loop dispatches at once");
+        assert!(should_hold_window(2, 1), "co-riders already queued");
+        assert!(should_hold_window(1, 8), "last batch had co-riders: a wave is starting");
+        // One lone batch after a wave ends the hold: the rule cannot latch.
+        assert!(!should_hold_window(1, 1));
     }
 
     #[test]

@@ -3,19 +3,36 @@
 //! One persistent worker thread per shard owns that shard's queue. Clients
 //! [`ShardEngine::submit`] jobs (admission-controlled by
 //! [`crate::policy::should_shed`]); the worker coalesces concurrent jobs
-//! into micro-batches — it dispatches as soon as [`CoalescePolicy::max_batch`]
-//! jobs are queued, or when the oldest queued job has waited
-//! [`CoalescePolicy::max_wait_ticks`], whichever comes first. Batches go to
-//! a [`BatchExecutor`], which runs them through the zero-allocation batch
-//! kernels (`search_batch`-shaped work) and reports completions through
-//! whatever sink it owns.
+//! into micro-batches of at most [`CoalescePolicy::max_batch`]. Batches go
+//! to a [`BatchExecutor`], which runs them through the zero-allocation
+//! batch kernels (`search_batch`-shaped work) and reports completions
+//! through whatever sink it owns.
+//!
+//! ## The coalescing window is self-pacing
+//!
+//! Holding a batch open for co-riders costs every queued job up to
+//! [`CoalescePolicy::max_wait_ticks`] plus a timed condvar wake-up, so the
+//! worker holds it only when [`crate::policy::should_hold_window`] says
+//! holding can pay: more than one job is queued when it wakes, or its
+//! previous batch carried co-riders. Then it dispatches as soon as
+//! `max_batch` jobs are queued or the oldest has waited `max_wait_ticks`,
+//! whichever comes first. Otherwise — a caller with one job in flight at a
+//! time — it dispatches what is there at once, and the window costs
+//! nothing. There is no knob: the worker observes its own queue.
+//!
+//! Point lookups of the network server do not come here at all (they are
+//! answered on the connection thread, see [`crate::net::server`]); the
+//! engine's network traffic is search shares. In-process callers
+//! ([`crate::server::ShardedService`]) still queue both.
 //!
 //! The hot path is allocation-free in steady state: jobs are plain `Copy`
 //! tickets, the queue and the worker's batch buffer reach a high-water
 //! capacity and stay there, latency recording is a lock-free histogram
 //! update, and workers are spawned once at engine start — never per call.
 
-use crate::policy::{should_shed, CoalescePolicy, ShedPolicy, WindowHistogram, SHED_QUANTILE};
+use crate::policy::{
+    should_hold_window, should_shed, CoalescePolicy, ShedPolicy, WindowHistogram, SHED_QUANTILE,
+};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -232,8 +249,11 @@ impl ShardEngine {
         let st = &self.shared.shards[shard];
         st.submitted.fetch_add(1, Ordering::Relaxed);
         let now = self.shared.clock.now_ticks();
-        let mut q = st.queue.lock().expect("shard queue");
+        // Scanned before the lock: the histogram is lock-free and its
+        // reading is advisory (bounded-stale) either way, so there is no
+        // reason to make other submitters and the worker wait for the scan.
         let p99 = st.latency.quantile_upper_bound(SHED_QUANTILE);
+        let mut q = st.queue.lock().expect("shard queue");
         if should_shed(q.len(), p99, &self.shared.shed) {
             let depth = q.len();
             drop(q);
@@ -315,6 +335,8 @@ fn shard_worker(shared: &EngineShared, s: usize) {
     let max_wait = shared.coalesce.max_wait_ticks;
     let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
     let mut dead: Vec<Job> = Vec::with_capacity(max_batch);
+    // Jobs dequeued by the previous pass: the window rule's memory.
+    let mut prev_batch = 0usize;
     loop {
         batch.clear();
         dead.clear();
@@ -330,25 +352,30 @@ fn shard_worker(shared: &EngineShared, s: usize) {
                 }
                 q = st.cv.wait(q).expect("shard wait");
             }
-            // Coalescing window: hold the batch open until it fills or the
-            // oldest job's wait budget expires. Re-checks after every wake
-            // because condvar timeouts are best-effort.
-            let deadline = q.front().expect("non-empty").submit_ticks + max_wait;
-            while q.len() < max_batch && !shared.stop.load(Ordering::SeqCst) {
-                let now = shared.clock.now_ticks();
-                if now >= deadline {
-                    break;
+            // Coalescing window, self-paced: held open (until the batch
+            // fills or the oldest job's wait budget expires) only when the
+            // window rule says co-riders are here or likely. Re-checks
+            // after every wake because condvar timeouts are best-effort.
+            if should_hold_window(q.len(), prev_batch) {
+                let deadline = q.front().expect("non-empty").submit_ticks + max_wait;
+                while q.len() < max_batch && !shared.stop.load(Ordering::SeqCst) {
+                    let now = shared.clock.now_ticks();
+                    if now >= deadline {
+                        break;
+                    }
+                    let timeout = shared.clock.ticks_to_duration(deadline - now);
+                    let (qq, _timed_out) =
+                        st.cv.wait_timeout(q, timeout).expect("shard wait_timeout");
+                    q = qq;
                 }
-                let timeout = shared.clock.ticks_to_duration(deadline - now);
-                let (qq, _timed_out) = st.cv.wait_timeout(q, timeout).expect("shard wait_timeout");
-                q = qq;
             }
             // Drop-at-dequeue: a job whose deadline passed while queued is
             // pure waste to score — the caller has already timed out. Skim
             // them off here (before the kernels, not after) so an overload
             // burst of abandoned work drains at queue speed.
             let now = shared.clock.now_ticks();
-            for _ in 0..max_batch.min(q.len()) {
+            prev_batch = max_batch.min(q.len());
+            for _ in 0..prev_batch {
                 let j = q.pop_front().expect("counted");
                 if j.deadline_ticks <= now {
                     dead.push(j);
@@ -442,6 +469,29 @@ mod tests {
         }
         eng.shutdown();
         assert!(ex.max_seen_batch.load(Ordering::Relaxed) <= 4);
+    }
+
+    #[test]
+    fn depth_one_submits_never_wait_out_the_window() {
+        // A one-second window and a caller that submits only after its
+        // previous job ran: no co-rider can ever arrive, so the worker must
+        // not wait for one. Held every time, this loop would take 200 s.
+        let (eng, ex) = engine(
+            1,
+            CoalescePolicy { max_batch: 8, max_wait_ticks: 1_000_000 },
+            ShedPolicy::unbounded(),
+        );
+        let t0 = std::time::Instant::now();
+        for t in 0..200u32 {
+            assert!(eng.submit(0, t));
+            while ex.executed.load(Ordering::Relaxed) <= t {
+                thread::yield_now();
+            }
+        }
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(5), "200 depth-1 submits took {took:?}");
+        let stats = eng.shutdown();
+        assert_eq!((stats.served, stats.batches), (200, 200));
     }
 
     #[test]

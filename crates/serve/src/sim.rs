@@ -13,15 +13,19 @@
 //! must fingerprint-match the single-threaded run — shards are independent
 //! once jobs are routed).
 //!
-//! Coalescing semantics per shard (FIFO queue, one virtual worker): a batch
-//! dispatches at
+//! Coalescing semantics per shard (FIFO queue, one virtual worker): the
+//! worker wakes at `wake = max(t_free, first_arrival)`. When
+//! [`crate::policy::should_hold_window`] (queue depth at wake, size of the
+//! previous batch) says holding can pay, the batch dispatches at
 //! `min( max(t_free, first_arrival + max_wait), max(t_free, fill_time) )`
-//! where `fill_time` is when the `max_batch`-th job arrived; arrivals that
-//! occur at or before the dispatch instant are admitted first (arrival-first
-//! tie order, matching a submit that wins the queue lock before the worker
-//! wakes).
+//! where `fill_time` is when the `max_batch`-th job arrived; otherwise it
+//! dispatches at `wake`. Arrivals that occur at or before the dispatch
+//! instant are admitted first (arrival-first tie order, matching a submit
+//! that wins the queue lock before the worker wakes).
 
-use crate::policy::{should_shed, CoalescePolicy, ShedPolicy, WindowHistogram, SHED_QUANTILE};
+use crate::policy::{
+    should_hold_window, should_shed, CoalescePolicy, ShedPolicy, WindowHistogram, SHED_QUANTILE,
+};
 use saga_core::trace::{splitmix64, Request, RequestKind};
 
 /// Analytic batch service time: `base + per_job · batch_len` virtual ticks.
@@ -139,6 +143,7 @@ fn sim_shard(jobs: &[ShardJob], cfg: &SimConfig) -> (SimShardResult, Vec<u64>) {
     let mut res = SimShardResult { submitted: jobs.len() as u64, ..Default::default() };
     let mut latencies = Vec::new();
     let mut t_free = 0u64; // when the virtual worker is next idle
+    let mut prev_batch = 0usize; // size of the last dispatched batch
     let mut i = 0usize; // next arrival
 
     loop {
@@ -163,7 +168,14 @@ fn sim_shard(jobs: &[ShardJob], cfg: &SimConfig) -> (SimShardResult, Vec<u64>) {
             // max_batch-th job's arrival bounds it from below).
             t_free.max(queue[max_batch - 1].0)
         } else {
-            t_free.max(queue.front().expect("non-empty").0 + max_wait)
+            // The virtual worker wakes at `max(t_free, first arrival)`;
+            // arrivals up to that instant are admitted below before this
+            // is evaluated for the last time, so `queue.len()` is then the
+            // depth it wakes to. A held window only gains jobs, so the
+            // rule's verdict cannot flip while it is open.
+            let first = queue.front().expect("non-empty").0;
+            let hold = should_hold_window(queue.len(), prev_batch);
+            t_free.max(if hold { first + max_wait } else { first })
         };
         // Arrivals at or before the dispatch instant are admitted first —
         // admission happens at arrival time, independent of batch
@@ -191,6 +203,7 @@ fn sim_shard(jobs: &[ShardJob], cfg: &SimConfig) -> (SimShardResult, Vec<u64>) {
         }
         res.served += take as u64;
         res.batches += 1;
+        prev_batch = take;
         t_free = done;
     }
     (res, latencies)
@@ -316,6 +329,33 @@ mod tests {
             r_per.served()
         );
         assert!(r_coal.shed() < r_per.shed());
+    }
+
+    #[test]
+    fn depth_one_trace_adds_no_window_wait() {
+        // One job at a time, each arriving long after the last finished:
+        // the window rule never holds, so every job costs exactly one
+        // single-job batch however generous the window is. A trailing
+        // burst shows the same config still coalesces once jobs overlap.
+        let mut c = cfg(1);
+        c.coalesce = CoalescePolicy { max_batch: 8, max_wait_ticks: 1_000_000 };
+        let lookup = |id: u32, arrival_ticks| Request {
+            id,
+            kind: RequestKind::Lookup { entity: u64::from(id) },
+            arrival_ticks,
+        };
+        let mut trace: Vec<Request> = (0..200).map(|i| lookup(i, u64::from(i) * 10_000)).collect();
+        let lone = simulate(&trace, &c);
+        assert_eq!(lone.per_shard[0].batches, 200);
+        assert!(
+            lone.latencies.iter().all(|&l| l == c.model.batch_ticks(1)),
+            "{:?}",
+            lone.latencies
+        );
+
+        trace.extend((200..208).map(|i| lookup(i, 5_000_000)));
+        let burst = simulate(&trace, &c);
+        assert_eq!(burst.per_shard[0].batches, 201, "the burst of 8 must ride one batch");
     }
 
     #[test]

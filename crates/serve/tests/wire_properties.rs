@@ -97,6 +97,28 @@ proptest! {
         prop_assert_eq!(back, resp);
     }
 
+    /// `encode_into` a dirty, reused buffer writes exactly the bytes
+    /// `to_frame` allocates fresh, for every request and response shape:
+    /// nothing of the buffer's previous frame — longer or shorter —
+    /// survives, and the patched length and checksum match.
+    #[test]
+    fn encode_into_reused_buffer_equals_to_frame(seed in any::<u64>(), request_id in any::<u64>()) {
+        let mut rng = SplitMix64::new(seed);
+        let mut buf = vec![0xA5u8; (rng.next_u64() % 4_096) as usize];
+        for _ in 0..6 {
+            let req = Request {
+                request_id,
+                timeout_micros: rng.next_u64(),
+                body: arb_request_body(&mut rng, 0),
+            };
+            req.encode_into(&mut buf).expect("encode");
+            prop_assert_eq!(&buf, &req.to_frame().expect("encode"));
+            let resp = Response { request_id, body: arb_response_body(&mut rng, 0) };
+            resp.encode_into(&mut buf).expect("encode");
+            prop_assert_eq!(&buf, &resp.to_frame().expect("encode"));
+        }
+    }
+
     /// Every proper prefix of a valid frame decodes to a typed error.
     #[test]
     fn truncation_sweep_yields_typed_errors(seed in any::<u64>()) {

@@ -5,17 +5,34 @@
 //! requests flows through the engine without a single allocation on any
 //! thread — the queue, the worker's batch buffer, the executor's scratch
 //! and memo tables all sit at steady-state capacity.
+//!
+//! And over the wire: a warm `SagaClient` → loopback TCP → `NetServer` →
+//! `SagaClient` point lookup allocates exactly twice, process-wide — the
+//! owned frame each side's `recv_frame` returns. Both encodes go into
+//! reused buffers and the lookup is answered on the connection thread.
+//!
+//! The counter is process-wide, so the tests here take turns on [`GATE`].
 
 use saga_ann::{FlatIndex, FlatScratch, Hit, Metric};
-use saga_serve::{BatchExecutor, CoalescePolicy, Job, MicrosClock, ShardEngine, ShedPolicy};
+use saga_core::obs::Registry;
+use saga_serve::net::transport::{Acceptor, TcpAcceptor, TcpTransport};
+use saga_serve::net::{oracle_lookup, ResponseBody};
+use saga_serve::{
+    BatchExecutor, ClientConfig, CoalescePolicy, Job, MicrosClock, NetServer, NetServerConfig,
+    SagaClient, ShardEngine, ShedPolicy,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 struct CountingAlloc;
 
+static GATE: Mutex<()> = Mutex::new(());
 static ARMED: AtomicBool = AtomicBool::new(false);
+/// Allocator requests while armed: allocations and reallocations.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// The reallocations among them.
+static REALLOCS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -28,6 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            REALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -42,6 +60,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn count_allocs(f: impl FnOnce()) -> u64 {
     ALLOCS.store(0, Ordering::SeqCst);
+    REALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     f();
     ARMED.store(false, Ordering::SeqCst);
@@ -106,6 +125,7 @@ impl BatchExecutor for AnnExecutor {
 
 #[test]
 fn warm_coalesced_batch_path_performs_no_allocation() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dim = 24;
     let n = 400;
     let k = 6;
@@ -163,4 +183,45 @@ fn warm_coalesced_batch_path_performs_no_allocation() {
     assert_eq!(stats.served, 5 * 64);
     assert_eq!(stats.shed, 0);
     assert!(stats.batches < stats.served, "coalescing never batched");
+}
+
+#[test]
+fn warm_lookup_over_tcp_allocates_only_the_two_received_frames() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = NetServerConfig::small(11);
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = acceptor.local();
+    let server = NetServer::start(Box::new(acceptor), cfg.clone(), &Registry::new());
+    let client = SagaClient::new(Arc::new(TcpTransport::new(&addr)), ClientConfig::default());
+
+    // Warm-up: the pooled connection, both frame buffers, the breaker entry.
+    // The first replies are also the oracle check on this server.
+    for entity in 0..32u64 {
+        let want = ResponseBody::LookupOk { entity, fact_count: oracle_lookup(&cfg, entity) };
+        assert_eq!(client.lookup(entity).expect("lookup"), want);
+    }
+
+    const N: u64 = 2_000;
+    let mut answered = 0u64;
+    let allocs = count_allocs(|| {
+        for entity in 0..N {
+            if matches!(client.lookup(entity), Ok(ResponseBody::LookupOk { entity: e, .. }) if e == entity)
+            {
+                answered += 1;
+            }
+        }
+    });
+    let reallocs = REALLOCS.load(Ordering::SeqCst);
+    assert_eq!(answered, N, "a warm lookup failed");
+    assert_eq!(reallocs, 0, "a frame buffer regrew on the warm path");
+    assert_eq!(
+        allocs,
+        2 * N,
+        "a warm lookup must allocate its two received frames and nothing else"
+    );
+
+    assert_eq!(client.stats().retries, 0);
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!((stats.served, stats.shed, stats.connections), (32 + N, 0, 1));
 }
