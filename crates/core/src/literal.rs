@@ -56,6 +56,11 @@ impl LiteralTable {
         &self.values[id.index()]
     }
 
+    /// Every interned value, by id.
+    pub(crate) fn values(&self) -> &[Value] {
+        &self.values
+    }
+
     /// Number of interned literals.
     pub fn len(&self) -> usize {
         self.values.len()

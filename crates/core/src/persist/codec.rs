@@ -202,12 +202,22 @@ impl<T: BinCodec> BinCodec for Option<T> {
     }
 }
 
+/// Appends what a `Vec<T>` holding `items` encodes to — its length, then
+/// every item — for sequences that are not a `Vec<T>` (a slice, references
+/// gathered from several places).
+pub(crate) fn enc_seq<'a, T: BinCodec + 'a>(
+    items: impl ExactSizeIterator<Item = &'a T>,
+    out: &mut Vec<u8>,
+) {
+    (items.len() as u64).enc(out);
+    for v in items {
+        v.enc(out);
+    }
+}
+
 impl<T: BinCodec> BinCodec for Vec<T> {
     fn enc(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).enc(out);
-        for v in self {
-            v.enc(out);
-        }
+        enc_seq(self.iter(), out);
     }
     fn dec(rd: &mut Reader<'_>) -> Result<Self> {
         let n = rd.len()?;

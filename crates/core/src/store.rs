@@ -14,7 +14,7 @@
 //! for every key.
 
 use crate::entity::{EntityBuilder, EntityRecord};
-use crate::ids::{EntityId, Interner, PredicateId, SourceId};
+use crate::ids::{EntityId, Interner, LiteralId, PredicateId, SourceId};
 use crate::literal::LiteralTable;
 use crate::ontology::Ontology;
 use crate::triple::{FactMeta, ObjKey, Triple, TripleKey};
@@ -41,6 +41,74 @@ impl Delta {
     /// True when the commit changed nothing.
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty() && self.refreshed.is_empty()
+    }
+}
+
+/// A fact's place in *content order*: subject, predicate, object kind, then
+/// the object's canonical string. It names a fact independent of interner
+/// state, so it compares facts across graphs with different histories, and
+/// it is the order [`KnowledgeGraph::canonicalized_bytes`] numbers literals in.
+pub type FactContentKey = (u64, u64, u8, String);
+
+/// The [`FactContentKey`] of `t`.
+pub fn fact_content_key(t: &Triple) -> FactContentKey {
+    let (kind, canonical) = object_content_key(&t.object);
+    (t.subject.raw(), u64::from(t.predicate.raw()), kind, canonical)
+}
+
+/// The object part of a [`FactContentKey`].
+fn object_content_key(v: &Value) -> (u8, String) {
+    (v.kind() as u8, v.canonical())
+}
+
+/// The one commit a canonicalized graph is at, and every fact in it was
+/// observed at.
+const CANONICAL_COMMIT: u64 = 1;
+
+/// The fields of a graph's binary image, in the order they are written and
+/// `BinCodec::dec` reads them back. The format has this one writer: a
+/// graph's `enc` lends it its own fields, and
+/// [`KnowledgeGraph::canonicalized_bytes`] tables that were never assembled
+/// into a graph.
+struct GraphImage<'a> {
+    ontology: &'a Ontology,
+    entities: &'a [EntityRecord],
+    /// The literal table's values, by id.
+    literals: Vec<&'a Value>,
+    sources: &'a Interner,
+    spo: &'a [TripleKey],
+    pos: &'a [TripleKey],
+    osp: &'a [TripleKey],
+    /// The meta of every committed fact, sorted by key so equal graphs
+    /// encode to equal bytes (the map iterates in no particular order).
+    meta: &'a [(TripleKey, FactMeta)],
+    pending_add: &'a [(TripleKey, SourceId, f32)],
+    pending_remove: &'a [TripleKey],
+    commit_counter: u64,
+}
+
+impl GraphImage<'_> {
+    fn write(self, out: &mut Vec<u8>) {
+        use crate::persist::codec::{enc_seq, BinCodec};
+        self.ontology.enc(out);
+        enc_seq(self.entities.iter(), out);
+        enc_seq(self.literals.into_iter(), out);
+        self.sources.enc(out);
+        enc_seq(self.spo.iter(), out);
+        enc_seq(self.pos.iter(), out);
+        enc_seq(self.osp.iter(), out);
+        enc_seq(self.meta.iter(), out);
+        enc_seq(self.pending_add.iter(), out);
+        enc_seq(self.pending_remove.iter(), out);
+        self.commit_counter.enc(out);
+    }
+}
+
+/// `k` with a literal object renumbered through `new_id`.
+fn rekeyed(k: &TripleKey, new_id: &[u64]) -> TripleKey {
+    match k.o.as_literal() {
+        Some(old) => TripleKey { o: ObjKey::literal(LiteralId(new_id[old.index()])), ..*k },
+        None => *k,
     }
 }
 
@@ -423,6 +491,105 @@ impl KnowledgeGraph {
         self.sources.rebuild_index();
     }
 
+    /// The image ([`canonical_bytes`](Self::canonical_bytes)) of this graph
+    /// with the build history taken out: the ontology, the entity records
+    /// and every committed fact with its source name and confidence, but
+    /// literals numbered by first use in content order ([`FactContentKey`]),
+    /// only the sources the facts use, interned by sorted name after
+    /// `"unknown"`, and every `observed_at` collapsed into the one commit
+    /// the image is at. Queued writes are left behind. Two graphs holding
+    /// the same content canonicalize to equal bytes, and decoding them gives
+    /// a graph whose own image they are.
+    ///
+    /// It is the image of the graph that inserting every fact, in content
+    /// order, into a fresh graph and committing once would build — assembled
+    /// table by table from this graph's indexes, without the decode, the
+    /// sort of owned triples and the commit that would take, and without
+    /// building a graph only to encode and drop it.
+    pub fn canonicalized_bytes(&self) -> Vec<u8> {
+        let mut used = vec![false; self.sources.len()];
+        for m in self.meta.values() {
+            used[m.source.index()] = true;
+        }
+        let mut names: Vec<&str> =
+            self.sources.iter().filter(|(s, _)| used[*s as usize]).map(|(_, n)| n).collect();
+        names.sort_unstable();
+        let mut sources = Interner::new();
+        sources.intern("unknown");
+        for name in names {
+            sources.intern(name);
+        }
+        let new_source: Vec<u32> = (self.sources.iter())
+            .map(|(s, name)| if used[s as usize] { sources.intern(name) } else { 0 })
+            .collect();
+
+        // `spo` is in content order already, up to the literals under one
+        // (subject, predicate): entity keys sort below literal keys as
+        // `ValueKind::Entity` sorts below every literal kind, and entity
+        // objects intern nothing. So only a group holding several literals
+        // needs their canonical strings.
+        const UNSET: u64 = u64::MAX;
+        let mut new_id = vec![UNSET; self.literals.len()];
+        let mut literals: Vec<&Value> = Vec::new();
+        let mut number = |old: LiteralId| {
+            if new_id[old.index()] == UNSET {
+                new_id[old.index()] = literals.len() as u64;
+                literals.push(self.literals.resolve(old));
+            }
+        };
+        let old_id = |k: &TripleKey| k.o.as_literal().expect("sorted after the entity keys");
+        for group in self.spo.chunk_by(|a, b| (a.s, a.p) == (b.s, b.p)) {
+            match &group[group.partition_point(|k| k.o.is_entity())..] {
+                [] => {}
+                [only] => number(old_id(only)),
+                several => {
+                    let mut ordered: Vec<LiteralId> = several.iter().map(old_id).collect();
+                    ordered.sort_by_cached_key(|&l| object_content_key(self.literals.resolve(l)));
+                    ordered.into_iter().for_each(&mut number);
+                }
+            }
+        }
+
+        let mut meta: Vec<(TripleKey, FactMeta)> = (self.spo.iter())
+            .map(|k| {
+                let was = self.meta[k];
+                let now = FactMeta {
+                    source: SourceId(new_source[was.source.index()]),
+                    confidence: was.confidence,
+                    observed_at: CANONICAL_COMMIT,
+                };
+                (rekeyed(k, &new_id), now)
+            })
+            .collect();
+        // Renumbering moves a key only among the literals of its group.
+        for group in meta.chunk_by_mut(|(a, _), (b, _)| (a.s, a.p) == (b.s, b.p)) {
+            let first_literal = group.partition_point(|(k, _)| k.o.is_entity());
+            group[first_literal..].sort_unstable_by_key(|(k, _)| *k);
+        }
+        let spo: Vec<TripleKey> = meta.iter().map(|(k, _)| *k).collect();
+        let mut pos: Vec<TripleKey> = self.pos.iter().map(|k| rekeyed(k, &new_id)).collect();
+        pos.sort_unstable_by(pos_cmp);
+        let mut osp: Vec<TripleKey> = self.osp.iter().map(|k| rekeyed(k, &new_id)).collect();
+        osp.sort_unstable_by(osp_cmp);
+
+        let mut out = Vec::new();
+        GraphImage {
+            ontology: &self.ontology,
+            entities: &self.entities,
+            literals,
+            sources: &sources,
+            spo: &spo,
+            pos: &pos,
+            osp: &osp,
+            meta: &meta,
+            pending_add: &[],
+            pending_remove: &[],
+            commit_counter: CANONICAL_COMMIT,
+        }
+        .write(&mut out);
+        out
+    }
+
     /// The canonical binary encoding of the graph: the same logical state
     /// always produces the same bytes (metadata entries are sorted by
     /// triple key, floats encode by bit pattern, ids are dense). This is
@@ -437,22 +604,23 @@ impl KnowledgeGraph {
 
 impl crate::persist::codec::BinCodec for KnowledgeGraph {
     fn enc(&self, out: &mut Vec<u8>) {
-        self.ontology.enc(out);
-        self.entities.enc(out);
-        self.literals.enc(out);
-        self.sources.enc(out);
-        self.spo.enc(out);
-        self.pos.enc(out);
-        self.osp.enc(out);
-        // HashMap iteration order is nondeterministic; sort by key so equal
-        // graphs encode to equal bytes.
-        let mut pairs: Vec<(TripleKey, FactMeta)> =
+        let mut meta: Vec<(TripleKey, FactMeta)> =
             self.meta.iter().map(|(k, m)| (*k, *m)).collect();
-        pairs.sort_unstable_by_key(|(k, _)| *k);
-        pairs.enc(out);
-        self.pending_add.enc(out);
-        self.pending_remove.enc(out);
-        self.commit_counter.enc(out);
+        meta.sort_unstable_by_key(|(k, _)| *k);
+        GraphImage {
+            ontology: &self.ontology,
+            entities: &self.entities,
+            literals: self.literals.values().iter().collect(),
+            sources: &self.sources,
+            spo: &self.spo,
+            pos: &self.pos,
+            osp: &self.osp,
+            meta: &meta,
+            pending_add: &self.pending_add,
+            pending_remove: &self.pending_remove,
+            commit_counter: self.commit_counter,
+        }
+        .write(out);
     }
     fn dec(rd: &mut crate::persist::codec::Reader<'_>) -> crate::error::Result<Self> {
         let mut kg = KnowledgeGraph {
@@ -645,6 +813,38 @@ mod tests {
         incoming.sort();
         assert_eq!(incoming, vec![(a, knows), (c, knows)]);
         assert_eq!(kg.neighbors(b), vec![a, c]);
+    }
+
+    #[test]
+    fn canonicalized_bytes_keep_content_and_drop_history() {
+        use crate::persist::codec::{BinCodec, Reader};
+        let (mut kg, knows, name, a, b, _) = setup();
+        let wiki = kg.register_source("wiki");
+        kg.register_source("never-used");
+        kg.insert_with(Triple::new(a, name, "Zed"), wiki, 0.75);
+        kg.insert(Triple::new(a, name, "gone"));
+        kg.commit();
+        kg.insert(Triple::new(a, name, "Ally"));
+        kg.insert(Triple::new(a, knows, b));
+        kg.remove(&Triple::new(a, name, "gone"));
+        kg.commit();
+        kg.insert(Triple::new(b, name, "queued, not committed"));
+
+        let bytes = kg.canonicalized_bytes();
+        let c = KnowledgeGraph::dec(&mut Reader::new(&bytes)).unwrap();
+        c.check_invariants().unwrap();
+        assert_eq!(c.canonical_bytes(), bytes, "the image of the graph it decodes to");
+        assert_eq!(c.canonicalized_bytes(), bytes, "idempotent");
+        assert_eq!(c.current_commit(), 1);
+        // Content order, not insertion order: "Ally" is literal 0, "Zed" 1,
+        // and the removed and the queued literal are not carried over.
+        assert_eq!(c.objects(a, name), vec![Value::from("Ally"), Value::from("Zed")]);
+        assert_eq!(c.literals.len(), 2);
+        assert_eq!(c.sources.iter().map(|(_, n)| n).collect::<Vec<_>>(), ["unknown", "wiki"]);
+        let zed = c.fact_meta(&Triple::new(a, name, "Zed")).unwrap();
+        assert_eq!((c.source_name(zed.source), zed.confidence, zed.observed_at), ("wiki", 0.75, 1));
+        assert!(c.contains(&Triple::new(a, knows, b)));
+        assert_eq!(c.num_triples(), 3);
     }
 
     #[test]

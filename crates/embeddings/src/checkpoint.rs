@@ -3,7 +3,7 @@
 //! Paper Sec. 2 trains embeddings over week-scale graph snapshots; a
 //! mid-run crash cannot mean restarting from triple zero. Following
 //! PyTorch-BigGraph/DGL-KE, the partition bucket is the unit of recoverable
-//! work: after every partition-disjoint *round* the trainer appends one
+//! work: after every partition-disjoint *round* a full run appends one
 //! checksummed snapshot frame (meta cursor + relation table + the partition
 //! tables dirtied since the last durable frame) to a
 //! [`Wal`](saga_core::persist::Wal) through the generalized
@@ -20,12 +20,28 @@
 //! to an uninterrupted run, at every worker count. Torn checkpoint tails
 //! truncate to the last valid round on open (the WAL recovery contract).
 //!
+//! **Checkpoint granularity.** How often a frame is due follows from what a
+//! lost round costs, and the caller has already said which case it is. A
+//! *full* run is minutes to weeks of work, so it pays one frame and one
+//! flush per round. A *delta* run
+//! ([`with_delta_partitions`](CheckpointedTrainer::with_delta_partitions))
+//! is a few milliseconds of training off a warm start that its caller still
+//! holds; there a frame per round is a hundred flushes around two
+//! milliseconds of work. Durability is owed where the run is acknowledged —
+//! when `train` returns the model — so a delta run writes **one** frame,
+//! after its last round, carrying the final cursor and counters, the
+//! relations and every partition the run touched. Training against that log
+//! again restores the model without re-running a round. A delta run killed
+//! before its last round leaves an empty log and restarts from the warm
+//! start: it loses the interval's milliseconds, and is still bit-identical.
+//!
 //! Fault injection threads through two sites: [`SITE_TRAIN_BUCKET`] gates
 //! every bucket start (before any mutation, so retries never corrupt
 //! sibling buckets' scratch; exhausted retries quarantine the partition
 //! pair), and [`SITE_CHECKPOINT_WRITE`] gates frame appends (a failed
 //! write skips the frame and carries its dirty partitions into the next
-//! one — degradation, not corruption). Everything that happened is
+//! one; a delta run whose only frame is skipped still returns its model —
+//! degradation, not corruption). Everything that happened is
 //! recorded on a [`TrainReport`], mirroring the extraction pipeline's
 //! `OdkeReport`.
 
@@ -329,9 +345,10 @@ pub struct TrainRun {
     pub report: TrainReport,
 }
 
-/// Wraps `train_partitioned` with round-granular checkpoints and fault
-/// injection (see the module docs). Construction is cheap; all state lives
-/// in the [`TrainCheckpointLog`] passed to [`train`](Self::train).
+/// Wraps `train_partitioned` with checkpoints — per round for a full run,
+/// one at the end for a delta run — and fault injection (see the module
+/// docs). Construction is cheap; all state lives in the
+/// [`TrainCheckpointLog`] passed to [`train`](Self::train).
 pub struct CheckpointedTrainer<'a> {
     cfg: TrainConfig,
     num_parts: usize,
@@ -380,7 +397,8 @@ impl<'a> CheckpointedTrainer<'a> {
     /// incremental retrain of the growth pipeline — cost scales with the
     /// churned fraction instead of the whole graph. The dirty set is folded
     /// into the checkpoint config digest, so a delta log can only resume a
-    /// delta run over the same dirty set.
+    /// delta run over the same dirty set. A delta run checkpoints once, after
+    /// its last round (module docs, "Checkpoint granularity").
     pub fn with_delta_partitions(mut self, dirty: BTreeSet<u16>) -> Self {
         self.delta_parts = Some(dirty);
         self
@@ -408,7 +426,8 @@ impl<'a> CheckpointedTrainer<'a> {
     }
 
     /// Test hook: return (model `None`) after this process has completed
-    /// `n` rounds — simulating a kill at a round boundary.
+    /// `n` rounds — simulating a kill at a round boundary. The kill comes
+    /// after that round's checkpoint, where one is due.
     pub fn with_kill_after_rounds(mut self, n: usize) -> Self {
         self.kill_after_rounds = Some(n);
         self
@@ -553,18 +572,24 @@ impl<'a> CheckpointedTrainer<'a> {
                 }
                 dirty.extend(out.touched_parts);
 
-                self.write_checkpoint(
-                    log,
-                    &core,
-                    epoch,
-                    ri,
-                    &epoch_losses_done,
-                    cur_epoch_loss,
-                    &mut report,
-                    &quarantined,
-                    &mut dirty,
-                    digest,
-                )?;
+                // A full run owes a frame per round; a delta run owes one,
+                // where it is acknowledged. Until then `dirty` accumulates,
+                // so that frame holds every partition the run touched.
+                let last_round = epoch + 1 == cfg.epochs && ri + 1 == rounds.len();
+                if self.delta_parts.is_none() || last_round {
+                    self.write_checkpoint(
+                        log,
+                        &core,
+                        epoch,
+                        ri,
+                        &epoch_losses_done,
+                        cur_epoch_loss,
+                        &mut report,
+                        &quarantined,
+                        &mut dirty,
+                        digest,
+                    )?;
+                }
 
                 rounds_this_process += 1;
                 if self.kill_after_rounds == Some(rounds_this_process) {
@@ -595,11 +620,11 @@ impl<'a> CheckpointedTrainer<'a> {
         Ok(TrainRun { model: Some(model), report })
     }
 
-    /// Appends one round's checkpoint frame, gated (when fault injection
-    /// is on) through [`SITE_CHECKPOINT_WRITE`]. A write that faults
-    /// through its retries is *skipped*: the dirty set is kept so the next
-    /// successful frame carries these partitions too — recovery then just
-    /// resumes from one round earlier.
+    /// Appends the checkpoint frame due after `(epoch, round)`, gated (when
+    /// fault injection is on) through [`SITE_CHECKPOINT_WRITE`]. A write
+    /// that faults through its retries is *skipped*: the dirty set is kept
+    /// so the next successful frame carries these partitions too — recovery
+    /// then just resumes from one round earlier.
     #[allow(clippy::too_many_arguments)]
     fn write_checkpoint(
         &self,

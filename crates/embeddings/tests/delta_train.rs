@@ -2,12 +2,14 @@
 //! the checkpointed trainer. Invariants: only buckets touching a dirty
 //! partition train (cost scales with churn), entities in untouched
 //! partitions keep their warm-started rows byte-identical, the result is
-//! bit-identical at every worker count, and a killed delta run resumes to
-//! the uninterrupted model.
+//! bit-identical at every worker count, a completed delta run leaves one
+//! checkpoint frame that restores its model, and a killed one leaves none
+//! and restarts from the warm start to the uninterrupted model.
 
+use saga_core::fault::{FaultInjector, FaultPlan, RetryPolicy, SiteFaults};
 use saga_embeddings::{
     dirty_partitions, train_partitioned, training_partitioning, CheckpointedTrainer, ModelKind,
-    TrainCheckpointLog, TrainConfig, TrainedModel, TrainingSet,
+    TrainCheckpointLog, TrainConfig, TrainedModel, TrainingSet, SITE_CHECKPOINT_WRITE,
 };
 use saga_graph::{GraphView, ViewDef};
 use std::collections::BTreeSet;
@@ -129,6 +131,44 @@ fn delta_retrain_is_deterministic_across_worker_counts() {
     }
 }
 
+fn assert_same_model(got: &TrainedModel, want: &TrainedModel) {
+    assert_eq!(got.entities.to_bytes(), want.entities.to_bytes());
+    assert_eq!(got.relations.to_bytes(), want.relations.to_bytes());
+    assert_eq!(got.epoch_losses, want.epoch_losses);
+}
+
+/// A delta run is made durable once, where it is acknowledged: one frame
+/// after the last round, holding everything needed to restore the model.
+#[test]
+fn completed_delta_run_writes_one_frame_that_restores_its_model() {
+    let ds = dataset();
+    let c = cfg(23);
+    let (prior, _) = train_partitioned(&ds, &c, NUM_PARTS, 1);
+    let dirty = dirty_set(&ds, &c, 12);
+    let (model, report) = delta_run(&ds, &c, &prior, &dirty, 2, "one-frame");
+    assert!(report.rounds_completed >= 2, "several rounds, so per-round would be several frames");
+    assert_eq!(report.checkpoints_written, 1);
+    assert_eq!(report.checkpoints_skipped, 0);
+
+    // Training against the completed log restores the model from the frame:
+    // the counters are the frame's, so no round ran again.
+    let mut log = TrainCheckpointLog::open(&wal_path("one-frame")).expect("reopen log");
+    assert_eq!(log.rounds_recovered(), 1);
+    let again = CheckpointedTrainer::new(c.clone(), NUM_PARTS, 2)
+        .with_warm_start(&prior)
+        .with_delta_partitions(dirty)
+        .train(&ds, &mut log)
+        .expect("restored run");
+    assert!(again.report.resumed_at.is_some());
+    assert_eq!(again.report.rounds_completed, report.rounds_completed);
+    assert_eq!(again.report.bucket_attempts, report.bucket_attempts);
+    assert_eq!(again.report.checkpoints_written, 1);
+    assert_same_model(&again.model.expect("restored run completes"), &model);
+}
+
+/// A delta run killed before its last round has written nothing: the
+/// resumed run restarts from the warm start its caller still holds, and
+/// reaches the uninterrupted model.
 #[test]
 fn killed_delta_run_resumes_bit_identical() {
     let ds = dataset();
@@ -147,19 +187,48 @@ fn killed_delta_run_resumes_bit_identical() {
         .train(&ds, &mut log)
         .expect("killed run");
     assert!(killed.model.is_none(), "kill hook fired");
+    assert_eq!(killed.report.checkpoints_written, 0);
 
     let mut log = TrainCheckpointLog::open(&path).expect("reopen log");
-    assert_eq!(log.rounds_recovered(), 1);
+    assert_eq!(log.rounds_recovered(), 0, "no frame before the last round");
     let resumed = CheckpointedTrainer::new(c.clone(), NUM_PARTS, 2)
         .with_warm_start(&prior)
         .with_delta_partitions(dirty.clone())
         .train(&ds, &mut log)
         .expect("resumed run");
-    let resumed_model = resumed.model.expect("resumed run completes");
-    assert_eq!(resumed.report.resumed_at, Some((0, 1)));
-    assert_eq!(resumed_model.entities.to_bytes(), reference.entities.to_bytes());
-    assert_eq!(resumed_model.relations.to_bytes(), reference.relations.to_bytes());
-    assert_eq!(resumed_model.epoch_losses, reference.epoch_losses);
+    assert_eq!(resumed.report.resumed_at, None);
+    assert_eq!(resumed.report.checkpoints_written, 1);
+    assert_same_model(&resumed.model.expect("resumed run completes"), &reference);
+}
+
+/// The `checkpoint-write` fault site gates the single frame. Losing it
+/// costs the durability of this interval, never the model.
+#[test]
+fn faulted_single_frame_is_skipped_and_the_model_still_returned() {
+    let ds = dataset();
+    let c = cfg(37);
+    let (prior, _) = train_partitioned(&ds, &c, NUM_PARTS, 1);
+    let dirty = dirty_set(&ds, &c, 12);
+    let (reference, _) = delta_run(&ds, &c, &prior, &dirty, 2, "fault-ref");
+
+    let injector = FaultInjector::new(
+        FaultPlan::reliable(404).with_site(SITE_CHECKPOINT_WRITE, SiteFaults::transient(1.0)),
+    );
+    let path = wal_path("fault-single-frame");
+    let mut log = TrainCheckpointLog::open(&path).expect("open log");
+    let run = CheckpointedTrainer::new(c.clone(), NUM_PARTS, 2)
+        .with_warm_start(&prior)
+        .with_delta_partitions(dirty)
+        .with_faults(&injector)
+        .with_retry(RetryPolicy { max_attempts: 2, ..Default::default() })
+        .train(&ds, &mut log)
+        .expect("run completes");
+    assert_eq!(run.report.checkpoints_skipped, 1);
+    assert_eq!(run.report.checkpoints_written, 0);
+    assert_same_model(&run.model.expect("model returned without its frame"), &reference);
+    drop(log);
+    let log = TrainCheckpointLog::open(&path).expect("reopen log");
+    assert_eq!(log.rounds_recovered(), 0);
 }
 
 #[test]
@@ -172,15 +241,16 @@ fn delta_log_rejects_full_run_and_other_dirty_sets() {
     let dirty = dirty_partitions(&ds, &parts, [ds.entities[0]]);
     assert_eq!(dirty.len(), 1);
 
-    // Write one delta frame, then try resuming with a different identity.
+    // A completed delta run leaves its frame; try resuming it with a
+    // different identity.
     let path = wal_path("digest-gate");
     let mut log = TrainCheckpointLog::open(&path).expect("open log");
-    CheckpointedTrainer::new(c.clone(), NUM_PARTS, 1)
+    let seeded = CheckpointedTrainer::new(c.clone(), NUM_PARTS, 1)
         .with_warm_start(&prior)
         .with_delta_partitions(dirty.clone())
-        .with_kill_after_rounds(1)
         .train(&ds, &mut log)
         .expect("seeded delta log");
+    assert_eq!(seeded.report.checkpoints_written, 1);
 
     // Full (non-delta) trainer must refuse the delta log.
     let mut log = TrainCheckpointLog::open(&path).expect("reopen log");

@@ -20,6 +20,12 @@
 //!    reaches the store (from any producer) reaches the embeddings;
 //! 6. warm-start the embedding model and retrain only the dirty
 //!    partitions; upsert/delete exactly the changed rows in the ANN index.
+//!    The retrain is made durable once, by the single checkpoint frame a
+//!    delta run writes when it returns the model (`saga_embeddings`
+//!    `checkpoint`, "Checkpoint granularity"); the workdir keeps that
+//!    newest `delta-train-N.wal` and drops the ones it supersedes;
+//! 7. publish: assemble the canonical snapshot of the store's graph
+//!    ([`crate::publish_snapshot`]) and return its bytes.
 //!
 //! If the store's retained deltas no longer cover the cursor
 //! ([`DeltaPull::Lapsed`]) the driver falls back to a full retrain +
@@ -38,7 +44,10 @@ use saga_annotation::{
 };
 use saga_core::delta::{record_lapse, DeltaBatch, DeltaCursor, DeltaPull, DELTA_SCOPE};
 use saga_core::obs::Registry;
-use saga_core::{EngineOptions, EntityId, FactMeta, KgStore, KnowledgeGraph, Result, Triple};
+use saga_core::{
+    fact_content_key, EngineOptions, EntityId, FactContentKey, FactMeta, KgStore, KnowledgeGraph,
+    Result, Triple,
+};
 use saga_embeddings::{
     dirty_partitions, train_partitioned, training_partitioning, CheckpointedTrainer,
     TrainCheckpointLog, TrainConfig, TrainedModel, TrainingSet,
@@ -219,16 +228,11 @@ pub fn grow_batch(
     Ok((state, report))
 }
 
-/// Content key identifying a fact independent of interner state.
-fn fact_content_key(t: &Triple) -> (u64, u64, u8, String) {
-    (t.subject.raw(), t.predicate.raw() as u64, t.object.kind() as u8, t.object.canonical())
-}
-
 /// The facts of `kg` about `entities`, keyed by content, with their meta.
 fn facts_of(
     kg: &KnowledgeGraph,
     entities: &BTreeSet<EntityId>,
-) -> BTreeMap<(u64, u64, u8, String), (Triple, FactMeta)> {
+) -> BTreeMap<FactContentKey, (Triple, FactMeta)> {
     let mut out = BTreeMap::new();
     for &e in entities {
         for t in kg.triples_of(e) {
@@ -353,8 +357,8 @@ pub fn grow_incremental(
     Ok(report)
 }
 
-/// Steps 6+7 of the incremental pass: dirty-partition retraining off a
-/// warm start, then ANN maintenance of exactly the changed rows.
+/// Step 6 of the incremental pass: dirty-partition retraining off a warm
+/// start, then ANN maintenance of exactly the changed rows.
 fn retrain_delta(
     state: &mut GrowthState,
     cfg: &GrowthConfig,
@@ -387,7 +391,6 @@ fn retrain_delta(
         .train(&ds, &mut log)?;
     report.buckets_trained = run.report.buckets_trained;
     state.model = run.model.expect("no kill hooks installed; delta run completes");
-
     // ANN maintenance: upsert rows that moved (or are new), tombstone rows
     // whose entity left the model vocabulary.
     let mut live = BTreeSet::new();
@@ -407,5 +410,22 @@ fn retrain_delta(
     state.indexed = live;
     delta_scope.counter("ann_upserts").add(report.ann_upserts as u64);
     delta_scope.counter("ann_deletes").add(report.ann_deletes as u64);
+
+    // The frame behind `log_path` now makes the current model durable; the
+    // logs of earlier passes describe models that no longer exist.
+    remove_superseded_train_logs(&state.workdir, &log_path);
     Ok(())
+}
+
+/// Removes every `delta-train-*.wal` in `workdir` except `newest`. Nothing
+/// reads the files it removes, so a failure to list or unlink one is left
+/// for the next interval's sweep instead of failing this one.
+fn remove_superseded_train_logs(workdir: &Path, newest: &Path) {
+    let Ok(entries) = std::fs::read_dir(workdir) else { return };
+    for path in entries.flatten().map(|entry| entry.path()) {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if name.starts_with("delta-train-") && name.ends_with(".wal") && path != newest {
+            let _ = std::fs::remove_file(&path);
+        }
+    }
 }
