@@ -1,12 +1,33 @@
 //! Exact brute-force k-NN index: the recall=1.0 baseline the HNSW index is
-//! benchmarked against (experiment E3).
+//! benchmarked against (experiment E3), and the scan under every coalesced
+//! search batch of the serving tier.
 //!
-//! The serving path is allocation-free after warm-up: scoring runs the
-//! batch kernel over the contiguous slab into a reusable buffer, and top-k
-//! selection uses a bounded min-heap (O(N + k log k) instead of a full
-//! sort). Lookups by id are O(1) through a maintained position map.
+//! One entry point does the work, [`FlatIndex::search_block_into`]: a block
+//! of queries against the slab, scanned **once per block**, not once per
+//! query. [`FlatIndex::search_into`] is its one-query case and
+//! [`FlatIndex::search_batch`] feeds it blocks.
+//!
+//! - **Stored row norms.** `‖row‖` is kept beside the slab (maintained by
+//!   `add` / `upsert` / `compact`, rebuilt on load, never serialized), so a
+//!   cosine scan is a dot product and one multiply + divide per pair instead
+//!   of recomputing every row's norm — half the FMAs — on every query.
+//! - **Strip walk.** The slab is walked in row strips sized to stay in L1
+//!   (`STRIP_BYTES`); every query tile of the block
+//!   ([`saga_core::kernels::dot_tile`]) passes over a strip while it is
+//!   resident, so a row comes from memory once per block.
+//! - **Threshold-first selection.** Each query keeps a bounded heap of its
+//!   `k` best. A strip's scores are compared against the worst kept score
+//!   first; only the rare survivor pays the tombstone check and the exact
+//!   [`Hit::best_first`] comparison.
+//!
+//! A hit's score bits are a function of (query, row, kernel backend) only —
+//! the kernels' per-pair invariant — and selection is a total order, so a
+//! query returns the same bytes alone, in any block, at any position.
+//! The path is allocation-free after warm-up, and lookups by id are O(1)
+//! through a maintained position map.
 
 use crate::vector::Metric;
+use saga_core::kernels;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -21,7 +42,18 @@ pub struct Hit {
     pub score: f32,
 }
 
-/// Heap entry ordered so the *worst* hit (lowest score, then largest id) is
+impl Hit {
+    /// The one order of search results: higher score first (by
+    /// `f32::total_cmp`, so `+0.0` outranks `-0.0` and NaNs have a place),
+    /// then smaller id. Selection inside an index, the final sort and every
+    /// cross-shard merge use it, which is what makes a sharded top-k equal
+    /// the unsharded one.
+    pub fn best_first(a: &Hit, b: &Hit) -> Ordering {
+        b.score.total_cmp(&a.score).then(a.id.cmp(&b.id))
+    }
+}
+
+/// Heap entry ordered so the *worst* hit (last by [`Hit::best_first`]) is
 /// the maximum: a `BinaryHeap<WorstFirst>` of size k keeps the k best hits
 /// with the eviction candidate on top. Shared with the quantized and PQ
 /// tables so their scratch types can own a selection heap too.
@@ -30,12 +62,7 @@ pub(crate) struct WorstFirst(Hit);
 
 impl Ord for WorstFirst {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .0
-            .score
-            .partial_cmp(&self.0.score)
-            .unwrap_or(Ordering::Equal)
-            .then(self.0.id.cmp(&other.0.id))
+        Hit::best_first(&self.0, &other.0)
     }
 }
 impl PartialOrd for WorstFirst {
@@ -50,11 +77,30 @@ impl PartialEq for WorstFirst {
 }
 impl Eq for WorstFirst {}
 
+/// Offers `hit` to a heap bounded at `k > 0` entries: kept while there is
+/// room, otherwise only by evicting a worse hit.
+#[inline]
+fn offer(heap: &mut BinaryHeap<WorstFirst>, k: usize, hit: Hit) {
+    if heap.len() < k {
+        heap.push(WorstFirst(hit));
+    } else if let Some(mut worst) = heap.peek_mut() {
+        if WorstFirst(hit) < *worst {
+            *worst = WorstFirst(hit);
+        }
+    }
+}
+
+/// Empties `heap` onto the end of `out`, best first.
+fn drain_best_first(heap: &mut BinaryHeap<WorstFirst>, out: &mut Vec<Hit>) {
+    let start = out.len();
+    out.extend(heap.drain().map(|w| w.0));
+    out[start..].sort_unstable_by(Hit::best_first);
+}
+
 /// Bounded-heap top-k selection: keeps the k best hits from `hits` in
-/// `out`, best first, ties broken by smaller id — identical to a full sort
-/// by `(score desc, id asc)` followed by `truncate(k)`, in O(N + k log k).
-/// `heap` is caller-owned scratch so steady-state selection allocates
-/// nothing.
+/// `out`, in [`Hit::best_first`] order — identical to a full sort followed
+/// by `truncate(k)`, in O(N + k log k). `heap` is caller-owned scratch so
+/// steady-state selection allocates nothing.
 pub(crate) fn select_top_k_into(
     heap: &mut BinaryHeap<WorstFirst>,
     hits: impl Iterator<Item = Hit>,
@@ -67,27 +113,28 @@ pub(crate) fn select_top_k_into(
         return;
     }
     for h in hits {
-        if heap.len() < k {
-            heap.push(WorstFirst(h));
-        } else if let Some(&worst) = heap.peek() {
-            if WorstFirst(h) < worst {
-                heap.pop();
-                heap.push(WorstFirst(h));
-            }
-        }
+        offer(heap, k, h);
     }
-    out.extend(heap.drain().map(|w| w.0));
-    out.sort_unstable_by(|a, b| {
-        b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal).then(a.id.cmp(&b.id))
-    });
+    drain_best_first(heap, out);
 }
 
-/// Reusable per-thread state for [`FlatIndex`] queries: the score buffer
-/// the batch kernel writes into plus the bounded selection heap.
+/// Queries scanned together: the slab is walked once per this many queries.
+/// Four query tiles keep the block's queries (16 × dim floats) and one
+/// strip's scores beside the strip in L1.
+const QUERY_BLOCK: usize = 4 * kernels::QUERY_TILE;
+
+/// Bytes of slab per row strip: small enough that the strip, the query
+/// block and the strip's scores fit a 32 KiB L1 together.
+const STRIP_BYTES: usize = 16 * 1024;
+
+/// Reusable per-thread state for [`FlatIndex`] queries: one strip's scores
+/// for a query block, the block's query norms and a bounded selection heap
+/// per query.
 #[derive(Debug, Default)]
 pub struct FlatScratch {
     scores: Vec<f32>,
-    heap: BinaryHeap<WorstFirst>,
+    q_norms: Vec<f32>,
+    heaps: Vec<BinaryHeap<WorstFirst>>,
 }
 
 impl FlatScratch {
@@ -97,9 +144,19 @@ impl FlatScratch {
     }
 }
 
+/// What a thread keeps warm for the convenience entry points that own their
+/// buffers: [`FlatIndex::search`] uses the scratch, [`FlatIndex::search_batch`]
+/// also the flattened queries and hits.
+#[derive(Default)]
+struct ThreadScratch {
+    scratch: FlatScratch,
+    queries: Vec<f32>,
+    hits: Vec<Hit>,
+}
+
 thread_local! {
     /// Backs the zero-allocation default search path.
-    static FLAT_SCRATCH: RefCell<FlatScratch> = RefCell::new(FlatScratch::new());
+    static FLAT_SCRATCH: RefCell<ThreadScratch> = RefCell::new(ThreadScratch::default());
 }
 
 /// Serialized form — the position map is an in-memory acceleration
@@ -121,11 +178,14 @@ impl From<FlatIndexData> for FlatIndex {
         let mut dead = d.dead;
         dead.resize(d.ids.len(), false);
         let tombstones = dead.iter().filter(|&&x| x).count();
+        // `max(1)`: a malformed snapshot's `dim: 0` must not panic the load.
+        let norms = d.data.chunks_exact(d.dim.max(1)).map(kernels::l2_norm).collect();
         let mut idx = FlatIndex {
             dim: d.dim,
             metric: d.metric,
             ids: d.ids,
             data: d.data,
+            norms,
             dead,
             tombstones,
             pos: HashMap::new(),
@@ -154,6 +214,10 @@ pub struct FlatIndex {
     metric: Metric,
     ids: Vec<u64>,
     data: Vec<f32>,
+    /// `norms[i]` — `‖row i‖`, derived from `data` (the cosine scan's
+    /// divisor; see the module docs).
+    #[serde(skip)]
+    norms: Vec<f32>,
     /// `dead[i]` — row `i` is tombstoned (skipped by search and `get`).
     dead: Vec<bool>,
     /// Number of `true` entries in `dead`.
@@ -173,6 +237,7 @@ impl FlatIndex {
             metric,
             ids: Vec::new(),
             data: Vec::new(),
+            norms: Vec::new(),
             dead: Vec::new(),
             tombstones: 0,
             pos: HashMap::new(),
@@ -215,6 +280,7 @@ impl FlatIndex {
         self.ids.push(id);
         self.dead.push(false);
         self.data.extend_from_slice(v);
+        self.norms.push(kernels::l2_norm(v));
     }
 
     /// Inserts or replaces the vector under `id`. Replacement overwrites
@@ -237,6 +303,7 @@ impl FlatIndex {
                 }
                 let i = i as usize;
                 self.data[i * self.dim..(i + 1) * self.dim].copy_from_slice(v);
+                self.norms[i] = kernels::l2_norm(v);
                 true
             }
             None => {
@@ -277,11 +344,13 @@ impl FlatIndex {
             }
             if w != r {
                 self.ids[w] = self.ids[r];
+                self.norms[w] = self.norms[r];
                 self.data.copy_within(r * self.dim..(r + 1) * self.dim, w * self.dim);
             }
             w += 1;
         }
         self.ids.truncate(w);
+        self.norms.truncate(w);
         self.data.truncate(w * self.dim);
         self.dead.clear();
         self.dead.resize(w, false);
@@ -303,7 +372,7 @@ impl FlatIndex {
     /// is the returned `Vec`. Use [`FlatIndex::search_into`] for a fully
     /// allocation-free path.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        FLAT_SCRATCH.with(|s| self.search_with(query, k, &mut s.borrow_mut()))
+        FLAT_SCRATCH.with(|s| self.search_with(query, k, &mut s.borrow_mut().scratch))
     }
 
     /// [`FlatIndex::search`] with caller-owned scratch.
@@ -313,9 +382,10 @@ impl FlatIndex {
         out
     }
 
-    /// Zero-allocation search: scores into `scratch`, selects into `out`
-    /// (cleared first). Performs no heap allocation once both have reached
-    /// steady-state capacity.
+    /// Zero-allocation search: the one-query case of
+    /// [`search_block_into`](Self::search_block_into). Performs no heap
+    /// allocation once `scratch` and `out` have reached steady-state
+    /// capacity.
     pub fn search_into(
         &self,
         query: &[f32],
@@ -324,28 +394,126 @@ impl FlatIndex {
         out: &mut Vec<Hit>,
     ) {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        self.metric.score_many(query, &self.data, &mut scratch.scores);
-        if self.tombstones == 0 {
-            select_top_k_into(
-                &mut scratch.heap,
-                scratch.scores.iter().zip(&self.ids).map(|(&score, &id)| Hit { id, score }),
-                k,
-                out,
-            );
-        } else {
-            select_top_k_into(
-                &mut scratch.heap,
-                scratch
-                    .scores
-                    .iter()
-                    .zip(&self.ids)
-                    .zip(&self.dead)
-                    .filter(|(_, &dead)| !dead)
-                    .map(|((&score, &id), _)| Hit { id, score }),
-                k,
-                out,
-            );
+        self.search_block_into(query, k, scratch, out);
+    }
+
+    /// Exact top-`k` for a row-major block of queries (`nq × dim`), the slab
+    /// scanned once per `QUERY_BLOCK` (16) queries instead of once per query.
+    /// `out` (cleared first) receives `min(k, live_len())` hits per query,
+    /// query after query, each run in [`Hit::best_first`] order — bit for
+    /// bit what [`search_into`](Self::search_into) returns for that query
+    /// alone. Allocation-free once `scratch` and `out` are warm.
+    ///
+    /// # Panics
+    /// Panics if `queries.len()` is not a multiple of `dim`.
+    pub fn search_block_into(
+        &self,
+        queries: &[f32],
+        k: usize,
+        scratch: &mut FlatScratch,
+        out: &mut Vec<Hit>,
+    ) {
+        assert_eq!(queries.len() % self.dim, 0, "query dimension mismatch");
+        out.clear();
+        // Every heap fills to exactly `k`, which is what makes `out` flat.
+        let k = k.min(self.live_len());
+        if k == 0 {
+            return;
         }
+        for block in queries.chunks(QUERY_BLOCK * self.dim) {
+            let nq = block.len() / self.dim;
+            if scratch.heaps.len() < nq {
+                scratch.heaps.resize_with(nq, BinaryHeap::new);
+            }
+            self.scan_block(block, k, scratch);
+            for heap in &mut scratch.heaps[..nq] {
+                drain_best_first(heap, out);
+            }
+        }
+    }
+
+    /// Walks the slab strip by strip, leaving each query's `k` best in its
+    /// heap (`scratch.heaps[..nq]`, empty on entry).
+    fn scan_block(&self, queries: &[f32], k: usize, scratch: &mut FlatScratch) {
+        let dim = self.dim;
+        let nq = queries.len() / dim;
+        let FlatScratch { scores, q_norms, heaps } = scratch;
+        let heaps = &mut heaps[..nq];
+        if self.metric == Metric::Cosine {
+            q_norms.clear();
+            q_norms.extend(queries.chunks_exact(dim).map(kernels::l2_norm));
+        }
+        let strip_rows = (STRIP_BYTES / (4 * dim)).max(8);
+        for (s, strip) in self.data.chunks(strip_rows * dim).enumerate() {
+            let first = s * strip_rows;
+            let rows = strip.len() / dim;
+            if self.metric == Metric::Euclidean {
+                // No batch path runs this metric: one sweep per query.
+                for (q, heap) in queries.chunks_exact(dim).zip(heaps.iter_mut()) {
+                    kernels::l2_sq_batch(q, strip, scores);
+                    scores.iter_mut().for_each(|s| *s = -*s);
+                    self.select_strip(heap, k, scores, first);
+                }
+                continue;
+            }
+            let norms = (self.metric == Metric::Cosine)
+                .then(|| (&q_norms[..], &self.norms[first..first + rows]));
+            scores.resize(nq * rows, 0.0);
+            kernels::dot_tile(dim, queries, strip, norms, scores);
+            for (scores, heap) in scores.chunks_exact(rows).zip(heaps.iter_mut()) {
+                self.select_strip(heap, k, scores, first);
+            }
+        }
+    }
+
+    /// Threshold-first selection over one strip's scores (`scores[i]` is row
+    /// `first + i`): eight scores at a time are tested against the worst
+    /// kept one (branch-free, so the compiler makes it two vector compares),
+    /// and only a group with a survivor goes on to [`Self::offer_rows`].
+    fn select_strip(
+        &self,
+        heap: &mut BinaryHeap<WorstFirst>,
+        k: usize,
+        scores: &[f32],
+        first: usize,
+    ) {
+        // Until the heap holds `k` nothing is dropped: no score is below -inf.
+        let mut worst_kept = match heap.peek() {
+            Some(worst) if heap.len() == k => worst.0.score,
+            _ => f32::NEG_INFINITY,
+        };
+        let mut groups = scores.chunks_exact(8);
+        for (g, group) in groups.by_ref().enumerate() {
+            let lanes: [f32; 8] = group.try_into().expect("chunks_exact(8)");
+            if lanes.iter().fold(true, |all, &s| all & (s < worst_kept)) {
+                continue;
+            }
+            worst_kept = self.offer_rows(heap, k, group, first + 8 * g, worst_kept);
+        }
+        let tail = groups.remainder();
+        self.offer_rows(heap, k, tail, first + scores.len() - tail.len(), worst_kept);
+    }
+
+    /// Offers the rows of `scores` that reach `worst_kept` and are not
+    /// tombstoned; returns the worst kept score afterwards.
+    fn offer_rows(
+        &self,
+        heap: &mut BinaryHeap<WorstFirst>,
+        k: usize,
+        scores: &[f32],
+        first: usize,
+        mut worst_kept: f32,
+    ) -> f32 {
+        for (i, &score) in scores.iter().enumerate() {
+            if score < worst_kept || self.dead[first + i] {
+                continue;
+            }
+            offer(heap, k, Hit { id: self.ids[first + i], score });
+            if heap.len() == k {
+                worst_kept = heap.peek().map_or(worst_kept, |worst| worst.0.score);
+            }
+        }
+        worst_kept
     }
 
     /// [`search_batch`](Self::search_batch) recording whole-batch latency
@@ -367,26 +535,39 @@ impl FlatIndex {
 
     /// Exact top-`k` for a batch of queries fanned out as `workers` chunks
     /// over the shared persistent pool ([`saga_core::pool`]) — zero thread
-    /// spawns in steady state. Each chunk gets its own scratch; results are
+    /// spawns in steady state. Each chunk is one
+    /// [`search_block_into`](Self::search_block_into) on its thread's warm
+    /// scratch, so the only allocations are the returned `Vec`s; results are
     /// in query order, identical to sequential [`FlatIndex::search`] per
     /// query.
     pub fn search_batch(&self, queries: &[Vec<f32>], k: usize, workers: usize) -> Vec<Vec<Hit>> {
         let workers = workers.max(1);
         if workers == 1 || queries.len() <= 1 {
-            let mut scratch = FlatScratch::new();
-            return queries.iter().map(|q| self.search_with(q, k, &mut scratch)).collect();
+            return self.search_chunk(queries, k);
         }
         let chunk = queries.len().div_ceil(workers);
         let tasks = queries.len().div_ceil(chunk);
         saga_core::pool::global()
             .map_tasks(tasks, |t| {
-                let qs = &queries[t * chunk..((t + 1) * chunk).min(queries.len())];
-                let mut scratch = FlatScratch::new();
-                qs.iter().map(|q| self.search_with(q, k, &mut scratch)).collect::<Vec<_>>()
+                self.search_chunk(&queries[t * chunk..((t + 1) * chunk).min(queries.len())], k)
             })
             .into_iter()
             .flatten()
             .collect()
+    }
+
+    fn search_chunk(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<Hit>> {
+        FLAT_SCRATCH.with(|s| {
+            let ThreadScratch { scratch, queries: block, hits } = &mut *s.borrow_mut();
+            block.clear();
+            for q in queries {
+                assert_eq!(q.len(), self.dim, "query dimension mismatch");
+                block.extend_from_slice(q);
+            }
+            self.search_block_into(block, k, scratch, hits);
+            let per_query = k.min(self.live_len());
+            (0..queries.len()).map(|i| hits[i * per_query..(i + 1) * per_query].to_vec()).collect()
+        })
     }
 
     /// Looks up a vector by id — O(1) via the maintained position map.
@@ -450,6 +631,42 @@ mod tests {
         let hits = idx.search(&[1.0], 2);
         assert_eq!(hits[0].id, 3);
         assert_eq!(hits[1].id, 5);
+    }
+
+    /// One order everywhere: two shards' local top-k merged by
+    /// [`Hit::best_first`] is the unsharded top-k even over rows that score
+    /// `+0.0`, `-0.0` and exactly equal — where a shard-local order that
+    /// lets the two zeros tie and a merge order that does not would disagree.
+    #[test]
+    fn sharded_merge_equals_unsharded_on_signed_zeros_and_ties() {
+        let query = [1e-22, 0.0, 1e10];
+        let rows: [(u64, [f32; 3]); 8] = [
+            (1, [-1e-23, 1e10, 0.0]), // tiny negative dot over huge norms: -0.0
+            (2, [0.0, 0.0, 0.0]),     // zero norm: +0.0
+            (3, [-1e-23, 1e10, 0.0]), // -0.0 again
+            (4, [0.0, 7.0, 0.0]),     // orthogonal: +0.0
+            (5, [0.0, 0.0, 2.0]),     // 1.0
+            (6, [0.0, 0.0, 3.0]),     // 1.0 again: a tie
+            (7, [0.0, 0.0, -1.0]),    // -1.0
+            (8, [0.0, 1.0, 0.0]),     // +0.0
+        ];
+        let mut whole = FlatIndex::new(3, Metric::Cosine);
+        let mut shards = [FlatIndex::new(3, Metric::Cosine), FlatIndex::new(3, Metric::Cosine)];
+        for (id, v) in &rows {
+            whole.add(*id, v);
+            shards[(*id % 2) as usize].add(*id, v);
+        }
+        let all = whole.search(&query, rows.len());
+        let bits: Vec<u32> = all.iter().map(|h| h.score.to_bits()).collect();
+        assert!(bits.contains(&0) && bits.contains(&(-0.0f32).to_bits()), "{all:?}");
+        assert_eq!(all.iter().map(|h| h.id).collect::<Vec<_>>(), [5, 6, 2, 4, 8, 1, 3, 7]);
+        for k in 0..=rows.len() {
+            let mut merged: Vec<Hit> = shards.iter().flat_map(|s| s.search(&query, k)).collect();
+            merged.sort_by(Hit::best_first);
+            merged.truncate(k);
+            assert_eq!(merged, whole.search(&query, k), "k={k}");
+            assert_eq!(merged, all[..k], "k={k}");
+        }
     }
 
     #[test]

@@ -26,23 +26,6 @@ impl Metric {
             Metric::Dot => kernels::dot(a, b),
         }
     }
-
-    /// Scores `q` against every row of a contiguous row-major `block`
-    /// (`block.len()` must be a multiple of `q.len()`), one score per row
-    /// appended to `out` after clearing it. Allocation-free once `out` has
-    /// grown to the block's row count — the flat index's serving path.
-    pub fn score_many(self, q: &[f32], block: &[f32], out: &mut Vec<f32>) {
-        match self {
-            Metric::Cosine => kernels::cosine_batch(q, block, out),
-            Metric::Euclidean => {
-                kernels::l2_sq_batch(q, block, out);
-                for s in out.iter_mut() {
-                    *s = -*s;
-                }
-            }
-            Metric::Dot => kernels::dot_batch(q, block, out),
-        }
-    }
 }
 
 /// L2 norm of a vector.
@@ -80,24 +63,6 @@ mod tests {
     fn euclidean_is_negative_distance() {
         assert_eq!(Metric::Euclidean.score(&[0.0], &[3.0]), -9.0);
         assert_eq!(Metric::Euclidean.score(&[1.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn score_many_matches_score_per_row() {
-        let dim = 5;
-        let q = [0.3, -0.7, 0.2, 0.9, -0.1];
-        let rows: Vec<[f32; 5]> =
-            vec![[1.0, 0.0, 0.5, -0.5, 0.25], [0.0; 5], [-0.9, 0.4, 0.1, 0.2, 0.8]];
-        let block: Vec<f32> = rows.iter().flatten().copied().collect();
-        let mut out = Vec::new();
-        for m in [Metric::Cosine, Metric::Euclidean, Metric::Dot] {
-            m.score_many(&q, &block, &mut out);
-            assert_eq!(out.len(), rows.len());
-            for (row, s) in rows.iter().zip(&out) {
-                assert!((m.score(&q, row) - s).abs() < 1e-6, "{m:?}");
-            }
-        }
-        assert_eq!(dim, q.len());
     }
 
     #[test]

@@ -4,8 +4,10 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use saga_ann::{
-    FlatIndex, Hit, HnswIndex, HnswParams, Metric, QuantizedTable, QuantizedVector, SearchScratch,
+    FlatIndex, FlatScratch, Hit, HnswIndex, HnswParams, Metric, QuantizedTable, QuantizedVector,
+    SearchScratch,
 };
+use saga_core::kernels;
 
 fn vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -157,9 +159,7 @@ proptest! {
                 .enumerate()
                 .map(|(i, v)| Hit { id: i as u64, score: metric.score(&q, v) })
                 .collect();
-            reference.sort_by(|a, b| {
-                b.score.partial_cmp(&a.score).unwrap().then(a.id.cmp(&b.id))
-            });
+            reference.sort_by(Hit::best_first);
             reference.truncate(k);
             prop_assert_eq!(idx.search(&q, k), reference, "metric {:?}", metric);
         }
@@ -224,6 +224,110 @@ proptest! {
         }
     }
 
+    /// The block scan against its two references, bit for bit, after a
+    /// random `add` (duplicate ids allowed) / `upsert` / `remove` /
+    /// `compact` history: `search_block_into` ≡ `search_into` query by query
+    /// ≡ a full [`Hit::best_first`] sort over every live row scored alone
+    /// from freshly computed norms — so the stored norms are the fresh ones,
+    /// tombstones never surface, and neither the block a query rode in nor
+    /// its place in it shows in the reply. `k` runs from 0 past the live
+    /// count and `nq` past one query block; where serde is functional, a
+    /// round-tripped index (norms rebuilt on load) must answer the same.
+    #[test]
+    fn flat_block_scan_equals_single_queries_and_full_sort(
+        seed in 0u64..10_000,
+        // Past dim 512 a row strip is 8 rows, so a short history spans several.
+        dim in prop_oneof![1usize..20, 510usize..530],
+        ops in 0usize..120,
+        nq in 1usize..20,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let vector = |rng: &mut ChaCha8Rng| -> Vec<f32> {
+            // A coarse grid (ties, zero vectors) half the time, free floats otherwise.
+            if rng.gen_bool(0.5) {
+                (0..dim).map(|_| rng.gen_range(-2i32..=2) as f32 * 0.5).collect()
+            } else {
+                (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+            }
+        };
+        for metric in [Metric::Cosine, Metric::Dot, Metric::Euclidean] {
+            let mut idx = FlatIndex::new(dim, metric);
+            // The model: physical rows in slab order, (id, vector, live).
+            let mut rows: Vec<(u64, Vec<f32>, bool)> = Vec::new();
+            for _ in 0..ops {
+                let id = rng.gen_range(0u64..24);
+                match rng.gen_range(0u32..10) {
+                    0..=3 => {
+                        let v = vector(&mut rng);
+                        idx.add(id, &v);
+                        rows.push((id, v, true));
+                    }
+                    4..=6 => {
+                        let v = vector(&mut rng);
+                        idx.upsert(id, &v);
+                        match rows.iter().position(|r| r.0 == id && r.2) {
+                            Some(first) => {
+                                rows.iter_mut().skip(first + 1).filter(|r| r.0 == id).for_each(|r| r.2 = false);
+                                rows[first].1 = v;
+                            }
+                            None => rows.push((id, v, true)),
+                        }
+                    }
+                    7..=8 => {
+                        idx.remove(id);
+                        rows.iter_mut().filter(|r| r.0 == id).for_each(|r| r.2 = false);
+                    }
+                    _ => {
+                        idx.compact();
+                        rows.retain(|r| r.2);
+                    }
+                }
+            }
+            let live = rows.iter().filter(|r| r.2).count();
+            prop_assert_eq!(idx.live_len(), live);
+            let queries: Vec<Vec<f32>> = (0..nq).map(|_| vector(&mut rng)).collect();
+            let block: Vec<f32> = queries.iter().flatten().copied().collect();
+            let reloaded: Option<FlatIndex> =
+                serde_json::to_string(&idx).ok().map(|json| serde_json::from_str(&json).unwrap());
+            let (mut scratch, mut blocked, mut single) = (FlatScratch::new(), Vec::new(), Vec::new());
+            for k in [0, 1, 3, live, live + 5] {
+                idx.search_block_into(&block, k, &mut scratch, &mut blocked);
+                let per_query = k.min(live);
+                prop_assert_eq!(blocked.len(), nq * per_query);
+                for (i, q) in queries.iter().enumerate() {
+                    let got = &blocked[i * per_query..(i + 1) * per_query];
+                    idx.search_into(q, k, &mut scratch, &mut single);
+                    prop_assert_eq!(got, &single[..], "{:?} k={} query {} of {}", metric, k, i, nq);
+                    if let Some(reloaded) = &reloaded {
+                        prop_assert_eq!(got, &reloaded.search(q, k)[..], "{:?} reloaded k={}", metric, k);
+                    }
+                    // Euclidean keeps its single-query sweep, whose row
+                    // tiles are not position-free; the full-sort reference
+                    // is for the tile metrics.
+                    if metric == Metric::Euclidean {
+                        continue;
+                    }
+                    let q_norm = [kernels::l2_norm(q)];
+                    let mut reference: Vec<Hit> = rows
+                        .iter()
+                        .filter(|r| r.2)
+                        .map(|(id, v, _)| {
+                            let row_norm = [kernels::l2_norm(v)];
+                            let norms = (metric == Metric::Cosine).then_some((&q_norm[..], &row_norm[..]));
+                            let mut score = [0.0f32];
+                            kernels::dot_tile(dim, q, v, norms, &mut score);
+                            Hit { id: *id, score: score[0] }
+                        })
+                        .collect();
+                    reference.sort_by(Hit::best_first);
+                    reference.truncate(k);
+                    let bits = |hits: &[Hit]| hits.iter().map(|h| (h.id, h.score.to_bits())).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(got), bits(&reference), "{:?} k={} query {}", metric, k, i);
+                }
+            }
+        }
+    }
+
     /// Same incremental-vs-scratch equivalence for the quantized backend:
     /// re-quantizing on upsert must leave rows bit-identical to quantizing
     /// the final vector set directly, so scores (and tie order) match.
@@ -278,9 +382,7 @@ proptest! {
             let mut reference: Vec<Hit> = (0..table.len())
                 .map(|i| Hit { id: i as u64, score: table.score_row(metric, &q, i) })
                 .collect();
-            reference.sort_by(|a, b| {
-                b.score.partial_cmp(&a.score).unwrap().then(a.id.cmp(&b.id))
-            });
+            reference.sort_by(Hit::best_first);
             reference.truncate(k);
             let hits = table.search(metric, &q, k);
             prop_assert_eq!(&hits, &reference, "metric {:?}", metric);

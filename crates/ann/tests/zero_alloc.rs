@@ -4,7 +4,8 @@
 //!
 //! A counting global allocator is armed around the measured section only;
 //! the queries replayed under measurement are the same ones used for
-//! warm-up, so every scratch buffer has reached steady-state capacity.
+//! warm-up, so every scratch buffer has reached steady-state capacity. The
+//! counter is process-wide, so the tests here take turns on [`GATE`].
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -14,9 +15,11 @@ use saga_ann::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
+static GATE: Mutex<()> = Mutex::new(());
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -55,6 +58,7 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn warm_query_path_performs_no_allocation() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dim = 32;
     let n = 1_000;
     let mut rng = ChaCha8Rng::seed_from_u64(41);
@@ -106,6 +110,7 @@ fn warm_query_path_performs_no_allocation() {
 /// arming instrumentation adds zero allocations.
 #[test]
 fn warm_instrumented_query_path_performs_no_allocation() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dim = 32;
     let n = 1_000;
     let mut rng = ChaCha8Rng::seed_from_u64(47);
@@ -157,9 +162,12 @@ fn warm_instrumented_query_path_performs_no_allocation() {
 /// first kernel call, so a warm query loop allocates nothing — under every
 /// backend available on this CPU, not just the auto-selected one. Forcing a
 /// backend swaps one static pointer, so the per-call cost is a predictable
-/// indirect call with no allocation on either side of the swap.
+/// indirect call with no allocation on either side of the swap. The same
+/// holds for the batch shape: a warm 8-query `search_block_into` — query
+/// tile, strip walk, one heap per query — allocates nothing.
 #[test]
 fn warm_dispatched_kernels_perform_no_allocation() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dim = 32;
     let n = 1_000;
     let mut rng = ChaCha8Rng::seed_from_u64(53);
@@ -174,6 +182,7 @@ fn warm_dispatched_kernels_perform_no_allocation() {
         flat.add(i as u64, v);
     }
     let block: Vec<f32> = vecs.iter().flatten().copied().collect();
+    let query_block: Vec<f32> = queries[..8].iter().flatten().copied().collect();
 
     // Resolve the backend list outside the measured sections (it allocates
     // a Vec); forcing itself is a pointer store.
@@ -182,6 +191,7 @@ fn warm_dispatched_kernels_perform_no_allocation() {
     let mut scratch = FlatScratch::new();
     let mut out: Vec<Hit> = Vec::new();
     let mut scores: Vec<f32> = Vec::new();
+    let mut block_out: Vec<Hit> = Vec::new();
 
     for name in &backends {
         assert!(saga_core::kernels::force_backend(name), "backend {name} not forceable");
@@ -191,16 +201,19 @@ fn warm_dispatched_kernels_perform_no_allocation() {
             flat.search_into(q, k, &mut scratch, &mut out);
         }
         saga_core::kernels::dot_batch(&queries[0], &block, &mut scores);
+        flat.search_block_into(&query_block, k, &mut scratch, &mut block_out);
 
         let allocs = count_allocs(|| {
             for q in &queries {
                 flat.search_into(q, k, &mut scratch, &mut out);
                 saga_core::kernels::dot_batch(q, &block, &mut scores);
             }
+            flat.search_block_into(&query_block, k, &mut scratch, &mut block_out);
         });
         assert_eq!(allocs, 0, "backend {name}: warm dispatched path allocated {allocs} times");
         assert_eq!(out.len(), k);
         assert_eq!(scores.len(), n);
+        assert_eq!(block_out.len(), 8 * k);
     }
     assert!(saga_core::kernels::force_backend("auto"));
 }
@@ -210,6 +223,7 @@ fn warm_dispatched_kernels_perform_no_allocation() {
 /// PQ ADC path must reuse its lookup-table scratch the same way.
 #[test]
 fn warm_quantized_paths_perform_no_allocation() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let dim = 32;
     let n = 1_000;
     let mut rng = ChaCha8Rng::seed_from_u64(43);

@@ -35,9 +35,33 @@
 //! Numerically: the i8 integer kernels are **bit-exact across backends**
 //! (integer arithmetic has one right answer); f32 kernels differ only by
 //! reduction order and FMA rounding, bounded by the property suite in
-//! `tests/kernels_properties.rs`. The `*_batch` variants score one query
-//! against a contiguous row-major block, writing into a caller-owned buffer
-//! so steady-state serving performs no allocation.
+//! `tests/kernels_properties.rs`.
+//!
+//! # The scan tile
+//!
+//! The flat scan — every coalesced search batch, and a single query as its
+//! `nq = 1` case — runs on one kernel, [`dot_tile`]: a block of queries
+//! against a strip of rows, one score per (query, row) pair, raw dot or
+//! cosine over caller-stored norms. The intrinsic backends block it
+//! [`QUERY_TILE`] queries × 2 rows (each row register feeds four FMAs, eight
+//! accumulators, the query operands from L1), reduce the eight accumulators
+//! together with a transposed add tree and finish the cosine with one vector
+//! multiply and divide; queries left over from a query tile run one query ×
+//! eight rows with the same reduction.
+//!
+//! **The per-pair invariant.** The score bits of a (query, row) pair are a
+//! function of (query, row, norms, backend) only — never of how many queries
+//! rode the call, the query's slot in its tile, the row's place in a tile or
+//! strip, or whether a remainder path scored it. Every path runs the same
+//! per-pair sequence: one accumulator over `dim` in vector-width steps, that
+//! backend's one horizontal-sum tree, a scalar tail in index order, then
+//! `d / (‖q‖ · ‖row‖)` with the zero-norm rule. Serving depends on it (a
+//! repeated query must return the same bytes whatever batch it rode in);
+//! `tile_scores_do_not_depend_on_the_tiling` pins it on every backend.
+//!
+//! The remaining `*_batch` variants score one query against a contiguous
+//! row-major block, writing into a caller-owned buffer so steady-state
+//! serving performs no allocation.
 
 pub mod portable;
 
@@ -46,6 +70,10 @@ pub mod x86;
 
 #[cfg(all(feature = "simd", target_arch = "aarch64"))]
 pub mod neon;
+
+/// Signature of the scan tile, `(dim, queries, block, norms, out)` with
+/// `norms = Some((q_norms, row_norms))` for cosine; see [`dot_tile`].
+pub type DotTile = fn(usize, &[f32], &[f32], Option<(&[f32], &[f32])>, &mut [f32]);
 
 /// A complete kernel implementation: one function pointer per hot-path
 /// primitive. Public so tests and benches can pin two backends against each
@@ -75,27 +103,63 @@ pub struct Backend {
     pub norm_sq_i8: fn(&[i8]) -> i32,
     /// Fused one-pass squared L2 between an f32 query and a scaled i8 row.
     pub l2_sq_f32i8_direct: fn(&[f32], &[i8], f32) -> f32,
-    /// Tiled batch dot: one score per row of a row-major block
-    /// (`block.len() == q.len() * out.len()`), the query held resident
-    /// across a [`ROW_TILE`]-row tile instead of re-streamed per row.
-    pub dot_block: fn(&[f32], &[f32], &mut [f32]),
-    /// Tiled batch squared Euclidean distance per row.
+    /// The scan tile: every query of a row-major `nq × dim` block against
+    /// every row of a row-major `rows × dim` block, `out[q * rows + r]`; see
+    /// [`dot_tile`].
+    pub dot_tile: DotTile,
+    /// Tiled batch squared Euclidean distance: one score per row of a
+    /// row-major block (`block.len() == q.len() * out.len()`), the query held
+    /// resident across a [`ROW_TILE`]-row tile.
     pub l2_sq_block: fn(&[f32], &[f32], &mut [f32]),
-    /// Tiled batch serving-shape cosine per row (query norm precomputed).
-    pub cosine_qnorm_block: fn(&[f32], f32, &[f32], &mut [f32]),
     /// Tiled batch mixed f32·i8 dot per row (unscaled; caller folds scales).
     pub dot_f32i8_block: fn(&[f32], &[i8], &mut [f32]),
 }
 
-/// Rows scored per tile by the `*_block` batch kernels. Four is the
-/// register-pressure sweet spot on both intrinsic backends: one resident
-/// query vector + four row streams + four accumulators fit comfortably in
-/// 16 vector registers, and each query load is amortized over four FMAs —
-/// the single-row kernels are load-port bound, so this is where the batch
-/// speedup comes from (1.35–1.49× per row at dim 128 × 256 rows on AVX2,
-/// measured at PR 7; the scan's current cost is the `ann.flat_search_us`
-/// row of `perf-ledger`).
+/// Queries per tile of the scan kernel ([`dot_tile`]) on the intrinsic
+/// backends: four queries × two rows is eight accumulators, two row registers
+/// and one query operand at a time — inside 16 vector registers — and every
+/// row load feeds four FMAs, so the tile is FMA-bound where one query per
+/// sweep is load-bound.
+pub const QUERY_TILE: usize = 4;
+
+/// Rows scored per tile by the single-query `*_block` kernels
+/// (`l2_sq_block`, `dot_f32i8_block`): one resident query vector, four row
+/// streams and four accumulators, each query load amortized over four FMAs.
 pub const ROW_TILE: usize = 4;
+
+/// Cosine from a dot product and the two norms, 0.0 when either norm is
+/// zero — the scalar form of the scan tile's epilogue. The vector forms
+/// perform the same multiply and divide, so a pair scores the same bits on
+/// either.
+#[inline]
+pub(crate) fn cosine_of(d: f32, q_norm: f32, row_norm: f32) -> f32 {
+    if q_norm == 0.0 || row_norm == 0.0 {
+        0.0
+    } else {
+        d / (q_norm * row_norm)
+    }
+}
+
+/// Checks a scan tile's arguments against each other and returns
+/// `(queries, rows)`. The intrinsic tiles index raw pointers by these
+/// counts, so the checks hold in release builds too.
+pub(crate) fn tile_shape(
+    dim: usize,
+    queries: &[f32],
+    block: &[f32],
+    norms: Option<(&[f32], &[f32])>,
+    out: &[f32],
+) -> (usize, usize) {
+    assert!(dim > 0, "dimension must be positive");
+    assert_eq!(queries.len() % dim, 0, "queries must be whole rows");
+    assert_eq!(block.len() % dim, 0, "block must be whole rows");
+    let (nq, rows) = (queries.len() / dim, block.len() / dim);
+    assert_eq!(out.len(), nq * rows, "tile output must hold one score per pair");
+    if let Some((q_norms, row_norms)) = norms {
+        assert!(q_norms.len() == nq && row_norms.len() == rows, "one norm per query and per row");
+    }
+    (nq, rows)
+}
 
 /// The always-available reference backend.
 pub static PORTABLE: Backend = Backend {
@@ -111,9 +175,8 @@ pub static PORTABLE: Backend = Backend {
     dot_f32i8: portable::dot_f32i8,
     norm_sq_i8: portable::norm_sq_i8,
     l2_sq_f32i8_direct: portable::l2_sq_f32i8_direct,
-    dot_block: portable::dot_block,
+    dot_tile: portable::dot_tile,
     l2_sq_block: portable::l2_sq_block,
-    cosine_qnorm_block: portable::cosine_qnorm_block,
     dot_f32i8_block: portable::dot_f32i8_block,
 };
 
@@ -435,27 +498,41 @@ macro_rules! block_body {
     }};
 }
 
+/// The scan tile: scores every query of a row-major `queries` block
+/// (`nq × dim`) against every row of a row-major `block` (`rows × dim`),
+/// `out[q * rows + r]` for the pair (q, r). With
+/// `norms = Some((q_norms, row_norms))` a score is the cosine
+/// `d / (q_norms[q] · row_norms[r])`, 0.0 when either norm is zero; with
+/// `None` it is the raw dot. Score bits obey the per-pair invariant of the
+/// module docs.
+///
+/// # Panics
+/// Panics when the slice lengths do not describe `nq × dim`, `rows × dim`,
+/// `nq × rows` and one norm per query and row.
+pub fn dot_tile(
+    dim: usize,
+    queries: &[f32],
+    block: &[f32],
+    norms: Option<(&[f32], &[f32])>,
+    out: &mut [f32],
+) {
+    dispatched!(dot_tile, dim, queries, block, norms, out)
+}
+
 /// Scores `q` against every row of a contiguous row-major `block`
 /// (`block.len()` must be a multiple of `q.len()`), writing one dot
-/// product per row into `out` after clearing it. Reuses `out`'s capacity —
-/// no allocation once the buffer has grown to the block's row count. Rows
-/// go through the tiled [`Backend::dot_block`] kernel, so a batch is
-/// faster than looping [`dot`] (query loads amortized across a row tile).
+/// product per row into `out`. Reuses `out`'s capacity — no allocation once
+/// the buffer has grown to the block's row count. The `nq = 1` case of
+/// [`dot_tile`].
 pub fn dot_batch(q: &[f32], block: &[f32], out: &mut Vec<f32>) {
-    block_body!(dot_block, q, block, out, q, block, out);
+    assert!(!q.is_empty(), "query must be non-empty");
+    out.resize(block.len() / q.len(), 0.0);
+    dot_tile(q.len(), q, block, None, out);
 }
 
 /// Batch counterpart of [`l2_sq`]: squared distance per row of `block`.
 pub fn l2_sq_batch(q: &[f32], block: &[f32], out: &mut Vec<f32>) {
     block_body!(l2_sq_block, q, block, out, q, block, out);
-}
-
-/// Batch counterpart of [`cosine`]: the query norm is computed once and
-/// each row costs a fused tiled sweep instead of a full three-norm
-/// recomputation.
-pub fn cosine_batch(q: &[f32], block: &[f32], out: &mut Vec<f32>) {
-    let q_norm = l2_norm(q);
-    block_body!(cosine_qnorm_block, q, block, out, q, q_norm, block, out);
 }
 
 /// Batch counterpart of [`dot_i8i8`]: one i32 inner product per row of a
@@ -466,7 +543,7 @@ pub fn dot_i8i8_batch(q: &[i8], block: &[i8], out: &mut Vec<i32>) {
 }
 
 /// Batch counterpart of [`dot_f32i8`]: raw (unscaled) mixed inner product
-/// per row; the caller folds in each row's scale. Tiled like [`dot_batch`]
+/// per row; the caller folds in each row's scale. Tiled like [`l2_sq_batch`]
 /// — this is the quantized table's full-scan scoring shape.
 pub fn dot_f32i8_batch(q: &[f32], block: &[i8], out: &mut Vec<f32>) {
     block_body!(dot_f32i8_block, q, block, out, q, block, out);
@@ -670,19 +747,13 @@ mod tests {
         let rows = 17;
         let block: Vec<f32> = (0..rows).flat_map(|i| seq(dim, 100 + i as u64)).collect();
         let mut out = Vec::new();
-        // Tiled block kernels accumulate in a different order than the
-        // single-row kernels, so agreement is within tolerance, not bitwise
-        // (same bound as block_kernels_match_single_rows_on_every_backend).
+        // The batch kernels accumulate in a different order than the
+        // single-row kernels, so agreement is within tolerance, not bitwise.
         dot_batch(&q, &block, &mut out);
         assert_eq!(out.len(), rows);
         for (i, s) in out.iter().enumerate() {
             let row = &block[i * dim..(i + 1) * dim];
             assert!((s - dot(&q, row)).abs() < 1e-4);
-        }
-        cosine_batch(&q, &block, &mut out);
-        for (i, s) in out.iter().enumerate() {
-            let row = &block[i * dim..(i + 1) * dim];
-            assert!((s - cosine_qnorm(&q, l2_norm(&q), row)).abs() < 1e-4);
         }
         l2_sq_batch(&q, &block, &mut out);
         for (i, s) in out.iter().enumerate() {
@@ -695,43 +766,23 @@ mod tests {
         assert_eq!(out.capacity(), cap);
     }
 
-    /// The tiled block kernels must agree with the single-row kernels on
-    /// every backend, including remainder rows (`rows % ROW_TILE != 0`)
-    /// and remainder dims — the serving layer depends on batched results
-    /// being interchangeable with per-request results.
+    /// The single-query block kernels must agree with the single-row
+    /// kernels on every backend, including remainder rows
+    /// (`rows % ROW_TILE != 0`) and remainder dims.
     #[test]
     fn block_kernels_match_single_rows_on_every_backend() {
         for be in available_backends() {
             for (dim, rows) in [(1, 1), (7, 3), (8, 4), (24, 17), (64, 5), (129, 9)] {
                 let q = seq(dim, 5);
-                let qn = l2_norm(&q);
                 let block: Vec<f32> = (0..rows).flat_map(|i| seq(dim, 100 + i as u64)).collect();
                 let bi8: Vec<i8> = (0..rows).flat_map(|i| seq_i8(dim, 100 + i as u64)).collect();
                 let mut out = vec![0.0f32; rows];
-                (be.dot_block)(&q, &block, &mut out);
-                for (i, s) in out.iter().enumerate() {
-                    let row = &block[i * dim..(i + 1) * dim];
-                    assert!(
-                        (s - (be.dot)(&q, row)).abs() < 1e-4,
-                        "{} dot_block dim {dim} row {i}",
-                        be.name
-                    );
-                }
                 (be.l2_sq_block)(&q, &block, &mut out);
                 for (i, s) in out.iter().enumerate() {
                     let row = &block[i * dim..(i + 1) * dim];
                     assert!(
                         (s - (be.l2_sq)(&q, row)).abs() < 1e-4,
                         "{} l2_sq_block dim {dim} row {i}",
-                        be.name
-                    );
-                }
-                (be.cosine_qnorm_block)(&q, qn, &block, &mut out);
-                for (i, s) in out.iter().enumerate() {
-                    let row = &block[i * dim..(i + 1) * dim];
-                    assert!(
-                        (s - (be.cosine_qnorm)(&q, qn, row)).abs() < 1e-4,
-                        "{} cosine_qnorm_block dim {dim} row {i}",
                         be.name
                     );
                 }
@@ -745,14 +796,6 @@ mod tests {
                     );
                 }
             }
-        }
-        // Zero-norm rows keep the cosine convention through the tiled path.
-        let q = seq(16, 3);
-        let mut out = vec![1.0f32; 4];
-        let block = vec![0.0f32; 64];
-        for be in available_backends() {
-            (be.cosine_qnorm_block)(&q, l2_norm(&q), &block, &mut out);
-            assert_eq!(out, [0.0; 4], "{}", be.name);
         }
     }
 

@@ -38,13 +38,13 @@ pub static BACKEND: Backend = Backend {
     dot_f32i8,
     norm_sq_i8,
     l2_sq_f32i8_direct,
-    dot_block,
+    dot_tile,
     l2_sq_block,
-    cosine_qnorm_block,
     dot_f32i8_block,
 };
 
 const _: () = assert!(super::ROW_TILE == 4, "tiled kernels are unrolled for 4 rows");
+const _: () = assert!(super::QUERY_TILE == 4, "the scan tile is unrolled for 4 queries");
 
 // Safe table wrappers. SAFETY (shared by all): `BACKEND` is only selected
 // by the dispatcher (or the force hook) after `available()` confirmed neon
@@ -103,19 +103,22 @@ fn l2_sq_f32i8_direct(q: &[f32], b: &[i8], scale: f32) -> f32 {
     unsafe { l2_sq_f32i8_direct_impl(q, b, scale) }
 }
 
-fn dot_block(q: &[f32], block: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(block.len(), q.len() * out.len());
-    unsafe { dot_block_impl(q, block, out) }
+fn dot_tile(
+    dim: usize,
+    queries: &[f32],
+    block: &[f32],
+    norms: Option<(&[f32], &[f32])>,
+    out: &mut [f32],
+) {
+    let (nq, rows) = super::tile_shape(dim, queries, block, norms, out);
+    // SAFETY: the shared argument above, and `tile_shape` checked (with
+    // `assert!`) every length the impl indexes raw pointers by.
+    unsafe { dot_tile_impl(dim, nq, rows, queries, block, norms, out) }
 }
 
 fn l2_sq_block(q: &[f32], block: &[f32], out: &mut [f32]) {
     debug_assert_eq!(block.len(), q.len() * out.len());
     unsafe { l2_sq_block_impl(q, block, out) }
-}
-
-fn cosine_qnorm_block(q: &[f32], q_norm: f32, block: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(block.len(), q.len() * out.len());
-    unsafe { cosine_qnorm_block_impl(q, q_norm, block, out) }
 }
 
 fn dot_f32i8_block(q: &[f32], block: &[i8], out: &mut [f32]) {
@@ -421,56 +424,208 @@ unsafe fn norm_sq_i8_impl(v: &[i8]) -> i32 {
     s
 }
 
-/// Tiled batch dot: four rows share each resident 4-lane query load (see
-/// [`super::x86::dot_block`] for the load-amortization argument; the NEON
-/// shape is identical at half the vector width).
+/// Horizontal sums of four accumulators at once, lane `i` of the result
+/// being `(v[i][0] + v[i][1]) + (v[i][2] + v[i][3])`. The scan tile's only
+/// reduction: a lone pair goes through it too (its accumulator in every
+/// slot), so a pair's bits cannot depend on what it was reduced beside.
 #[target_feature(enable = "neon")]
-unsafe fn dot_block_impl(q: &[f32], block: &[f32], out: &mut [f32]) {
-    let dim = q.len();
-    let rows = out.len();
-    let (pq, pb) = (q.as_ptr(), block.as_ptr());
-    let tiles = rows / 4;
-    for t in 0..tiles {
-        let r0 = pb.add(4 * t * dim);
-        let r1 = r0.add(dim);
-        let r2 = r1.add(dim);
-        let r3 = r2.add(dim);
-        let mut acc0 = vdupq_n_f32(0.0);
-        let mut acc1 = vdupq_n_f32(0.0);
-        let mut acc2 = vdupq_n_f32(0.0);
-        let mut acc3 = vdupq_n_f32(0.0);
-        let mut i = 0usize;
-        while i + 4 <= dim {
-            let qv = vld1q_f32(pq.add(i));
-            acc0 = vfmaq_f32(acc0, qv, vld1q_f32(r0.add(i)));
-            acc1 = vfmaq_f32(acc1, qv, vld1q_f32(r1.add(i)));
-            acc2 = vfmaq_f32(acc2, qv, vld1q_f32(r2.add(i)));
-            acc3 = vfmaq_f32(acc3, qv, vld1q_f32(r3.add(i)));
-            i += 4;
-        }
-        let mut s0 = vaddvq_f32(acc0);
-        let mut s1 = vaddvq_f32(acc1);
-        let mut s2 = vaddvq_f32(acc2);
-        let mut s3 = vaddvq_f32(acc3);
-        while i < dim {
-            let qv = *pq.add(i);
-            s0 += qv * *r0.add(i);
-            s1 += qv * *r1.add(i);
-            s2 += qv * *r2.add(i);
-            s3 += qv * *r3.add(i);
-            i += 1;
-        }
-        out[4 * t] = s0;
-        out[4 * t + 1] = s1;
-        out[4 * t + 2] = s2;
-        out[4 * t + 3] = s3;
+#[inline]
+unsafe fn hsum4(v: [float32x4_t; 4]) -> float32x4_t {
+    vpaddq_f32(vpaddq_f32(v[0], v[1]), vpaddq_f32(v[2], v[3]))
+}
+
+/// The per-pair sequence every path of the scan tile runs: one accumulator
+/// over `i += 4`, [`hsum4`], a scalar tail in index order.
+#[target_feature(enable = "neon")]
+#[inline]
+unsafe fn dot_pair(dim: usize, q: *const f32, row: *const f32) -> f32 {
+    let mut acc = vdupq_n_f32(0.0);
+    let mut i = 0usize;
+    while i + 4 <= dim {
+        acc = vfmaq_f32(acc, vld1q_f32(q.add(i)), vld1q_f32(row.add(i)));
+        i += 4;
     }
-    for r in tiles * 4..rows {
-        out[r] = dot_impl(q, core::slice::from_raw_parts(pb.add(r * dim), dim));
+    let mut s = vgetq_lane_f32::<0>(hsum4([acc, acc, acc, acc]));
+    while i < dim {
+        s += *q.add(i) * *row.add(i);
+        i += 1;
+    }
+    s
+}
+
+/// [`super::cosine_of`] on four lanes: the same multiply and divide, the
+/// zero-norm lanes selected to +0.0.
+#[target_feature(enable = "neon")]
+#[inline]
+unsafe fn cosine4(d: float32x4_t, q_norms: float32x4_t, row_norms: float32x4_t) -> float32x4_t {
+    let zero = vdupq_n_f32(0.0);
+    let dead = vorrq_u32(vceqq_f32(q_norms, zero), vceqq_f32(row_norms, zero));
+    vbslq_f32(dead, zero, vdivq_f32(d, vmulq_f32(q_norms, row_norms)))
+}
+
+/// Scalar tails of four pairs in index order (`dim % 4` elements from
+/// `from`): `pairs[k]` is the (query, row) behind lane `k` of `sums`.
+#[target_feature(enable = "neon")]
+#[inline]
+unsafe fn add_tails(
+    sums: float32x4_t,
+    pairs: [(*const f32, *const f32); 4],
+    from: usize,
+    dim: usize,
+) -> float32x4_t {
+    let mut t = [0.0f32; 4];
+    vst1q_f32(t.as_mut_ptr(), sums);
+    for (tk, (q, row)) in t.iter_mut().zip(pairs) {
+        for i in from..dim {
+            *tk += *q.add(i) * *row.add(i);
+        }
+    }
+    vld1q_f32(t.as_ptr())
+}
+
+/// The scan tile (contract: [`super::dot_tile`]); the shape of
+/// [`super::x86`]'s at half the vector width. Whole query tiles run
+/// 4 queries × 2 rows (eight accumulators, two [`hsum4`]s, 8-byte stores);
+/// queries left over run 1 query × 8 rows; rows left over from either run
+/// [`dot_pair`]. All three perform the per-pair sequence of the module docs.
+///
+/// # Safety
+/// Requires neon, and `nq`, `rows` as [`super::tile_shape`] returned them
+/// for these slices.
+#[target_feature(enable = "neon")]
+unsafe fn dot_tile_impl(
+    dim: usize,
+    nq: usize,
+    rows: usize,
+    queries: &[f32],
+    block: &[f32],
+    norms: Option<(&[f32], &[f32])>,
+    out: &mut [f32],
+) {
+    // Every offset below is within `nq × dim` of `pq`, `rows × dim` of `pb`,
+    // `nq × rows` of `po` or the norm slices' `nq` / `rows`: loops run
+    // `q < nq`, `r < rows`, `i < dim`, and tiles are entered only when whole
+    // (`q + 4 <= nq`, `r + 2 <= rows`, `r + 8 <= rows`, `i + lanes <= dim`).
+    let (pq, pb, po) = (queries.as_ptr(), block.as_ptr(), out.as_mut_ptr());
+    let finish = |d: f32, q: usize, r: usize| match norms {
+        Some((q_norms, row_norms)) => super::cosine_of(d, q_norms[q], row_norms[r]),
+        None => d,
+    };
+    let mut q = 0usize;
+    while q + 4 <= nq {
+        let (qa, qb, qc, qd) =
+            (pq.add(q * dim), pq.add((q + 1) * dim), pq.add((q + 2) * dim), pq.add((q + 3) * dim));
+        // Lane order of a tile's two sum registers: [a·r0 a·r1 b·r0 b·r1]
+        // and [c·r0 c·r1 d·r0 d·r1].
+        let (ab_norms, cd_norms) = match norms {
+            Some((n, _)) => (
+                vcombine_f32(vdup_n_f32(n[q]), vdup_n_f32(n[q + 1])),
+                vcombine_f32(vdup_n_f32(n[q + 2]), vdup_n_f32(n[q + 3])),
+            ),
+            None => (vdupq_n_f32(0.0), vdupq_n_f32(0.0)),
+        };
+        let mut r = 0usize;
+        while r + 2 <= rows {
+            let (r0, r1) = (pb.add(r * dim), pb.add((r + 1) * dim));
+            let mut a0 = vdupq_n_f32(0.0);
+            let mut a1 = vdupq_n_f32(0.0);
+            let mut b0 = vdupq_n_f32(0.0);
+            let mut b1 = vdupq_n_f32(0.0);
+            let mut c0 = vdupq_n_f32(0.0);
+            let mut c1 = vdupq_n_f32(0.0);
+            let mut d0 = vdupq_n_f32(0.0);
+            let mut d1 = vdupq_n_f32(0.0);
+            let mut i = 0usize;
+            while i + 4 <= dim {
+                let y0 = vld1q_f32(r0.add(i));
+                let y1 = vld1q_f32(r1.add(i));
+                let x = vld1q_f32(qa.add(i));
+                a0 = vfmaq_f32(a0, x, y0);
+                a1 = vfmaq_f32(a1, x, y1);
+                let x = vld1q_f32(qb.add(i));
+                b0 = vfmaq_f32(b0, x, y0);
+                b1 = vfmaq_f32(b1, x, y1);
+                let x = vld1q_f32(qc.add(i));
+                c0 = vfmaq_f32(c0, x, y0);
+                c1 = vfmaq_f32(c1, x, y1);
+                let x = vld1q_f32(qd.add(i));
+                d0 = vfmaq_f32(d0, x, y0);
+                d1 = vfmaq_f32(d1, x, y1);
+                i += 4;
+            }
+            let mut ab = hsum4([a0, a1, b0, b1]);
+            let mut cd = hsum4([c0, c1, d0, d1]);
+            if i < dim {
+                ab = add_tails(ab, [(qa, r0), (qa, r1), (qb, r0), (qb, r1)], i, dim);
+                cd = add_tails(cd, [(qc, r0), (qc, r1), (qd, r0), (qd, r1)], i, dim);
+            }
+            if let Some((_, row_norms)) = norms {
+                // Two adjacent row norms, repeated down the register.
+                let pair = vld1_f32(row_norms.as_ptr().add(r));
+                let rn = vcombine_f32(pair, pair);
+                ab = cosine4(ab, ab_norms, rn);
+                cd = cosine4(cd, cd_norms, rn);
+            }
+            vst1_f32(po.add(q * rows + r), vget_low_f32(ab));
+            vst1_f32(po.add((q + 1) * rows + r), vget_high_f32(ab));
+            vst1_f32(po.add((q + 2) * rows + r), vget_low_f32(cd));
+            vst1_f32(po.add((q + 3) * rows + r), vget_high_f32(cd));
+            r += 2;
+        }
+        if r < rows {
+            for k in q..q + 4 {
+                *po.add(k * rows + r) =
+                    finish(dot_pair(dim, pq.add(k * dim), pb.add(r * dim)), k, r);
+            }
+        }
+        q += 4;
+    }
+    while q < nq {
+        let qp = pq.add(q * dim);
+        let mut r = 0usize;
+        while r + 8 <= rows {
+            let row = |k: usize| pb.add((r + k) * dim);
+            let mut acc = [vdupq_n_f32(0.0); 8];
+            let mut i = 0usize;
+            while i + 4 <= dim {
+                let x = vld1q_f32(qp.add(i));
+                acc[0] = vfmaq_f32(acc[0], x, vld1q_f32(row(0).add(i)));
+                acc[1] = vfmaq_f32(acc[1], x, vld1q_f32(row(1).add(i)));
+                acc[2] = vfmaq_f32(acc[2], x, vld1q_f32(row(2).add(i)));
+                acc[3] = vfmaq_f32(acc[3], x, vld1q_f32(row(3).add(i)));
+                acc[4] = vfmaq_f32(acc[4], x, vld1q_f32(row(4).add(i)));
+                acc[5] = vfmaq_f32(acc[5], x, vld1q_f32(row(5).add(i)));
+                acc[6] = vfmaq_f32(acc[6], x, vld1q_f32(row(6).add(i)));
+                acc[7] = vfmaq_f32(acc[7], x, vld1q_f32(row(7).add(i)));
+                i += 4;
+            }
+            let mut lo = hsum4([acc[0], acc[1], acc[2], acc[3]]);
+            let mut hi = hsum4([acc[4], acc[5], acc[6], acc[7]]);
+            if i < dim {
+                lo = add_tails(lo, [0, 1, 2, 3].map(|k| (qp, row(k))), i, dim);
+                hi = add_tails(hi, [4, 5, 6, 7].map(|k| (qp, row(k))), i, dim);
+            }
+            if let Some((q_norms, row_norms)) = norms {
+                let qn = vdupq_n_f32(q_norms[q]);
+                lo = cosine4(lo, qn, vld1q_f32(row_norms.as_ptr().add(r)));
+                hi = cosine4(hi, qn, vld1q_f32(row_norms.as_ptr().add(r + 4)));
+            }
+            vst1q_f32(po.add(q * rows + r), lo);
+            vst1q_f32(po.add(q * rows + r + 4), hi);
+            r += 8;
+        }
+        while r < rows {
+            *po.add(q * rows + r) = finish(dot_pair(dim, qp, pb.add(r * dim)), q, r);
+            r += 1;
+        }
+        q += 1;
     }
 }
 
-/// Tiled batch squared Euclidean distance (see [`dot_block_impl`]).
+/// Tiled batch squared Euclidean distance: four rows share each resident
+/// 4-lane query load (see [`super::x86::l2_sq_block`] for the
+/// load-amortization argument; the NEON shape is identical at half the vector
+/// width).
 #[target_feature(enable = "neon")]
 unsafe fn l2_sq_block_impl(q: &[f32], block: &[f32], out: &mut [f32]) {
     let dim = q.len();
@@ -520,69 +675,6 @@ unsafe fn l2_sq_block_impl(q: &[f32], block: &[f32], out: &mut [f32]) {
     }
     for r in tiles * 4..rows {
         out[r] = l2_sq_impl(q, core::slice::from_raw_parts(pb.add(r * dim), dim));
-    }
-}
-
-/// Tiled batch serving-shape cosine: dot and candidate norm fused per row,
-/// four rows per tile.
-#[target_feature(enable = "neon")]
-unsafe fn cosine_qnorm_block_impl(q: &[f32], q_norm: f32, block: &[f32], out: &mut [f32]) {
-    let dim = q.len();
-    let rows = out.len();
-    let (pq, pb) = (q.as_ptr(), block.as_ptr());
-    let tiles = rows / 4;
-    for t in 0..tiles {
-        let r0 = pb.add(4 * t * dim);
-        let r1 = r0.add(dim);
-        let r2 = r1.add(dim);
-        let r3 = r2.add(dim);
-        let mut d0 = vdupq_n_f32(0.0);
-        let mut d1 = vdupq_n_f32(0.0);
-        let mut d2 = vdupq_n_f32(0.0);
-        let mut d3 = vdupq_n_f32(0.0);
-        let mut n0 = vdupq_n_f32(0.0);
-        let mut n1 = vdupq_n_f32(0.0);
-        let mut n2 = vdupq_n_f32(0.0);
-        let mut n3 = vdupq_n_f32(0.0);
-        let mut i = 0usize;
-        while i + 4 <= dim {
-            let qv = vld1q_f32(pq.add(i));
-            let y0 = vld1q_f32(r0.add(i));
-            let y1 = vld1q_f32(r1.add(i));
-            let y2 = vld1q_f32(r2.add(i));
-            let y3 = vld1q_f32(r3.add(i));
-            d0 = vfmaq_f32(d0, qv, y0);
-            d1 = vfmaq_f32(d1, qv, y1);
-            d2 = vfmaq_f32(d2, qv, y2);
-            d3 = vfmaq_f32(d3, qv, y3);
-            n0 = vfmaq_f32(n0, y0, y0);
-            n1 = vfmaq_f32(n1, y1, y1);
-            n2 = vfmaq_f32(n2, y2, y2);
-            n3 = vfmaq_f32(n3, y3, y3);
-            i += 4;
-        }
-        let mut ds = [vaddvq_f32(d0), vaddvq_f32(d1), vaddvq_f32(d2), vaddvq_f32(d3)];
-        let mut ns = [vaddvq_f32(n0), vaddvq_f32(n1), vaddvq_f32(n2), vaddvq_f32(n3)];
-        while i < dim {
-            let qv = *pq.add(i);
-            let (y0, y1, y2, y3) = (*r0.add(i), *r1.add(i), *r2.add(i), *r3.add(i));
-            ds[0] += qv * y0;
-            ds[1] += qv * y1;
-            ds[2] += qv * y2;
-            ds[3] += qv * y3;
-            ns[0] += y0 * y0;
-            ns[1] += y1 * y1;
-            ns[2] += y2 * y2;
-            ns[3] += y3 * y3;
-            i += 1;
-        }
-        for k in 0..4 {
-            out[4 * t + k] =
-                if q_norm == 0.0 || ns[k] == 0.0 { 0.0 } else { ds[k] / (q_norm * ns[k].sqrt()) };
-        }
-    }
-    for r in tiles * 4..rows {
-        out[r] = cosine_qnorm_impl(q, q_norm, core::slice::from_raw_parts(pb.add(r * dim), dim));
     }
 }
 

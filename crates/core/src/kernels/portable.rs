@@ -254,29 +254,41 @@ pub fn norm_sq_i8(v: &[i8]) -> i32 {
     sum16i(acc) + tail
 }
 
-// The `*_block` batch kernels: on this backend they are canonical row
-// loops over the single-row kernels, NOT register tiles. Holding the query
-// resident across a [`super::ROW_TILE`]-row tile requires explicit register
-// accumulators; expressed as scalar accumulator arrays the tile body
-// defeats LLVM's autovectorizer and measures *slower* than the row loop
-// (0.66–0.86× at dim 128 × 256 rows, measured at PR 7) — the same rule
-// that keeps [`cosine`]
-// composed of single-reduction passes. The intrinsic backends
-// ([`super::x86`], [`super::neon`]) implement the true tiles.
+// The tile and `*_block` kernels: on this backend they are canonical row
+// loops over the single-row kernels, NOT register tiles. Holding operands
+// resident across a tile requires explicit register accumulators; expressed
+// as scalar accumulator arrays the tile body defeats LLVM's autovectorizer
+// and measures *slower* than the row loop (0.66–0.86× at dim 128 × 256 rows,
+// measured at PR 7) — the same rule that keeps [`cosine`] composed of
+// single-reduction passes. The intrinsic backends ([`super::x86`],
+// [`super::neon`]) implement the true tiles.
 
-/// Batch dot per row of a row-major `block`
-/// (`block.len() == q.len() * out.len()`); row loop — see the block-kernel
-/// note above for why this backend does not tile.
+/// The scan tile (contract: [`super::dot_tile`]): [`dot`] per pair, so the
+/// per-pair invariant holds by construction. What a query block buys here is
+/// the caller's strip walk — every query passes over a row strip while it is
+/// in L1 — not register reuse.
 #[inline]
-pub fn dot_block(q: &[f32], block: &[f32], out: &mut [f32]) {
-    let dim = q.len();
-    debug_assert_eq!(block.len(), dim * out.len());
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = dot(q, &block[r * dim..(r + 1) * dim]);
+pub fn dot_tile(
+    dim: usize,
+    queries: &[f32],
+    block: &[f32],
+    norms: Option<(&[f32], &[f32])>,
+    out: &mut [f32],
+) {
+    let (_, rows) = super::tile_shape(dim, queries, block, norms, out);
+    for (q, query) in queries.chunks_exact(dim).enumerate() {
+        for (r, row) in block.chunks_exact(dim).enumerate() {
+            let d = dot(query, row);
+            out[q * rows + r] = match norms {
+                Some((q_norms, row_norms)) => super::cosine_of(d, q_norms[q], row_norms[r]),
+                None => d,
+            };
+        }
     }
 }
 
-/// Batch squared Euclidean distance per row (row loop; see [`dot_block`]).
+/// Batch squared Euclidean distance per row of a row-major `block`
+/// (`block.len() == q.len() * out.len()`); row loop — see the note above.
 #[inline]
 pub fn l2_sq_block(q: &[f32], block: &[f32], out: &mut [f32]) {
     let dim = q.len();
@@ -286,17 +298,7 @@ pub fn l2_sq_block(q: &[f32], block: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Batch serving-shape cosine per row (row loop; see [`dot_block`]).
-#[inline]
-pub fn cosine_qnorm_block(q: &[f32], q_norm: f32, block: &[f32], out: &mut [f32]) {
-    let dim = q.len();
-    debug_assert_eq!(block.len(), dim * out.len());
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = cosine_qnorm(q, q_norm, &block[r * dim..(r + 1) * dim]);
-    }
-}
-
-/// Batch mixed f32·i8 dot per row, unscaled (row loop; see [`dot_block`]).
+/// Batch mixed f32·i8 dot per row, unscaled (row loop; see the note above).
 #[inline]
 pub fn dot_f32i8_block(q: &[f32], block: &[i8], out: &mut [f32]) {
     let dim = q.len();

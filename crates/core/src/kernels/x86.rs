@@ -47,13 +47,13 @@ pub static BACKEND: Backend = Backend {
     dot_f32i8,
     norm_sq_i8,
     l2_sq_f32i8_direct,
-    dot_block,
+    dot_tile,
     l2_sq_block,
-    cosine_qnorm_block,
     dot_f32i8_block,
 };
 
 const _: () = assert!(super::ROW_TILE == 4, "tiled kernels are unrolled for 4 rows");
+const _: () = assert!(super::QUERY_TILE == 4, "the scan tile is unrolled for 4 queries");
 
 // Safe table wrappers. SAFETY (shared by all): `BACKEND` is only selected by
 // the dispatcher (or the test/bench force hook) after `available()` confirmed
@@ -112,19 +112,22 @@ fn l2_sq_f32i8_direct(q: &[f32], b: &[i8], scale: f32) -> f32 {
     unsafe { l2_sq_f32i8_direct_impl(q, b, scale) }
 }
 
-fn dot_block(q: &[f32], block: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(block.len(), q.len() * out.len());
-    unsafe { dot_block_impl(q, block, out) }
+fn dot_tile(
+    dim: usize,
+    queries: &[f32],
+    block: &[f32],
+    norms: Option<(&[f32], &[f32])>,
+    out: &mut [f32],
+) {
+    let (nq, rows) = super::tile_shape(dim, queries, block, norms, out);
+    // SAFETY: the shared argument above, and `tile_shape` checked (with
+    // `assert!`) every length the impl indexes raw pointers by.
+    unsafe { dot_tile_impl(dim, nq, rows, queries, block, norms, out) }
 }
 
 fn l2_sq_block(q: &[f32], block: &[f32], out: &mut [f32]) {
     debug_assert_eq!(block.len(), q.len() * out.len());
     unsafe { l2_sq_block_impl(q, block, out) }
-}
-
-fn cosine_qnorm_block(q: &[f32], q_norm: f32, block: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(block.len(), q.len() * out.len());
-    unsafe { cosine_qnorm_block_impl(q, q_norm, block, out) }
 }
 
 fn dot_f32i8_block(q: &[f32], block: &[i8], out: &mut [f32]) {
@@ -139,6 +142,41 @@ unsafe fn hsum_ps(v: __m256) -> f32 {
     let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
     let s = _mm_add_ss(s, _mm_movehdup_ps(s));
     _mm_cvtss_f32(s)
+}
+
+/// Horizontal sums of eight accumulators at once, lane `i` of the result
+/// being the sum of `v[i]` — by [`hsum_ps`]'s tree, addition for addition, so
+/// a pair reduced here and a pair reduced alone have the same bits. The
+/// three steps are `hsum_ps`'s three, transposed: halves (`lo + hi`, two
+/// accumulators per register), then lanes `0+2 | 1+3`, then `0+1`.
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn hsum8_ps(v: [__m256; 8]) -> __m256 {
+    // Pairing v[i] with v[i+4] in the first step is what lands the sums in
+    // index order: the 128-bit halves stay apart through steps two and three.
+    let x0 = add_lanes_02_13(add_halves(v[0], v[4]), add_halves(v[1], v[5]));
+    let x1 = add_lanes_02_13(add_halves(v[2], v[6]), add_halves(v[3], v[7]));
+    _mm256_add_ps(
+        _mm256_shuffle_ps::<0b10_00_10_00>(x0, x1),
+        _mm256_shuffle_ps::<0b11_01_11_01>(x0, x1),
+    )
+}
+
+/// `[a.lo + a.hi | b.lo + b.hi]`.
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn add_halves(a: __m256, b: __m256) -> __m256 {
+    _mm256_add_ps(_mm256_permute2f128_ps::<0x20>(a, b), _mm256_permute2f128_ps::<0x31>(a, b))
+}
+
+/// Per 128-bit half: `[a0 + a2, a1 + a3, b0 + b2, b1 + b3]`.
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn add_lanes_02_13(a: __m256, b: __m256) -> __m256 {
+    _mm256_add_ps(
+        _mm256_shuffle_ps::<0b01_00_01_00>(a, b),
+        _mm256_shuffle_ps::<0b11_10_11_10>(a, b),
+    )
 }
 
 /// Horizontal sum of 8 i32 lanes (wrapping — callers stay below overflow).
@@ -497,59 +535,214 @@ unsafe fn norm_sq_i8_impl(v: &[i8]) -> i32 {
     s
 }
 
-/// Tiled batch dot: four rows stream against one resident query. The
-/// single-row kernel issues two loads (query + row) per FMA and saturates
-/// the load ports at one FMA per cycle; here each 8-lane query load is
-/// amortized over four row FMAs (1.25 loads/FMA), which is where the batch
-/// speedup (1.47× per row at dim 128 × 256 rows, measured at PR 7) comes
-/// from. Remainder rows (`out.len() % 4`) fall back to the single-row kernel.
+/// The per-pair sequence every path of the scan tile runs: one accumulator
+/// over `i += 8`, [`hsum_ps`], a scalar tail in index order.
 #[target_feature(enable = "avx2,fma")]
-unsafe fn dot_block_impl(q: &[f32], block: &[f32], out: &mut [f32]) {
-    let dim = q.len();
-    let rows = out.len();
-    let (pq, pb) = (q.as_ptr(), block.as_ptr());
-    let tiles = rows / 4;
-    for t in 0..tiles {
-        let r0 = pb.add(4 * t * dim);
-        let r1 = r0.add(dim);
-        let r2 = r1.add(dim);
-        let r3 = r2.add(dim);
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let mut i = 0usize;
-        while i + 8 <= dim {
-            let qv = _mm256_loadu_ps(pq.add(i));
-            acc0 = _mm256_fmadd_ps(qv, _mm256_loadu_ps(r0.add(i)), acc0);
-            acc1 = _mm256_fmadd_ps(qv, _mm256_loadu_ps(r1.add(i)), acc1);
-            acc2 = _mm256_fmadd_ps(qv, _mm256_loadu_ps(r2.add(i)), acc2);
-            acc3 = _mm256_fmadd_ps(qv, _mm256_loadu_ps(r3.add(i)), acc3);
-            i += 8;
-        }
-        let mut s0 = hsum_ps(acc0);
-        let mut s1 = hsum_ps(acc1);
-        let mut s2 = hsum_ps(acc2);
-        let mut s3 = hsum_ps(acc3);
-        while i < dim {
-            let qv = *pq.add(i);
-            s0 += qv * *r0.add(i);
-            s1 += qv * *r1.add(i);
-            s2 += qv * *r2.add(i);
-            s3 += qv * *r3.add(i);
-            i += 1;
-        }
-        out[4 * t] = s0;
-        out[4 * t + 1] = s1;
-        out[4 * t + 2] = s2;
-        out[4 * t + 3] = s3;
+#[inline]
+unsafe fn dot_pair(dim: usize, q: *const f32, row: *const f32) -> f32 {
+    let mut acc = _mm256_setzero_ps();
+    let mut i = 0usize;
+    while i + 8 <= dim {
+        acc = _mm256_fmadd_ps(_mm256_loadu_ps(q.add(i)), _mm256_loadu_ps(row.add(i)), acc);
+        i += 8;
     }
-    for r in tiles * 4..rows {
-        out[r] = dot_impl(q, core::slice::from_raw_parts(pb.add(r * dim), dim));
+    let mut s = hsum_ps(acc);
+    while i < dim {
+        s += *q.add(i) * *row.add(i);
+        i += 1;
+    }
+    s
+}
+
+/// [`super::cosine_of`] on eight lanes: the same multiply and divide, the
+/// zero-norm lanes masked to +0.0.
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn cosine8(d: __m256, q_norms: __m256, row_norms: __m256) -> __m256 {
+    let zero = _mm256_setzero_ps();
+    let dead = _mm256_or_ps(
+        _mm256_cmp_ps::<_CMP_EQ_OQ>(q_norms, zero),
+        _mm256_cmp_ps::<_CMP_EQ_OQ>(row_norms, zero),
+    );
+    _mm256_andnot_ps(dead, _mm256_div_ps(d, _mm256_mul_ps(q_norms, row_norms)))
+}
+
+/// Scalar tails of eight pairs in index order (`dim % 8` elements from `i`):
+/// `pairs[k]` is the (query, row) behind lane `k` of `sums`.
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn add_tails(
+    sums: __m256,
+    pairs: [(*const f32, *const f32); 8],
+    from: usize,
+    dim: usize,
+) -> __m256 {
+    let mut t = [0.0f32; 8];
+    _mm256_storeu_ps(t.as_mut_ptr(), sums);
+    for (tk, (q, row)) in t.iter_mut().zip(pairs) {
+        for i in from..dim {
+            *tk += *q.add(i) * *row.add(i);
+        }
+    }
+    _mm256_loadu_ps(t.as_ptr())
+}
+
+/// The scan tile (contract: [`super::dot_tile`]). Whole query tiles run
+/// 4 queries × 2 rows: each row register feeds four FMAs against query
+/// operands that stay in L1, eight accumulators, [`hsum8_ps`], one vector
+/// epilogue, four 8-byte stores. Queries left over run 1 query × 8 rows —
+/// the same eight accumulators and reduction, the shape a lone query gets.
+/// Rows left over from either run [`dot_pair`]. All three perform the
+/// per-pair sequence of the module docs, so the score bits do not depend on
+/// which one a pair fell into.
+///
+/// # Safety
+/// Requires avx2+fma, and `nq`, `rows` as [`super::tile_shape`] returned
+/// them for these slices.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn dot_tile_impl(
+    dim: usize,
+    nq: usize,
+    rows: usize,
+    queries: &[f32],
+    block: &[f32],
+    norms: Option<(&[f32], &[f32])>,
+    out: &mut [f32],
+) {
+    // Every offset below is within `nq × dim` of `pq`, `rows × dim` of `pb`,
+    // `nq × rows` of `po` or the norm slices' `nq` / `rows`: loops run
+    // `q < nq`, `r < rows`, `i < dim`, and tiles are entered only when whole
+    // (`q + 4 <= nq`, `r + 2 <= rows`, `r + 8 <= rows`, `i + lanes <= dim`).
+    let (pq, pb, po) = (queries.as_ptr(), block.as_ptr(), out.as_mut_ptr());
+    let finish = |d: f32, q: usize, r: usize| match norms {
+        Some((q_norms, row_norms)) => super::cosine_of(d, q_norms[q], row_norms[r]),
+        None => d,
+    };
+    let mut q = 0usize;
+    while q + 4 <= nq {
+        let (qa, qb, qc, qd) =
+            (pq.add(q * dim), pq.add((q + 1) * dim), pq.add((q + 2) * dim), pq.add((q + 3) * dim));
+        // Lane order of a tile's sums: [a·r0 a·r1 b·r0 b·r1 | c·r0 c·r1 d·r0 d·r1].
+        let tile_q_norms = match norms {
+            Some((n, _)) => _mm256_setr_ps(
+                n[q],
+                n[q],
+                n[q + 1],
+                n[q + 1],
+                n[q + 2],
+                n[q + 2],
+                n[q + 3],
+                n[q + 3],
+            ),
+            None => _mm256_setzero_ps(),
+        };
+        let mut r = 0usize;
+        while r + 2 <= rows {
+            let (r0, r1) = (pb.add(r * dim), pb.add((r + 1) * dim));
+            let mut a0 = _mm256_setzero_ps();
+            let mut a1 = _mm256_setzero_ps();
+            let mut b0 = _mm256_setzero_ps();
+            let mut b1 = _mm256_setzero_ps();
+            let mut c0 = _mm256_setzero_ps();
+            let mut c1 = _mm256_setzero_ps();
+            let mut d0 = _mm256_setzero_ps();
+            let mut d1 = _mm256_setzero_ps();
+            let mut i = 0usize;
+            while i + 8 <= dim {
+                let y0 = _mm256_loadu_ps(r0.add(i));
+                let y1 = _mm256_loadu_ps(r1.add(i));
+                let x = _mm256_loadu_ps(qa.add(i));
+                a0 = _mm256_fmadd_ps(x, y0, a0);
+                a1 = _mm256_fmadd_ps(x, y1, a1);
+                let x = _mm256_loadu_ps(qb.add(i));
+                b0 = _mm256_fmadd_ps(x, y0, b0);
+                b1 = _mm256_fmadd_ps(x, y1, b1);
+                let x = _mm256_loadu_ps(qc.add(i));
+                c0 = _mm256_fmadd_ps(x, y0, c0);
+                c1 = _mm256_fmadd_ps(x, y1, c1);
+                let x = _mm256_loadu_ps(qd.add(i));
+                d0 = _mm256_fmadd_ps(x, y0, d0);
+                d1 = _mm256_fmadd_ps(x, y1, d1);
+                i += 8;
+            }
+            let mut s = hsum8_ps([a0, a1, b0, b1, c0, c1, d0, d1]);
+            if i < dim {
+                let pairs = [
+                    (qa, r0),
+                    (qa, r1),
+                    (qb, r0),
+                    (qb, r1),
+                    (qc, r0),
+                    (qc, r1),
+                    (qd, r0),
+                    (qd, r1),
+                ];
+                s = add_tails(s, pairs, i, dim);
+            }
+            if let Some((_, row_norms)) = norms {
+                // Two adjacent row norms, repeated down the register.
+                let pair = (row_norms.as_ptr().add(r) as *const f64).read_unaligned();
+                s = cosine8(s, tile_q_norms, _mm256_castpd_ps(_mm256_set1_pd(pair)));
+            }
+            let (lo, hi) = (_mm256_castps256_ps128(s), _mm256_extractf128_ps::<1>(s));
+            _mm_storel_pd(po.add(q * rows + r) as *mut f64, _mm_castps_pd(lo));
+            _mm_storeh_pd(po.add((q + 1) * rows + r) as *mut f64, _mm_castps_pd(lo));
+            _mm_storel_pd(po.add((q + 2) * rows + r) as *mut f64, _mm_castps_pd(hi));
+            _mm_storeh_pd(po.add((q + 3) * rows + r) as *mut f64, _mm_castps_pd(hi));
+            r += 2;
+        }
+        if r < rows {
+            for k in q..q + 4 {
+                *po.add(k * rows + r) =
+                    finish(dot_pair(dim, pq.add(k * dim), pb.add(r * dim)), k, r);
+            }
+        }
+        q += 4;
+    }
+    while q < nq {
+        let qp = pq.add(q * dim);
+        let mut r = 0usize;
+        while r + 8 <= rows {
+            let row = |k: usize| pb.add((r + k) * dim);
+            let mut acc = [_mm256_setzero_ps(); 8];
+            let mut i = 0usize;
+            while i + 8 <= dim {
+                let x = _mm256_loadu_ps(qp.add(i));
+                acc[0] = _mm256_fmadd_ps(x, _mm256_loadu_ps(row(0).add(i)), acc[0]);
+                acc[1] = _mm256_fmadd_ps(x, _mm256_loadu_ps(row(1).add(i)), acc[1]);
+                acc[2] = _mm256_fmadd_ps(x, _mm256_loadu_ps(row(2).add(i)), acc[2]);
+                acc[3] = _mm256_fmadd_ps(x, _mm256_loadu_ps(row(3).add(i)), acc[3]);
+                acc[4] = _mm256_fmadd_ps(x, _mm256_loadu_ps(row(4).add(i)), acc[4]);
+                acc[5] = _mm256_fmadd_ps(x, _mm256_loadu_ps(row(5).add(i)), acc[5]);
+                acc[6] = _mm256_fmadd_ps(x, _mm256_loadu_ps(row(6).add(i)), acc[6]);
+                acc[7] = _mm256_fmadd_ps(x, _mm256_loadu_ps(row(7).add(i)), acc[7]);
+                i += 8;
+            }
+            let mut s = hsum8_ps(acc);
+            if i < dim {
+                let pairs = [0, 1, 2, 3, 4, 5, 6, 7].map(|k| (qp, row(k)));
+                s = add_tails(s, pairs, i, dim);
+            }
+            if let Some((q_norms, row_norms)) = norms {
+                let rn = _mm256_loadu_ps(row_norms.as_ptr().add(r));
+                s = cosine8(s, _mm256_set1_ps(q_norms[q]), rn);
+            }
+            _mm256_storeu_ps(po.add(q * rows + r), s);
+            r += 8;
+        }
+        while r < rows {
+            *po.add(q * rows + r) = finish(dot_pair(dim, qp, pb.add(r * dim)), q, r);
+            r += 1;
+        }
+        q += 1;
     }
 }
 
-/// Tiled batch squared Euclidean distance (see [`dot_block_impl`]).
+/// Tiled batch squared Euclidean distance: four rows stream against one
+/// resident query. The single-row kernel issues two loads (query + row) per
+/// FMA and saturates the load ports; here each 8-lane query load is amortized
+/// over four row FMAs (1.25 loads/FMA). Remainder rows (`out.len() % 4`) fall
+/// back to the single-row kernel.
 #[target_feature(enable = "avx2,fma")]
 unsafe fn l2_sq_block_impl(q: &[f32], block: &[f32], out: &mut [f32]) {
     let dim = q.len();
@@ -599,70 +792,6 @@ unsafe fn l2_sq_block_impl(q: &[f32], block: &[f32], out: &mut [f32]) {
     }
     for r in tiles * 4..rows {
         out[r] = l2_sq_impl(q, core::slice::from_raw_parts(pb.add(r * dim), dim));
-    }
-}
-
-/// Tiled batch serving-shape cosine: dot and candidate norm fused per row,
-/// four rows per tile (8 accumulators + the resident query = 9 of 16 ymm
-/// registers, still no spill).
-#[target_feature(enable = "avx2,fma")]
-unsafe fn cosine_qnorm_block_impl(q: &[f32], q_norm: f32, block: &[f32], out: &mut [f32]) {
-    let dim = q.len();
-    let rows = out.len();
-    let (pq, pb) = (q.as_ptr(), block.as_ptr());
-    let tiles = rows / 4;
-    for t in 0..tiles {
-        let r0 = pb.add(4 * t * dim);
-        let r1 = r0.add(dim);
-        let r2 = r1.add(dim);
-        let r3 = r2.add(dim);
-        let mut d0 = _mm256_setzero_ps();
-        let mut d1 = _mm256_setzero_ps();
-        let mut d2 = _mm256_setzero_ps();
-        let mut d3 = _mm256_setzero_ps();
-        let mut n0 = _mm256_setzero_ps();
-        let mut n1 = _mm256_setzero_ps();
-        let mut n2 = _mm256_setzero_ps();
-        let mut n3 = _mm256_setzero_ps();
-        let mut i = 0usize;
-        while i + 8 <= dim {
-            let qv = _mm256_loadu_ps(pq.add(i));
-            let y0 = _mm256_loadu_ps(r0.add(i));
-            let y1 = _mm256_loadu_ps(r1.add(i));
-            let y2 = _mm256_loadu_ps(r2.add(i));
-            let y3 = _mm256_loadu_ps(r3.add(i));
-            d0 = _mm256_fmadd_ps(qv, y0, d0);
-            d1 = _mm256_fmadd_ps(qv, y1, d1);
-            d2 = _mm256_fmadd_ps(qv, y2, d2);
-            d3 = _mm256_fmadd_ps(qv, y3, d3);
-            n0 = _mm256_fmadd_ps(y0, y0, n0);
-            n1 = _mm256_fmadd_ps(y1, y1, n1);
-            n2 = _mm256_fmadd_ps(y2, y2, n2);
-            n3 = _mm256_fmadd_ps(y3, y3, n3);
-            i += 8;
-        }
-        let mut ds = [hsum_ps(d0), hsum_ps(d1), hsum_ps(d2), hsum_ps(d3)];
-        let mut ns = [hsum_ps(n0), hsum_ps(n1), hsum_ps(n2), hsum_ps(n3)];
-        while i < dim {
-            let qv = *pq.add(i);
-            let (y0, y1, y2, y3) = (*r0.add(i), *r1.add(i), *r2.add(i), *r3.add(i));
-            ds[0] += qv * y0;
-            ds[1] += qv * y1;
-            ds[2] += qv * y2;
-            ds[3] += qv * y3;
-            ns[0] += y0 * y0;
-            ns[1] += y1 * y1;
-            ns[2] += y2 * y2;
-            ns[3] += y3 * y3;
-            i += 1;
-        }
-        for k in 0..4 {
-            out[4 * t + k] =
-                if q_norm == 0.0 || ns[k] == 0.0 { 0.0 } else { ds[k] / (q_norm * ns[k].sqrt()) };
-        }
-    }
-    for r in tiles * 4..rows {
-        out[r] = cosine_qnorm_impl(q, q_norm, core::slice::from_raw_parts(pb.add(r * dim), dim));
     }
 }
 

@@ -102,8 +102,7 @@ proptest! {
     }
 
     /// Batch kernels must agree with row-at-a-time single calls within the
-    /// reassociation tolerance: the tiled block kernels keep the query
-    /// resident across a row tile and accumulate in a different order than
+    /// reassociation tolerance: they accumulate in a different order than
     /// the single-row kernels, so f32 results match to `tol`, not bitwise.
     #[test]
     fn batch_matches_single(q in proptest::collection::vec(-1.0f32..1.0, 1..48), rows in 0usize..12, seed in 0u64..1000) {
@@ -125,16 +124,104 @@ proptest! {
             let t = tol(q.iter().zip(row).map(|(x, y)| (x - y) * (x - y)));
             prop_assert!((s - kernels::l2_sq(&q, row)).abs() <= t);
         }
-        let qn = kernels::l2_norm(&q);
-        kernels::cosine_batch(&q, &block, &mut out);
-        for (i, &s) in out.iter().enumerate() {
-            let row = &block[i * dim..(i + 1) * dim];
-            // Cosine divides by the norms, so the raw reassociation bound
-            // on the dot is rescaled the same way.
-            let rn = kernels::l2_norm(row);
-            let denom = (qn * rn).max(f32::MIN_POSITIVE);
-            let t = tol(q.iter().zip(row).map(|(x, y)| x * y)) / denom;
-            prop_assert!((s - kernels::cosine_qnorm(&q, qn, row)).abs() <= t);
+    }
+}
+
+/// One call of a backend's scan tile, norms (for the cosine form) computed
+/// by that backend.
+fn tile(
+    be: &kernels::Backend,
+    dim: usize,
+    queries: &[f32],
+    block: &[f32],
+    cosine: bool,
+) -> Vec<f32> {
+    let norms_of = |m: &[f32]| m.chunks(dim).map(|v| (be.norm_sq)(v).sqrt()).collect::<Vec<f32>>();
+    let (q_norms, row_norms) = (norms_of(queries), norms_of(block));
+    let mut out = vec![f32::NAN; (queries.len() / dim) * (block.len() / dim)];
+    (be.dot_tile)(dim, queries, block, cosine.then_some((&q_norms[..], &row_norms[..])), &mut out);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The per-pair invariant of the scan tile, on every backend: the score
+    /// of (query, row) has the same bits when the pair is scored alone (a
+    /// 1 × 1 call, all remainder paths) as in the full block and in
+    /// sub-blocks cut at every query and row offset — so with that query
+    /// first, last or in a query-tile remainder, and that row in a full row
+    /// tile or the row tail. Scores are also within tolerance of the naive
+    /// reference, and a zero-norm query or row scores exactly 0.0.
+    #[test]
+    fn tile_scores_do_not_depend_on_the_tiling(
+        dim in 1usize..=130,
+        rows in 0usize..=19,
+        nq in 1usize..=9,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+        };
+        let mut queries: Vec<f32> = (0..nq * dim).map(|_| next()).collect();
+        let mut block: Vec<f32> = (0..rows * dim).map(|_| next()).collect();
+        // Usually one zero query and one zero row, wherever the seed puts them.
+        let (zero_q, zero_r) = (seed as usize % (nq + 1), (seed >> 8) as usize % (rows + 1));
+        if zero_q < nq {
+            queries[zero_q * dim..(zero_q + 1) * dim].fill(0.0);
+        }
+        if zero_r < rows {
+            block[zero_r * dim..(zero_r + 1) * dim].fill(0.0);
+        }
+        for be in kernels::available_backends() {
+            for cosine in [false, true] {
+                let mut alone = vec![0u32; nq * rows];
+                for q in 0..nq {
+                    for r in 0..rows {
+                        let (query, row) = (&queries[q * dim..(q + 1) * dim], &block[r * dim..(r + 1) * dim]);
+                        let s = tile(be, dim, query, row, cosine)[0];
+                        alone[q * rows + r] = s.to_bits();
+                        let ctx = format!("{} cosine={cosine} dim {dim} pair ({q}, {r})", be.name);
+                        if cosine {
+                            prop_assert!((s - naive_cosine(query, row)).abs() <= 1e-4, "{ctx}: {s}");
+                            if q == zero_q || r == zero_r {
+                                prop_assert_eq!(s.to_bits(), 0, "{}", ctx);
+                            }
+                        } else {
+                            let t = tol(query.iter().zip(row).map(|(x, y)| x * y));
+                            prop_assert!((s - naive_dot(query, row)).abs() <= t, "{ctx}: {s}");
+                        }
+                    }
+                }
+                for q_lo in 0..nq {
+                    for r_lo in 0..rows {
+                        // From (q_lo, r_lo) to the end, and from the start up to it.
+                        for (qs, rs) in [(q_lo..nq, r_lo..rows), (0..q_lo + 1, 0..r_lo + 1)] {
+                            let got = tile(
+                                be,
+                                dim,
+                                &queries[qs.start * dim..qs.end * dim],
+                                &block[rs.start * dim..rs.end * dim],
+                                cosine,
+                            );
+                            for (i, q) in qs.clone().enumerate() {
+                                for (j, r) in rs.clone().enumerate() {
+                                    prop_assert_eq!(
+                                        got[i * rs.len() + j].to_bits(),
+                                        alone[q * rows + r],
+                                        "{} cosine={} dim {}: pair ({}, {}) in block {:?} x {:?}",
+                                        be.name, cosine, dim, q, r, qs, rs
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

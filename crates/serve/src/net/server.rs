@@ -47,7 +47,7 @@
 use crate::net::transport::{Acceptor, FrameConn};
 use crate::net::wire::{ErrorCode, Request, RequestBody, Response, ResponseBody, WireHit, MAX_K};
 use crate::policy::{CoalescePolicy, ShedPolicy};
-use crate::server::{build_partitions, search_slot, synth_vector, IndexKind, ShardSlot};
+use crate::server::{build_partitions, search_slot_batch, IndexKind, ShardSlot};
 use crate::shard::{BatchExecutor, EngineClock, Job, MicrosClock, ShardEngine, SubmitOutcome};
 use saga_core::obs::{Counter, Histogram, Registry};
 use saga_core::synth::{generate, SynthConfig};
@@ -149,7 +149,6 @@ pub struct NetService {
     parts: Vec<ShardSlot>,
     lookup: Arc<PointLookupIndex>,
     num_entities: u64,
-    dim: usize,
     slots: Vec<CallSlot>,
     free: Mutex<Vec<u32>>,
     inflight: AtomicUsize,
@@ -179,7 +178,6 @@ impl NetService {
             parts,
             lookup,
             num_entities,
-            dim: cfg.dim,
             slots: (0..capacity)
                 .map(|_| CallSlot { state: Mutex::new(None), cv: Condvar::new() })
                 .collect(),
@@ -289,7 +287,7 @@ impl NetService {
             };
         }
         let mut hits = st.hits;
-        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+        hits.sort_by(saga_ann::Hit::best_first);
         hits.truncate(st.k as usize);
         let hits: Vec<WireHit> = hits.into_iter().map(WireHit::from).collect();
         self.served.inc();
@@ -356,14 +354,22 @@ impl BatchExecutor for NetService {
     fn execute(&self, shard: usize, jobs: &[Job]) {
         let part = &self.parts[shard];
         let mut scratch = part.state.lock().expect("shard scratch");
+        // Gather the batch, scan the partition once for all of it, then hand
+        // each call its share. A slot that is armed stays armed until its
+        // last share resolves, so both passes skip the same (unarmed) jobs
+        // and the n-th armed job is the n-th call of the batch.
+        let batch = jobs.iter().filter_map(|j| {
+            let guard = self.slots[j.ticket as usize].state.lock().expect("call slot");
+            guard.as_ref().map(|st| (st.query_seed, (st.k as usize).min(MAX_K as usize)))
+        });
+        search_slot_batch(part, &mut scratch, batch);
+        let mut call = 0;
         for j in jobs {
             let slot = &self.slots[j.ticket as usize];
             let mut guard = slot.state.lock().expect("call slot");
             let Some(st) = guard.as_mut() else { continue };
-            let k = (st.k as usize).min(MAX_K as usize);
-            synth_vector(st.query_seed, self.dim, &mut scratch.query);
-            search_slot(part, k, &mut scratch);
-            st.hits.extend_from_slice(&scratch.out);
+            st.hits.extend_from_slice(scratch.hits_of(call));
+            call += 1;
             st.remaining -= 1;
             if st.remaining == 0 {
                 slot.cv.notify_all();
@@ -523,11 +529,10 @@ pub fn oracle_search(cfg: &NetServerConfig, query_seed: u64, k: u32) -> Vec<Wire
     let mut hits: Vec<saga_ann::Hit> = Vec::new();
     for part in &parts {
         let mut scratch = part.state.lock().expect("shard scratch");
-        synth_vector(query_seed, cfg.dim, &mut scratch.query);
-        search_slot(part, k, &mut scratch);
-        hits.extend_from_slice(&scratch.out);
+        search_slot_batch(part, &mut scratch, std::iter::once((query_seed, k)));
+        hits.extend_from_slice(scratch.hits_of(0));
     }
-    hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+    hits.sort_by(saga_ann::Hit::best_first);
     hits.truncate(k);
     hits.into_iter().map(WireHit::from).collect()
 }

@@ -7,20 +7,33 @@
 //! the vector id; each shard owns a [`FlatIndex`] / [`QuantizedTable`] /
 //! [`HnswIndex`] over its slice. A search fans out to every shard, each
 //! returning its local top-k; since flat and quantized scoring are exact
-//! over their partitions, the merged global top-k (score desc, id asc — the
-//! selection kernel's tie order) is identical to an unsharded search, which
+//! over their partitions, the merged global top-k ([`Hit::best_first`] — the
+//! selection kernel's order) is identical to an unsharded search, which
 //! the equivalence tests assert. Point lookups hit the shared
 //! [`PointLookupIndex`] CSR and route by entity hash, so a hot entity lands
 //! on one shard's coalescer — the batching opportunity.
 //!
-//! ## Request coalescing proper
+//! ## What a coalesced batch buys
 //!
-//! Beyond amortizing dispatch, the executor deduplicates identical queries
-//! *within* a coalesced batch: the trace's Zipf query popularity means hot
-//! queries ride the same micro-batch, and one scored result serves all of
-//! them. Per-request dispatch (batch size 1) structurally cannot do this —
-//! it is a large part of why coalescing sustains more QPS at the same p99
-//! budget.
+//! Every executor hands its batch's searches to one function,
+//! [`search_slot_batch`] — the only place in this crate a search meets a
+//! partition. It gathers the batch's *distinct* queries (the trace's Zipf
+//! popularity puts a hot query in the same micro-batch more than once; it
+//! is scanned once and every rider gets the result), scans the partition
+//! **once for the whole block** ([`FlatIndex::search_block_into`]) at the
+//! largest `k` any rider asked for, and hands each call the first `k` of its
+//! query's hits. A row is therefore read once per batch, not once per
+//! request; per-request dispatch (batch size 1) structurally cannot do
+//! either — a large part of why coalescing sustains more QPS at the same p99
+//! budget. A flat hit's bytes depend on the query and the row only, never on
+//! the batch (see `saga_ann::flat`), so a reply does not depend on what it
+//! rode with.
+//!
+//! The quantized and HNSW backends still search one distinct query at a
+//! time inside that function: no measured path runs them, so they get the
+//! dedup and nothing else. (For HNSW the shared `k` also widens the beam of
+//! a rider that asked for less — an approximate index's answer may only get
+//! better for it.)
 
 use crate::loadgen::SlotBoard;
 use crate::shard::{BatchExecutor, EngineClock, Job};
@@ -50,10 +63,13 @@ pub enum IndexKind {
 /// Deterministic synthetic vector for a seed: uniform in [-1, 1).
 pub(crate) fn synth_vector(seed: u64, dim: usize, out: &mut Vec<f32>) {
     out.clear();
+    push_synth_vector(seed, dim, out);
+}
+
+/// [`synth_vector`] onto the end of `out` (a row of a query block).
+fn push_synth_vector(seed: u64, dim: usize, out: &mut Vec<f32>) {
     let mut rng = SplitMix64::new(seed);
-    for _ in 0..dim {
-        out.push((rng.next_f64() * 2.0 - 1.0) as f32);
-    }
+    out.extend((0..dim).map(|_| (rng.next_f64() * 2.0 - 1.0) as f32));
 }
 
 pub(crate) enum ShardBackend {
@@ -62,25 +78,47 @@ pub(crate) enum ShardBackend {
     Hnsw { index: HnswIndex, ef: usize },
 }
 
+/// One search of a batch: which query, and how many of its hits.
+#[derive(Debug, Clone, Copy)]
+struct Call {
+    seed: u64,
+    k: usize,
+    /// Which distinct query of the batch this is.
+    query: u32,
+}
+
 /// Per-shard mutable state. Locked by that shard's single worker thread,
 /// so the mutex is uncontended — it exists to make the sharing `Sync`.
 pub(crate) struct ShardScratch {
     flat: FlatScratch,
     quant: QuantScratch,
     hnsw: SearchScratch,
-    /// Reusable query-vector buffer.
-    pub(crate) query: Vec<f32>,
-    /// Reusable per-query hit buffer.
-    pub(crate) out: Vec<Hit>,
-    /// Batch-local dedup memo: `(query_seed, offset into batch_hits)` of
-    /// queries already scored in the current batch.
-    seen: Vec<(u64, u32)>,
-    /// Scored hits for each unique query this batch, k per entry.
-    batch_hits: Vec<Hit>,
+    /// The batch's searches, in the order the executor gave them.
+    calls: Vec<Call>,
+    /// The batch's distinct query vectors, row-major, in first-seen order.
+    queries: Vec<f32>,
+    /// Their hits, query after query; `ends[q]` closes query `q`'s run.
+    hits: Vec<Hit>,
+    ends: Vec<u32>,
+    /// One query's hits, for the backends that search one at a time.
+    out: Vec<Hit>,
+}
+
+impl ShardScratch {
+    /// Hits of the `i`-th call of the last [`search_slot_batch`]: the first
+    /// `k` of its query's.
+    pub(crate) fn hits_of(&self, i: usize) -> &[Hit] {
+        let Call { k, query, .. } = self.calls[i];
+        let q = query as usize;
+        let start = if q == 0 { 0 } else { self.ends[q - 1] as usize };
+        let run = &self.hits[start..self.ends[q] as usize];
+        &run[..run.len().min(k)]
+    }
 }
 
 pub(crate) struct ShardSlot {
     backend: ShardBackend,
+    dim: usize,
     pub(crate) state: Mutex<ShardScratch>,
 }
 
@@ -131,29 +169,73 @@ pub(crate) fn build_partitions(
             };
             ShardSlot {
                 backend,
+                dim,
                 state: Mutex::new(ShardScratch {
                     flat: FlatScratch::new(),
                     quant: QuantScratch::new(),
                     hnsw: SearchScratch::new(),
-                    query: Vec::with_capacity(dim),
+                    calls: Vec::new(),
+                    queries: Vec::new(),
+                    hits: Vec::new(),
+                    ends: Vec::new(),
                     out: Vec::with_capacity(k),
-                    seen: Vec::new(),
-                    batch_hits: Vec::new(),
                 }),
             }
         })
         .collect()
 }
 
-/// Runs one search (query in `st.query`, hits into `st.out`) against a
-/// partition slot's backend.
-pub(crate) fn search_slot(slot: &ShardSlot, k: usize, st: &mut ShardScratch) {
-    let ShardScratch { flat, quant, hnsw, query, out, .. } = st;
-    match &slot.backend {
-        ShardBackend::Flat(idx) => idx.search_into(query, k, flat, out),
-        ShardBackend::Quant { table, metric } => table.search_into(*metric, query, k, quant, out),
-        ShardBackend::Hnsw { index, ef } => index.search_ef_into(query, k, *ef, hnsw, out),
+/// Runs a batch of searches — `(query_seed, k)` each — against a partition
+/// slot: the one function in this crate that searches a [`ShardSlot`]
+/// (module docs: what a batch buys). Afterwards [`ShardScratch::hits_of`]
+/// has the `i`-th call's hits. Returns how many calls repeated a query of
+/// the same batch and were served from its scan.
+pub(crate) fn search_slot_batch(
+    slot: &ShardSlot,
+    st: &mut ShardScratch,
+    batch: impl Iterator<Item = (u64, usize)>,
+) -> u64 {
+    let ShardScratch { flat, quant, hnsw, calls, queries, hits, ends, out } = st;
+    let dim = slot.dim;
+    calls.clear();
+    queries.clear();
+    hits.clear();
+    ends.clear();
+    let mut distinct = 0u32;
+    for (seed, k) in batch {
+        let query = match calls.iter().find(|c| c.seed == seed) {
+            Some(first) => first.query,
+            None => {
+                push_synth_vector(seed, dim, queries);
+                distinct += 1;
+                distinct - 1
+            }
+        };
+        calls.push(Call { seed, k, query });
     }
+    let k = calls.iter().map(|c| c.k).max().unwrap_or(0);
+    match &slot.backend {
+        ShardBackend::Flat(idx) => {
+            idx.search_block_into(queries, k, flat, hits);
+            let per_query = k.min(idx.live_len()) as u32;
+            ends.extend((1..=distinct).map(|q| q * per_query));
+        }
+        ShardBackend::Quant { table, metric } => {
+            for query in queries.chunks_exact(dim) {
+                table.search_into(*metric, query, k, quant, out);
+                hits.extend_from_slice(out);
+                ends.push(hits.len() as u32);
+            }
+        }
+        ShardBackend::Hnsw { index, ef } => {
+            for query in queries.chunks_exact(dim) {
+                index.search_ef_into(query, k, *ef, hnsw, out);
+                hits.extend_from_slice(out);
+                ends.push(hits.len() as u32);
+            }
+        }
+    }
+    calls.len() as u64 - distinct as u64
 }
 
 /// Fault-driven brownout: jobs the plan marks faulty cost an extra
@@ -199,7 +281,6 @@ pub struct ShardedService {
     board: Arc<SlotBoard>,
     clock: Arc<dyn EngineClock>,
     k: usize,
-    dim: usize,
     lookups: Arc<Counter>,
     searches: Arc<Counter>,
     dedup_hits: Arc<Counter>,
@@ -236,7 +317,6 @@ impl ShardedService {
             board,
             clock,
             k: cfg.k,
-            dim: cfg.dim,
             lookups: scope.counter("lookups"),
             searches: scope.counter("searches"),
             dedup_hits: scope.counter("coalesced_dedup_hits"),
@@ -265,10 +345,6 @@ impl ShardedService {
     pub fn dedup_count(&self) -> u64 {
         self.dedup_hits.value()
     }
-
-    fn search_partition(&self, shard: usize, st: &mut ShardScratch) {
-        search_slot(&self.shards[shard], self.k, st);
-    }
 }
 
 impl BatchExecutor for ShardedService {
@@ -292,51 +368,37 @@ impl BatchExecutor for ShardedService {
         }
         self.batch_fill.record(jobs.len() as u64);
         let mut st = self.shards[shard].state.lock().expect("shard scratch");
-        st.seen.clear();
-        st.batch_hits.clear();
         let mut lookups = 0u64;
-        let mut searches = 0u64;
-        let mut dedup = 0u64;
         let mut fact_fold = 0u64;
+        // Lookups are answered as they are met; the batch's searches are
+        // scanned together, then completed in job order.
+        let search_seed = |j: &Job| match self.trace[j.ticket as usize].kind {
+            RequestKind::Search { query_seed } => Some(query_seed),
+            RequestKind::Lookup { .. } => None,
+        };
         for j in jobs {
-            match self.trace[j.ticket as usize].kind {
-                RequestKind::Lookup { entity } => {
-                    lookups += 1;
-                    let e = EntityId(entity % self.num_entities);
-                    fact_fold = fact_fold.wrapping_add(self.lookup.fact_count(e) as u64);
-                }
-                RequestKind::Search { query_seed } => {
-                    searches += 1;
-                    // Request coalescing: a query already scored in this
-                    // batch is served from the memo (see module docs).
-                    let memo = st.seen.iter().find(|(s, _)| *s == query_seed).map(|&(_, off)| off);
-                    let range = match memo {
-                        Some(off) => {
-                            dedup += 1;
-                            off as usize..(off as usize + self.k).min(st.batch_hits.len())
-                        }
-                        None => {
-                            synth_vector(query_seed, self.dim, &mut st.query);
-                            self.search_partition(shard, &mut st);
-                            let off = st.batch_hits.len();
-                            let ShardScratch { out, batch_hits, seen, .. } = &mut *st;
-                            batch_hits.extend_from_slice(out);
-                            seen.push((query_seed, off as u32));
-                            off..st.batch_hits.len()
-                        }
-                    };
-                    if let Some(cap) = &self.capture {
-                        cap[j.ticket as usize]
-                            .lock()
-                            .expect("capture")
-                            .extend_from_slice(&st.batch_hits[range]);
-                    }
-                }
+            if let RequestKind::Lookup { entity } = self.trace[j.ticket as usize].kind {
+                lookups += 1;
+                let e = EntityId(entity % self.num_entities);
+                fact_fold = fact_fold.wrapping_add(self.lookup.fact_count(e) as u64);
+                self.board.complete_one(j.ticket, self.clock.now_ticks());
             }
+        }
+        let batch = jobs.iter().filter_map(search_seed).map(|seed| (seed, self.k));
+        let dedup = search_slot_batch(&self.shards[shard], &mut st, batch);
+        let mut searches = 0usize;
+        for j in jobs.iter().filter(|j| search_seed(j).is_some()) {
+            if let Some(cap) = &self.capture {
+                cap[j.ticket as usize]
+                    .lock()
+                    .expect("capture")
+                    .extend_from_slice(st.hits_of(searches));
+            }
+            searches += 1;
             self.board.complete_one(j.ticket, self.clock.now_ticks());
         }
         self.lookups.add(lookups);
-        self.searches.add(searches);
+        self.searches.add(searches as u64);
         self.dedup_hits.add(dedup);
         self.fact_sink.fetch_add(fact_fold, Ordering::Relaxed);
     }
@@ -456,7 +518,7 @@ mod tests {
         for r in world.trace.iter() {
             let RequestKind::Search { query_seed } = r.kind else { continue };
             let mut merged = service.captured(r.id).expect("capture on");
-            merged.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.id.cmp(&b.id)));
+            merged.sort_by(Hit::best_first);
             merged.truncate(6);
             assert_eq!(merged, reference_hits(16, 400, 11, 6, query_seed), "ticket {}", r.id);
             checked += 1;

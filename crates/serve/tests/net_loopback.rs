@@ -83,6 +83,32 @@ fn loopback_matches_in_process_serving_path() {
     assert_eq!(stats.connections, 1, "sequential calls should reuse the pooled conn");
 }
 
+/// One `Batch` whose searches share a scan on each shard — different `k`s
+/// (the scan runs at the largest, each item gets its own prefix) and one
+/// seed twice (scanned once) — answers every item exactly as that search
+/// alone would: item by item equal to `oracle_search`.
+#[test]
+fn batched_searches_equal_the_oracle_item_by_item() {
+    let (server, addr, _registry) = start_server();
+    let client = connect(&addr);
+    let cfg = NetServerConfig::small(WORLD_SEED);
+
+    let searches: [(u64, u32); 7] =
+        [(21, 10), (22, 1), (23, 4), (21, 4), (24, 10), (22, 1), (21, 1)];
+    let items = searches.iter().map(|&(query_seed, k)| RequestBody::Search { query_seed, k });
+    let batched = client.batch(items.collect()).expect("batch");
+    let ResponseBody::BatchOk(replies) = batched else { panic!("{batched:?}") };
+    assert_eq!(replies.len(), searches.len());
+    for (reply, &(query_seed, k)) in replies.iter().zip(&searches) {
+        let want = oracle_search(&cfg, query_seed, k);
+        assert_eq!(want.len(), k as usize);
+        assert_eq!(reply, &ResponseBody::SearchOk { hits: want }, "seed {query_seed} k {k}");
+    }
+
+    let stats = server.shutdown();
+    assert_eq!((stats.requests, stats.served, stats.shed), (1, 7, 0));
+}
+
 #[test]
 fn deadline_propagates_over_tcp() {
     let (server, addr, _registry) = start_server();

@@ -1,28 +1,33 @@
 //! Extends the zero-allocation gate from single queries (crates/ann's
 //! `zero_alloc.rs`) to the full coalesced serving path: submit → shard
-//! queue → coalescing worker → batch executor running real flat-index
-//! searches with within-batch request dedup. After warm-up, a whole wave of
-//! requests flows through the engine without a single allocation on any
-//! thread — the queue, the worker's batch buffer, the executor's scratch
-//! and memo tables all sit at steady-state capacity.
+//! queue → coalescing worker → `ShardedService` running real flat-index
+//! block scans with within-batch request dedup. After warm-up, a whole wave
+//! of requests flows through the engine without a single allocation on any
+//! thread — the queue, the worker's batch buffer, and the executor's call
+//! list, query block, heaps and hit buffer all sit at steady-state capacity.
 //!
 //! And over the wire: a warm `SagaClient` → loopback TCP → `NetServer` →
 //! `SagaClient` point lookup allocates exactly twice, process-wide — the
 //! owned frame each side's `recv_frame` returns. Both encodes go into
-//! reused buffers and the lookup is answered on the connection thread.
+//! reused buffers and the lookup is answered on the connection thread. A
+//! warm 8-search `Batch` call allocates what it did before its searches
+//! shared a scan — 30 times — and not once more.
 //!
 //! The counter is process-wide, so the tests here take turns on [`GATE`].
 
-use saga_ann::{FlatIndex, FlatScratch, Hit, Metric};
 use saga_core::obs::Registry;
+use saga_core::synth::{generate, SynthConfig};
+use saga_core::trace::{Request, RequestKind};
+use saga_graph::PointLookupIndex;
 use saga_serve::net::transport::{Acceptor, TcpAcceptor, TcpTransport};
-use saga_serve::net::{oracle_lookup, ResponseBody};
+use saga_serve::net::{oracle_lookup, oracle_search, RequestBody, ResponseBody};
+use saga_serve::server::ServiceConfig;
 use saga_serve::{
-    BatchExecutor, ClientConfig, CoalescePolicy, Job, MicrosClock, NetServer, NetServerConfig,
-    SagaClient, ShardEngine, ShedPolicy,
+    BatchExecutor, ClientConfig, CoalescePolicy, EngineClock, IndexKind, MicrosClock, NetServer,
+    NetServerConfig, SagaClient, ShardEngine, ShardedService, ShedPolicy, SlotBoard,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 struct CountingAlloc;
@@ -67,120 +72,78 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::SeqCst)
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn synth_vec(seed: u64, dim: usize) -> Vec<f32> {
-    let mut s = seed;
-    (0..dim).map(|_| (splitmix(&mut s) >> 40) as f32 / (1u64 << 23) as f32 - 1.0).collect()
-}
-
-/// Mirrors the serve executor's hot loop: per-shard scratch behind a mutex,
-/// results accumulated into a reused hit buffer, duplicate queries within a
-/// batch served from the memo instead of re-searched.
-struct BatchState {
-    scratch: FlatScratch,
-    out: Vec<Hit>,
-    /// Within-batch memo: (query id, offset of its hits in `hits`).
-    seen: Vec<(u32, u32)>,
-    hits: Vec<Hit>,
-}
-
-struct AnnExecutor {
-    index: FlatIndex,
-    queries: Vec<Vec<f32>>,
-    k: usize,
-    state: Mutex<BatchState>,
-    done: AtomicU32,
-}
-
-impl BatchExecutor for AnnExecutor {
-    fn execute(&self, _shard: usize, jobs: &[Job]) {
-        let mut st = self.state.lock().expect("batch state");
-        let st = &mut *st;
-        st.seen.clear();
-        st.hits.clear();
-        for j in jobs {
-            let qid = j.ticket % self.queries.len() as u32;
-            if !st.seen.iter().any(|&(q, _)| q == qid) {
-                self.index.search_into(
-                    &self.queries[qid as usize],
-                    self.k,
-                    &mut st.scratch,
-                    &mut st.out,
-                );
-                let start = st.hits.len() as u32;
-                st.hits.extend_from_slice(&st.out);
-                st.seen.push((qid, start));
-            }
-        }
-        self.done.fetch_add(jobs.len() as u32, Ordering::Release);
-    }
-}
-
 #[test]
 fn warm_coalesced_batch_path_performs_no_allocation() {
     let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let dim = 24;
-    let n = 400;
-    let k = 6;
-    let mut index = FlatIndex::new(dim, Metric::Cosine);
-    for i in 0..n {
-        index.add(i, &synth_vec(0x5EED ^ i, dim));
-    }
-    // A small query pool so coalesced batches contain duplicates and the
-    // dedup memo path runs under the allocator gate too.
-    let queries: Vec<Vec<f32>> = (0..8).map(|i| synth_vec(0xFACE ^ i, dim)).collect();
-    let ex = Arc::new(AnnExecutor {
-        index,
-        queries,
-        k,
-        state: Mutex::new(BatchState {
-            scratch: FlatScratch::new(),
-            out: Vec::new(),
-            seen: Vec::new(),
-            hits: Vec::new(),
-        }),
-        done: AtomicU32::new(0),
-    });
+    const WAVE: u32 = 64;
+    // A pool of 8 query seeds, so coalesced batches contain repeats and the
+    // distinct-seed gather runs under the allocator gate too.
+    let trace: Arc<Vec<Request>> = Arc::new(
+        (0..5 * WAVE)
+            .map(|id| Request {
+                id,
+                kind: RequestKind::Search { query_seed: 0xFACE ^ u64::from(id % 8) },
+                arrival_ticks: 0,
+            })
+            .collect(),
+    );
+    let synth = generate(&SynthConfig::tiny(11));
+    let board = Arc::new(SlotBoard::new(trace.len()));
+    let clock: Arc<dyn EngineClock> = Arc::new(MicrosClock::new());
+    let service = ShardedService::build(
+        ServiceConfig {
+            kind: IndexKind::Flat,
+            shards: 1,
+            dim: 24,
+            vectors: 400,
+            k: 6,
+            seed: 0x5EED,
+            capture: false,
+            brownout: None,
+        },
+        Arc::new(PointLookupIndex::build(&synth.kg)),
+        synth.kg.num_entities(),
+        trace,
+        Arc::clone(&board),
+        Arc::clone(&clock),
+        &Registry::new(),
+    );
     let engine = ShardEngine::start(
         1,
         CoalescePolicy { max_batch: 16, max_wait_ticks: 300 },
         ShedPolicy::unbounded(),
         1_024,
-        Arc::clone(&ex) as Arc<dyn BatchExecutor>,
-        Arc::new(MicrosClock::new()),
+        Arc::clone(&service) as Arc<dyn BatchExecutor>,
+        clock,
     );
 
-    let wave = |base: u32, count: u32| {
-        let target = ex.done.load(Ordering::Acquire) + count;
-        for t in 0..count {
-            assert!(engine.submit(0, base + t), "unbounded policy must admit");
+    let wave = |w: u32| {
+        for t in w * WAVE..(w + 1) * WAVE {
+            board.arm(t, 1, 0);
+            assert!(engine.submit(0, t), "unbounded policy must admit");
         }
-        while ex.done.load(Ordering::Acquire) < target {
-            std::thread::yield_now();
+        for t in w * WAVE..(w + 1) * WAVE {
+            while !board.is_done(t) {
+                std::thread::yield_now();
+            }
         }
     };
 
-    // Warm-up: queue, batch buffer, scratch, memo and hit buffers all grow
-    // to their high-water capacity.
+    // Warm-up: queue, batch buffer, call list, query block, heaps and hit
+    // buffer all grow to their high-water capacity.
     for w in 0..3 {
-        wave(w * 64, 64);
+        wave(w);
     }
 
     let allocs = count_allocs(|| {
-        wave(1_000, 64);
-        wave(2_000, 64);
+        wave(3);
+        wave(4);
     });
     assert_eq!(allocs, 0, "warm coalesced serving path allocated {allocs} times");
+    assert!(service.dedup_count() > 0, "no batch carried a repeated query");
 
     let stats = engine.shutdown();
-    assert_eq!(stats.served, 5 * 64);
+    assert_eq!(stats.served, u64::from(5 * WAVE));
     assert_eq!(stats.shed, 0);
     assert!(stats.batches < stats.served, "coalescing never batched");
 }
@@ -224,4 +187,49 @@ fn warm_lookup_over_tcp_allocates_only_the_two_received_frames() {
     drop(client);
     let stats = server.shutdown();
     assert_eq!((stats.served, stats.shed, stats.connections), (32 + N, 0, 1));
+}
+
+#[test]
+fn warm_search_batch_over_tcp_allocates_no_more_than_before_the_shared_scan() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = NetServerConfig::small(11);
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = acceptor.local();
+    let server = NetServer::start(Box::new(acceptor), cfg.clone(), &Registry::new());
+    let client = SagaClient::new(Arc::new(TcpTransport::new(&addr)), ClientConfig::default());
+    let batch = |call: u64| -> Vec<RequestBody> {
+        (0..8).map(|i| RequestBody::Search { query_seed: call * 8 + i, k: 10 }).collect()
+    };
+
+    // Warm-up: the pooled connection, both frame buffers, both shards'
+    // scratch. The first reply is also the oracle check on this server.
+    for call in 0..16 {
+        let reply = client.batch(batch(call)).expect("batch");
+        if call == 0 {
+            let want = (0..8)
+                .map(|seed| ResponseBody::SearchOk { hits: oracle_search(&cfg, seed, 10) })
+                .collect();
+            assert_eq!(reply, ResponseBody::BatchOk(want));
+        }
+    }
+
+    const N: u64 = 200;
+    let mut answered = 0u64;
+    let allocs = count_allocs(|| {
+        for call in 16..16 + N {
+            if let Ok(ResponseBody::BatchOk(items)) = client.batch(batch(call)) {
+                let full = |r: &ResponseBody| matches!(r, ResponseBody::SearchOk { hits } if hits.len() == 10);
+                answered += u64::from(items.len() == 8 && items.iter().all(full));
+            }
+        }
+    });
+    assert_eq!(answered, N, "a warm batch call failed");
+    // The request `Vec` the call takes by value is inside the count, as it
+    // is inside `perf-ledger`'s `allocs_per_op`.
+    assert!(allocs <= 30 * N, "{allocs} allocations for {N} 8-search batch calls");
+
+    assert_eq!(client.stats().retries, 0);
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!((stats.served, stats.shed, stats.connections), (8 * (16 + N), 0, 1));
 }
