@@ -8,7 +8,7 @@ use saga_core::obs::{MetricsSnapshot, Registry, Scope, SpanTimer};
 use saga_core::{DeltaBatch, DocId, EntityId, KnowledgeGraph, Triple, Value};
 use saga_webcorpus::Corpus;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Annotations of one document.
@@ -31,12 +31,23 @@ pub struct AnnotatedCorpus {
 }
 
 impl AnnotatedCorpus {
-    /// Inverted map: entity → documents that mention it (sorted).
-    pub fn entity_docs(&self) -> HashMap<EntityId, Vec<DocId>> {
-        let mut out: HashMap<EntityId, Vec<DocId>> = HashMap::new();
+    /// The one mention → document inversion: entity → the documents that
+    /// mention it, sorted and deduplicated, in a single pass over the
+    /// per-document mention lists. With `only`, the map holds exactly those
+    /// entities (an empty list for one no document mentions); without, every
+    /// mentioned entity.
+    fn mention_docs(&self, only: Option<&[EntityId]>) -> HashMap<EntityId, Vec<DocId>> {
+        let mut out: HashMap<EntityId, Vec<DocId>> =
+            only.unwrap_or_default().iter().map(|&e| (e, Vec::new())).collect();
         for ad in self.docs.values() {
             for m in &ad.mentions {
-                out.entry(m.entity).or_default().push(ad.doc);
+                let docs = match only {
+                    None => Some(out.entry(m.entity).or_default()),
+                    Some(_) => out.get_mut(&m.entity),
+                };
+                if let Some(docs) = docs {
+                    docs.push(ad.doc);
+                }
             }
         }
         // Duplicates (an entity mentioned several times in one document)
@@ -48,18 +59,17 @@ impl AnnotatedCorpus {
         out
     }
 
-    /// Documents mentioning `entity` (sorted). Scans per-document mention
-    /// lists directly rather than materializing the full entity→docs map
-    /// for every call.
+    /// Inverted map: entity → documents that mention it (sorted).
+    pub fn entity_docs(&self) -> HashMap<EntityId, Vec<DocId>> {
+        self.mention_docs(None)
+    }
+
+    /// Documents mentioning `entity` (sorted) — the inversion restricted to
+    /// one entity. A caller with many entities to look up wants one
+    /// restricted pass for all of them (as [`sync_kg_links`] does), not one
+    /// call each.
     pub fn docs_mentioning(&self, entity: EntityId) -> Vec<DocId> {
-        let mut out: Vec<DocId> = self
-            .docs
-            .values()
-            .filter(|ad| ad.mentions.iter().any(|m| m.entity == entity))
-            .map(|ad| ad.doc)
-            .collect();
-        out.sort_unstable();
-        out
+        self.mention_docs(Some(&[entity])).remove(&entity).unwrap_or_default()
     }
 
     /// Total linked mentions.
@@ -282,6 +292,10 @@ pub fn extend_kg_with_links(
 /// removing stale edges and adding fresh ones. Equivalent to rebuilding
 /// that entity's slice of [`extend_kg_with_links`] output. Returns
 /// `(added, removed)` link-fact counts.
+///
+/// Cost: one pass over the annotated corpus inverts the mentions of all
+/// dirty entities at once, whatever their number; per entity only the URL
+/// set difference remains, and a URL is copied only when its link changes.
 pub fn sync_kg_links(
     kg: &mut KnowledgeGraph,
     corpus: &Corpus,
@@ -300,27 +314,28 @@ pub fn sync_kg_links(
     );
     let src = kg.register_source("web-annotation");
     let (mut added, mut removed) = (0, 0);
-    for entity in dirty_entities {
-        let desired: std::collections::BTreeSet<String> = annotated
-            .docs_mentioning(entity)
-            .into_iter()
+    let dirty: Vec<EntityId> = dirty_entities.into_iter().collect();
+    let mention_docs = annotated.mention_docs(Some(&dirty));
+    for entity in dirty {
+        let desired: BTreeSet<&str> = mention_docs[&entity]
+            .iter()
             .take(max_docs_per_entity)
-            .map(|d| corpus.page(d).url.clone())
+            .map(|&d| corpus.page(d).url.as_str())
             .collect();
-        let existing: std::collections::BTreeSet<String> = kg
-            .objects(entity, pred)
-            .into_iter()
+        let objects = kg.objects(entity, pred);
+        let existing: BTreeSet<&str> = objects
+            .iter()
             .filter_map(|v| match v {
-                Value::Identifier(url) => Some(url),
+                Value::Identifier(url) => Some(url.as_str()),
                 _ => None,
             })
             .collect();
-        for url in existing.difference(&desired) {
-            kg.remove(&Triple::new(entity, pred, Value::Identifier(url.clone())));
+        for &url in existing.difference(&desired) {
+            kg.remove(&Triple::new(entity, pred, Value::Identifier(url.to_owned())));
             removed += 1;
         }
-        for url in desired.difference(&existing) {
-            kg.insert_with(Triple::new(entity, pred, Value::Identifier(url.clone())), src, 1.0);
+        for &url in desired.difference(&existing) {
+            kg.insert_with(Triple::new(entity, pred, Value::Identifier(url.to_owned())), src, 1.0);
             added += 1;
         }
     }
@@ -463,6 +478,125 @@ mod tests {
             b.sort_by_key(|v| v.canonical());
             assert_eq!(a, b, "links diverge for {e:?} (added {added}, removed {removed})");
         }
+    }
+
+    /// The per-entity scan `docs_mentioning` was before the inversion became
+    /// one routine — the oracle for the restricted pass.
+    fn reference_docs_mentioning(annotated: &AnnotatedCorpus, entity: EntityId) -> Vec<DocId> {
+        let mut out: Vec<DocId> = annotated
+            .docs
+            .values()
+            .filter(|ad| ad.mentions.iter().any(|m| m.entity == entity))
+            .map(|ad| ad.doc)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// `sync_kg_links` as it was: one corpus scan per dirty entity, owned
+    /// URL sets.
+    fn reference_sync_kg_links(
+        kg: &mut KnowledgeGraph,
+        corpus: &Corpus,
+        annotated: &AnnotatedCorpus,
+        dirty_entities: &[EntityId],
+        max_docs_per_entity: usize,
+    ) -> (usize, usize) {
+        let pred = kg.ontology().predicate_by_name("mentioned_in").unwrap();
+        let src = kg.register_source("web-annotation");
+        let (mut added, mut removed) = (0, 0);
+        for &entity in dirty_entities {
+            let desired: BTreeSet<String> = reference_docs_mentioning(annotated, entity)
+                .into_iter()
+                .take(max_docs_per_entity)
+                .map(|d| corpus.page(d).url.clone())
+                .collect();
+            let existing: BTreeSet<String> = kg
+                .objects(entity, pred)
+                .into_iter()
+                .filter_map(|v| match v {
+                    Value::Identifier(url) => Some(url),
+                    _ => None,
+                })
+                .collect();
+            for url in existing.difference(&desired) {
+                kg.remove(&Triple::new(entity, pred, Value::Identifier(url.clone())));
+                removed += 1;
+            }
+            for url in desired.difference(&existing) {
+                kg.insert_with(Triple::new(entity, pred, Value::Identifier(url.clone())), src, 1.0);
+                added += 1;
+            }
+        }
+        kg.commit();
+        (added, removed)
+    }
+
+    #[test]
+    fn one_pass_link_sync_matches_the_per_entity_scan() {
+        let (s, c, svc) = setup();
+        let cap = 2;
+        let (mut annotated, _) = annotate_corpus(&svc, &c, 2);
+        let by_entity = annotated.entity_docs();
+        for (&e, docs) in &by_entity {
+            assert_eq!(docs, &reference_docs_mentioning(&annotated, e));
+            assert_eq!(docs, &annotated.docs_mentioning(e));
+        }
+        let mut kg = s.kg.clone();
+        extend_kg_with_links(&mut kg, &c, &annotated, cap);
+
+        // Repeated: mentioned more than once inside a single document.
+        let repeated = annotated
+            .docs
+            .values()
+            .find_map(|ad| {
+                ad.mentions
+                    .iter()
+                    .map(|m| m.entity)
+                    .find(|&e| ad.mentions.iter().filter(|m| m.entity == e).count() > 1)
+            })
+            .expect("some document mentions an entity twice");
+        // Capped: mentioned in more documents than the cap keeps. It loses
+        // its lowest document below, so the kept window shifts: one link
+        // removed, one added.
+        let (&capped, capped_docs) = by_entity
+            .iter()
+            .find(|(&e, docs)| e != repeated && docs.len() > cap + 1)
+            .expect("an entity over the cap");
+        // Vanished: linked now, about to lose its last mention.
+        let (&vanished, _) = by_entity
+            .iter()
+            .find(|(&e, docs)| e != repeated && e != capped && docs.len() <= cap)
+            .expect("an entity under the cap");
+        // Absent: never mentioned and never linked.
+        let absent =
+            s.kg.entities()
+                .map(|e| e.id)
+                .find(|e| !by_entity.contains_key(e))
+                .expect("an unmentioned entity");
+        for ad in annotated.docs.values_mut() {
+            let lowest_capped = ad.doc == capped_docs[0];
+            ad.mentions.retain(|m| m.entity != vanished && !(lowest_capped && m.entity == capped));
+        }
+        // A fresh document for `repeated`, so that it has a link to add.
+        let fresh =
+            c.pages.iter().map(|p| p.id).find(|d| !by_entity[&repeated].contains(d)).unwrap();
+        let again =
+            annotated.docs.values().flat_map(|ad| &ad.mentions).find(|m| m.entity == repeated);
+        let again = again.unwrap().clone();
+        annotated.docs.get_mut(&fresh).unwrap().mentions.extend([again.clone(), again]);
+
+        let dirty = [repeated, capped, vanished, absent];
+        let mut reference_kg = kg.clone();
+        let want = reference_sync_kg_links(&mut reference_kg, &c, &annotated, &dirty, cap);
+        let got = sync_kg_links(&mut kg, &c, &annotated, dirty, cap);
+        assert_eq!(got, want);
+        assert!(got.0 >= 1 && got.1 >= 2, "every branch ran: {got:?}");
+        assert_eq!(kg.canonicalized_bytes(), reference_kg.canonicalized_bytes());
+        let pred = kg.ontology().predicate_by_name("mentioned_in").unwrap();
+        assert!(kg.objects(vanished, pred).is_empty(), "stale links removed");
+        assert!(kg.objects(absent, pred).is_empty());
+        assert_eq!(kg.objects(capped, pred).len(), cap);
     }
 
     #[test]

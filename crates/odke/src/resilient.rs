@@ -13,7 +13,7 @@
 //! breakers never trip and the budget never empties (the default
 //! configuration), and best-effort otherwise.
 
-use crate::extract::extract_from_page;
+use crate::extract::TargetExtractor;
 use crate::profiler::FactTarget;
 use crate::runner::{OdkeConfig, OdkeReport, TargetOutcome, TargetStatus};
 use crate::synthesize::synthesize_queries;
@@ -145,7 +145,8 @@ impl<'a> ResilientOdke<'a> {
 
     /// Records run metrics into `scope`: per-document fetch+extract spans
     /// under `<scope>/extract/doc_ticks` (timed on the runner's virtual
-    /// clock, deterministic because the target loop is sequential), loss
+    /// clock, deterministic because the target loop is sequential), lead
+    /// annotations under `<scope>/extract/subject_confirmations`, loss
     /// counters under the `search`/`fetch` site names, and the
     /// [`OdkeReport`] counters at the end of the run.
     pub fn with_obs(mut self, scope: Scope) -> Self {
@@ -233,6 +234,8 @@ impl<'a> ResilientOdke<'a> {
         // reproduce bit-for-bit under fault injection.
         let obs_clock: Arc<dyn saga_core::obs::Clock> = Arc::new(self.clock.clone());
         let extract_hist = self.obs.as_ref().map(|s| s.child(SITE_EXTRACT).histogram("doc_ticks"));
+        let confirmations_c =
+            self.obs.as_ref().map(|s| s.child(SITE_EXTRACT).counter("subject_confirmations"));
         let queries_lost_c =
             self.obs.as_ref().map(|s| s.child(SITE_SEARCH).counter("queries_lost"));
         let docs_lost_c = self.obs.as_ref().map(|s| s.child(SITE_FETCH).counter("docs_lost"));
@@ -287,8 +290,12 @@ impl<'a> ResilientOdke<'a> {
             }
 
             // 2. Fetch + extract: per-document retry; a document that
-            //    cannot be fetched or extracted costs its evidence only.
+            //    cannot be fetched or extracted costs its evidence only. The
+            //    per-target extraction state is built once, outside the
+            //    retry closure, so every page and every retried attempt
+            //    reuses it.
             let fetch_breaker = self.breakers.breaker(SITE_FETCH);
+            let mut extractor = TargetExtractor::new(kg, service, target.entity, target.predicate);
             let mut fetched: Vec<DocId> = Vec::new();
             let mut candidates = Vec::new();
             for &doc in &docs {
@@ -304,7 +311,7 @@ impl<'a> ResilientOdke<'a> {
                     if let Some(inj) = self.extract_faults {
                         inj.check(SITE_EXTRACT, doc.raw(), attempt)?;
                     }
-                    Ok(extract_from_page(kg, service, page, target.entity, target.predicate))
+                    Ok(extractor.extract(page))
                 }) {
                     Ok(found) => {
                         fetch_breaker.record(self.clock.now_ms(), true);
@@ -324,6 +331,9 @@ impl<'a> ResilientOdke<'a> {
             }
             if let Some(c) = &docs_lost_c {
                 c.add(docs_lost as u64);
+            }
+            if let Some(c) = &confirmations_c {
+                c.add(extractor.confirmations());
             }
 
             // 3. Corroborate + fuse, exactly as the infallible runner —

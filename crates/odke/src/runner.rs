@@ -2,7 +2,7 @@
 //! search → extraction → corroboration → fact fusion into the KG.
 
 use crate::corroborate::{Corroborator, EvidenceFeatures, ScoredValue};
-use crate::extract::extract_from_page;
+use crate::extract::TargetExtractor;
 use crate::profiler::FactTarget;
 use crate::synthesize::synthesize_queries;
 use saga_annotation::AnnotationService;
@@ -186,8 +186,10 @@ pub fn run_odke(
 
 /// [`run_odke`] recording through an obs scope: a per-document extraction
 /// latency histogram under `<scope>/extract/doc_ticks` (the target loop is
-/// sequential, so spans are deterministic under a virtual clock), a
-/// whole-run `run_ticks` span, and the [`OdkeReport`] counters.
+/// sequential, so spans are deterministic under a virtual clock), the lead
+/// annotations extraction paid for under `<scope>/extract/subject_confirmations`
+/// (one per candidate-bearing page, not one per fetched page), a whole-run
+/// `run_ticks` span, and the [`OdkeReport`] counters.
 pub fn run_odke_obs(
     kg: &mut KnowledgeGraph,
     service: &AnnotationService,
@@ -198,7 +200,9 @@ pub fn run_odke_obs(
     scope: &Scope,
 ) -> OdkeReport {
     let clock = scope.clock();
-    let extract_hist = scope.child("extract").histogram("doc_ticks");
+    let extract_scope = scope.child("extract");
+    let extract_hist = extract_scope.histogram("doc_ticks");
+    let confirmations = extract_scope.counter("subject_confirmations");
     let run_span = SpanTimer::start(scope.histogram("run_ticks"), clock.clone());
     let src = kg.register_source("odke");
     let mut outcomes = Vec::with_capacity(targets.len());
@@ -208,18 +212,14 @@ pub fn run_odke_obs(
     for target in targets {
         let docs = find_documents(kg, search, target, cfg.docs_per_query);
         all_docs.extend(docs.iter().copied());
+        let mut extractor = TargetExtractor::new(kg, service, target.entity, target.predicate);
         let mut candidates = Vec::new();
         for &doc in &docs {
             let doc_span = SpanTimer::start(extract_hist.clone(), clock.clone());
-            candidates.extend(extract_from_page(
-                kg,
-                service,
-                corpus.page(doc),
-                target.entity,
-                target.predicate,
-            ));
+            candidates.extend(extractor.extract(corpus.page(doc)));
             doc_span.stop();
         }
+        confirmations.add(extractor.confirmations());
         let scored = cfg.corroborator.corroborate(&candidates);
         let winner = scored
             .iter()
@@ -286,16 +286,10 @@ pub fn calibrate_corroborator(
 ) -> Corroborator {
     let mut examples: Vec<(EvidenceFeatures, bool)> = Vec::new();
     for (target, truth) in labelled {
-        let docs = find_documents(kg, search, target, docs_per_query);
+        let mut extractor = TargetExtractor::new(kg, service, target.entity, target.predicate);
         let mut candidates = Vec::new();
-        for &doc in &docs {
-            candidates.extend(extract_from_page(
-                kg,
-                service,
-                corpus.page(doc),
-                target.entity,
-                target.predicate,
-            ));
+        for doc in find_documents(kg, search, target, docs_per_query) {
+            candidates.extend(extractor.extract(corpus.page(doc)));
         }
         for (value_text, features, _) in crate::corroborate::featurize(&candidates) {
             examples.push((features, &value_text == truth));
@@ -308,6 +302,7 @@ pub fn calibrate_corroborator(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::extract::extract_from_page;
     use crate::profiler::TargetReason;
     use saga_annotation::{LinkerConfig, Tier};
     use saga_core::synth::{generate, SynthConfig};
@@ -377,6 +372,40 @@ mod tests {
             report.volume_fraction()
         );
         assert!(report.distinct_docs_fetched > 0);
+    }
+
+    #[test]
+    fn lead_annotation_is_paid_per_candidate_page_not_per_fetched_page() {
+        let (s, c, _t, svc, search) = setup();
+        let targets: Vec<FactTarget> = s.people[..10]
+            .iter()
+            .map(|&e| FactTarget {
+                entity: e,
+                predicate: s.preds.date_of_birth,
+                reason: TargetReason::CoverageGap,
+                importance: 1.0,
+            })
+            .collect();
+        let cfg = OdkeConfig::default();
+        let mut candidate_pages = 0u64;
+        for t in &targets {
+            for doc in find_documents(&s.kg, &search, t, cfg.docs_per_query) {
+                let found = extract_from_page(&s.kg, &svc, c.page(doc), t.entity, t.predicate);
+                candidate_pages += u64::from(!found.is_empty());
+            }
+        }
+        let reg = Registry::new();
+        let mut kg = s.kg.clone();
+        let report = run_odke_obs(&mut kg, &svc, &search, &c, &targets, &cfg, &reg.scope("odke"));
+        let docs_examined: u64 = report.outcomes.iter().map(|o| o.docs_examined as u64).sum();
+        let snapshot = reg.snapshot();
+        let confirmations = snapshot.counter("odke/extract/subject_confirmations");
+        assert_eq!(snapshot.histogram("odke/extract/doc_ticks").unwrap().count(), docs_examined);
+        assert!(confirmations > 0 && confirmations <= candidate_pages);
+        assert!(
+            candidate_pages < docs_examined,
+            "{confirmations} confirmations, {candidate_pages} candidate pages, {docs_examined} fetched"
+        );
     }
 
     #[test]
