@@ -6,8 +6,10 @@
 //! A counting global allocator is armed around the measured section only;
 //! the queries replayed under measurement are the same ones used for
 //! warm-up, so every scratch buffer has reached steady-state capacity. The
-//! counter and the forced backend are process-wide, so the tests here take
-//! turns on [`GATE`].
+//! counter counts only on the thread that armed it, so the test harness's
+//! own threads, which allocate while a test runs, are not counted; every
+//! measured call runs on the test's own thread. The forced backend is
+//! process-wide, so the tests here take turns on [`GATE`].
 
 use saga_ann::{
     FlatIndex, FlatScratch, Hit, HnswIndex, HnswParams, Metric, PqConfig, PqIndex, PqScratch,
@@ -16,27 +18,32 @@ use saga_ann::{
 use saga_core::kernels;
 use saga_core::rng::SplitMix64;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
 struct CountingAlloc;
 
 static GATE: Mutex<()> = Mutex::new(());
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -51,11 +58,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Runs `f` with allocation counting armed, returning how many allocations
 /// it performed.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
     f();
-    ARMED.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+    ARMED.with(|a| a.set(false));
+    ALLOCS.with(Cell::get)
 }
 
 /// Runs `f` (warm-up, then measured section) once per kernel backend this

@@ -108,12 +108,12 @@ mod tests {
     fn e9_quick_shapes_hold() {
         let r = run(Scale::Quick);
         let workers = &r.tables[0].rows;
-        // Wall-clock on a possibly single-core, loaded CI host is noisy;
-        // assert only that multi-worker runs are not catastrophically
-        // slower (correct scaling is asserted via max_overlap below).
-        let t1: f64 = workers[0][1].parse().unwrap();
-        let t4: f64 = workers[2][1].parse().unwrap();
-        assert!(t4 < t1 * 1.5 + 0.05, "4 workers pathologically slower: {t1} vs {t4}");
+        // Wall clock is not asserted: on a small, loaded host it says
+        // nothing about the schedule. The schedule is asserted instead:
+        // the worker count never reaches the model, and 4 workers do
+        // train buckets side by side.
+        let losses: Vec<&str> = workers.iter().map(|row| row[5].as_str()).collect();
+        assert_eq!(losses, [losses[0]; 3], "final loss at 1, 2 and 4 workers");
         let overlap: usize = workers[2][4].parse().unwrap();
         assert!(overlap >= 2, "scheduler must sustain concurrent buckets: {overlap}");
         let disk = &r.tables[1].rows;

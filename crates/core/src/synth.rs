@@ -22,7 +22,7 @@ use crate::rng::SplitMix64;
 use crate::store::KnowledgeGraph;
 use crate::triple::Triple;
 use crate::value::{Date, Value, ValueKind};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Handles to the standard ontology's types.
 #[derive(Debug, Clone, Copy)]
@@ -402,8 +402,9 @@ pub struct SynthKg {
     /// Groups of entities sharing the same surface name.
     pub homonym_groups: Vec<Vec<EntityId>>,
     /// For each person with >1 occupation: occupations in ground-truth
-    /// importance order (most important first).
-    pub occupation_rank_truth: HashMap<EntityId, Vec<EntityId>>,
+    /// importance order (most important first). Ordered by person, so a
+    /// walk over it is the same on every run.
+    pub occupation_rank_truth: BTreeMap<EntityId, Vec<EntityId>>,
     /// The canonical worked examples from the paper.
     pub scenario: ScenarioEntities,
 }
@@ -688,7 +689,7 @@ pub fn generate(cfg: &SynthConfig) -> SynthKg {
     // ---- people ---------------------------------------------------------
     let mut people = Vec::with_capacity(cfg.num_people + 5);
     let mut name_to_people: HashMap<String, Vec<EntityId>> = HashMap::new();
-    let mut occupation_rank_truth = HashMap::new();
+    let mut occupation_rank_truth = BTreeMap::new();
 
     // The paper's worked-example entities come first so they always exist.
     let scenario = {

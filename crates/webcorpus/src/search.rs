@@ -22,15 +22,22 @@
 //! list, and for a list that outgrows its capacity: an unchanged page
 //! allocates nothing.
 //!
-//! A query is tokenized into a `TokenBuf` too, scores into a dense array and
-//! sorts only the `k` hits it returns; a document occurs once per list and
-//! the final order is total, so the list order does not reach the score bits
-//! or the ranking.
+//! A query works in buffers its thread keeps (one set per thread, shared by
+//! every engine it searches), so its cost follows the query's postings, not
+//! the corpus: it tokenizes into a kept `TokenBuf`, adds each posting's
+//! contribution into a dense per-document score slot, and lists a slot the
+//! first time an explicit mark shows it untouched. Reading the listed slots
+//! puts each back to `+0.0` and unmarked, and keeps the best `k` by bounded
+//! insertion into the returned `Vec`, the one allocation of a warm query.
+//! No slot is zeroed or scanned per corpus document. A document occurs once
+//! per list and the final order is total, so neither the list order nor the
+//! selection reaches the score bits or the ranking.
 
 use crate::gen::Corpus;
 use crate::page::WebPage;
 use saga_core::text::{tokenize_into, TokenBuf};
 use saga_core::DocId;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -191,45 +198,89 @@ impl SearchEngine {
         }
     }
 
-    /// BM25 search; returns the top `k` documents.
+    /// BM25 search; returns the top `k` documents. Once this thread's query
+    /// buffers have grown to the largest engine and query it has served,
+    /// the returned `Vec` is the only allocation.
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
         let n = self.num_docs as f32;
         if n == 0.0 {
             return Vec::new();
         }
         let avg = self.avg_len();
-        // A document's score is the sum of its per-token contributions in
-        // query-token order, starting from +0.0 — the order fixes the bits.
-        let mut scores = vec![0.0f32; self.doc_len.len()];
-        let mut seen = vec![false; self.doc_len.len()];
-        let mut hits: Vec<SearchHit> = Vec::new();
-        let query = TokenBuf::of(query);
-        for tok in query.texts() {
-            let list = self.term_ids.get(tok).map(|&id| &self.postings[id as usize]);
-            let Some(list) = list.filter(|list| !list.is_empty()) else { continue };
-            let df = list.len() as f32;
-            let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
-            for &(doc, tf) in list {
-                let slot = doc.index();
-                let len = self.doc_len[slot] as f32;
-                let tf = tf as f32;
-                scores[slot] += idf * (tf * (K1 + 1.0)) / (tf + K1 * (1.0 - B + B * len / avg));
-                if !seen[slot] {
-                    seen[slot] = true;
-                    hits.push(SearchHit { doc, score: 0.0 });
+        QUERY_SCRATCH.with(|scratch| {
+            let QueryScratch { toks, scores, seen, touched } = &mut *scratch.borrow_mut();
+            if scores.len() < self.doc_len.len() {
+                scores.resize(self.doc_len.len(), 0.0);
+                seen.resize(self.doc_len.len(), false);
+            }
+            tokenize_into(query, toks);
+            // A document's score is the sum of its per-token contributions
+            // in query-token order, starting from +0.0 — the order fixes the
+            // bits.
+            for tok in toks.texts() {
+                let list = self.term_ids.get(tok).map(|&id| &self.postings[id as usize]);
+                let Some(list) = list.filter(|list| !list.is_empty()) else { continue };
+                let df = list.len() as f32;
+                let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
+                for &(doc, tf) in list {
+                    let slot = doc.index();
+                    let len = self.doc_len[slot] as f32;
+                    let tf = tf as f32;
+                    scores[slot] += idf * (tf * (K1 + 1.0)) / (tf + K1 * (1.0 - B + B * len / avg));
+                    if !seen[slot] {
+                        seen[slot] = true;
+                        touched.push(doc);
+                    }
                 }
             }
-        }
-        for hit in &mut hits {
-            hit.score = scores[hit.doc.index()];
-        }
-        if k < hits.len() {
-            hits.select_nth_unstable_by(k, rank);
-            hits.truncate(k);
-        }
-        hits.sort_unstable_by(rank);
-        hits
+            // Read each touched score and put its slot back to +0.0 and
+            // unseen, so the next query starts from clean buffers.
+            let drain = touched.drain(..).map(|doc| {
+                let slot = doc.index();
+                seen[slot] = false;
+                SearchHit { doc, score: std::mem::take(&mut scores[slot]) }
+            });
+            if k >= drain.len() {
+                let mut hits: Vec<SearchHit> = drain.collect();
+                hits.sort_unstable_by(rank);
+                return hits;
+            }
+            // Bounded insertion: `hits` stays sorted and at most `k` long.
+            let mut hits = Vec::with_capacity(k);
+            for hit in drain {
+                if hits.len() == k {
+                    // Full: `hit` enters only by ranking before the last.
+                    if hits.last().is_none_or(|last| rank(&hit, last).is_ge()) {
+                        continue;
+                    }
+                    hits.pop();
+                }
+                let at = hits.partition_point(|h| rank(h, &hit).is_lt());
+                hits.insert(at, hit);
+            }
+            hits
+        })
     }
+}
+
+/// [`SearchEngine::search`]'s working buffers, one set per thread and
+/// shared by every engine the thread searches: the query's tokens, a score
+/// and a visit mark per document slot, and the slots this query touched.
+/// Between queries every score is `+0.0` and every mark is clear — a query
+/// resets exactly the slots it touched, so no query zeroes or scans a
+/// corpus-sized array.
+#[derive(Default)]
+struct QueryScratch {
+    toks: TokenBuf,
+    scores: Vec<f32>,
+    /// An explicit mark, not `score != 0.0`: a contribution can round to
+    /// `0.0` (at n ≳ 8 M, a term in every document has `idf == 0.0`).
+    seen: Vec<bool>,
+    touched: Vec<DocId>,
+}
+
+thread_local! {
+    static QUERY_SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::default());
 }
 
 #[cfg(test)]
@@ -403,56 +454,80 @@ mod tests {
     const PAGE_VOCAB: &[&str] = &["a", "b", "c", "d", "e", "the"];
     const QUERY_VOCAB: &[&str] = &["a", "b", "c", "the", "zz", "."];
 
+    /// Slots in this thread's query scratch.
+    fn scratch_len() -> u64 {
+        QUERY_SCRATCH.with(|s| s.borrow().scores.len() as u64)
+    }
+
+    /// Queries every case runs besides its random ones: a repeated token,
+    /// an unknown term, and two that tokenize to nothing.
+    const FIXED_QUERIES: [&str; 4] = ["a a the", "zz", "", "."];
+
     /// Any history of `index_page` (new page, replacement, empty page)
     /// and `remove_doc` (present or absent), over ids in random order,
     /// keeps every posting list strictly sorted by `DocId`, leaves the
     /// engine holding exactly what a fresh engine over the surviving
     /// pages holds (postings by term text, document lengths, `total_len`,
-    /// `num_docs`), and answering every query exactly as the engine it
-    /// replaced: same documents, same order, same score bits, same
-    /// `num_docs`, for every `k`. On a six-word vocabulary most
-    /// replacements drop a term, keep one at a new `tf` and add one;
+    /// `num_docs`), and answering every query after every step exactly as
+    /// the engine it replaced: same documents, same order, same score
+    /// bits, same `num_docs`, for every `k` from 0 past the number of
+    /// matches. On a six-word vocabulary most replacements drop a term,
+    /// keep one at a new `tf` and add one;
     /// `a_replacement_drops_keeps_and_adds_terms` pins each case.
+    ///
+    /// The cases run in sequence on a thread of their own, so the query
+    /// scratch starts empty and carries what every query left into the
+    /// next, across index changes and cases. One page in sixteen takes an
+    /// id at or just past the scratch's current length, so the next
+    /// queries run right after the scratch had to grow.
     #[test]
     fn search_matches_the_reference_engine() {
-        check(64, 1, |rng| {
-            let history = saga_testkit::vec(rng, 1..40, |rng| {
-                (rng.gen_range(0u64..12), rng.gen::<bool>(), words(rng, PAGE_VOCAB, 7))
-            });
-            let queries = saga_testkit::vec(rng, 1..6, |rng| words(rng, QUERY_VOCAB, 5));
-            let (mut engine, mut reference) = (SearchEngine::default(), ReferenceEngine::default());
-            let mut surviving = BTreeMap::new();
-            for (step, (id, remove, text)) in history.iter().enumerate() {
-                if *remove {
-                    engine.remove_doc(DocId(*id));
-                    reference.remove_doc(DocId(*id));
-                    surviving.remove(id);
-                } else {
-                    engine.index_page(&page(*id, text));
-                    reference.index_page(&page(*id, text));
-                    surviving.insert(*id, text.as_str());
-                }
-                assert_eq!(engine.num_docs(), reference.num_docs(), "step {}", step);
-                assert_invariants(&engine);
-                let rebuilt = fresh(&surviving);
-                assert_eq!(structure(&engine), structure(&rebuilt), "step {}", step);
-                if step % 4 != 3 && step + 1 != history.len() {
-                    continue;
-                }
-                for query in &queries {
-                    for k in (0..=engine.num_docs() + 1).chain([usize::MAX]) {
-                        assert_eq!(
-                            bits(&engine.search(query, k)),
-                            bits(&reference.search(query, k)),
-                            "step {} query {:?} k {}",
-                            step,
-                            query,
-                            k
-                        );
+        let cases = std::thread::spawn(|| {
+            check(64, 1, |rng| {
+                let history = saga_testkit::vec(rng, 1..40, |rng| {
+                    let id = match rng.gen_range(0u32..16) {
+                        0 => scratch_len() + rng.gen_range(0..3),
+                        _ => rng.gen_range(0..12),
+                    };
+                    (id, rng.gen::<bool>(), words(rng, PAGE_VOCAB, 7))
+                });
+                let mut queries = saga_testkit::vec(rng, 1..4, |rng| words(rng, QUERY_VOCAB, 5));
+                queries.extend(FIXED_QUERIES.map(str::to_owned));
+                let (mut engine, mut reference) =
+                    (SearchEngine::default(), ReferenceEngine::default());
+                let mut surviving = BTreeMap::new();
+                for (step, (id, remove, text)) in history.iter().enumerate() {
+                    if *remove {
+                        engine.remove_doc(DocId(*id));
+                        reference.remove_doc(DocId(*id));
+                        surviving.remove(id);
+                    } else {
+                        engine.index_page(&page(*id, text));
+                        reference.index_page(&page(*id, text));
+                        surviving.insert(*id, text.as_str());
+                    }
+                    assert_eq!(engine.num_docs(), reference.num_docs(), "step {}", step);
+                    assert_invariants(&engine);
+                    let rebuilt = fresh(&surviving);
+                    assert_eq!(structure(&engine), structure(&rebuilt), "step {}", step);
+                    for query in &queries {
+                        for k in (0..=engine.num_docs() + 1).chain([usize::MAX]) {
+                            assert_eq!(
+                                bits(&engine.search(query, k)),
+                                bits(&reference.search(query, k)),
+                                "step {} query {:?} k {}",
+                                step,
+                                query,
+                                k
+                            );
+                        }
                     }
                 }
-            }
+            });
+            scratch_len()
         });
+        let grown = cases.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        assert!(grown > 12, "no page took an id past the other steps' twelve: {grown}");
     }
 
     #[test]

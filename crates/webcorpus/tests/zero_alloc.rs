@@ -1,4 +1,5 @@
-//! Reindexing a page allocates for what the page changed, not for the page.
+//! Reindexing a page allocates for what the page changed, not for the page,
+//! and a query allocates only the hits it returns.
 //!
 //! `SearchEngine` keeps its indexing buffers (page text, tokens, term ids)
 //! and merges a replaced page's old terms with its new ones, so on a warm
@@ -11,6 +12,11 @@
 //!   is inserted into it). Its own term list keeps the capacity of its
 //!   token count, which its distinct terms stay under here, and every
 //!   buffer has grown past the longest page beforehand.
+//!
+//! `search` scores in buffers its thread keeps and resets only the slots a
+//! query touched, so on a warm thread a query allocates once — the `Vec` it
+//! returns — whether it matches a handful of pages or nearly all of them,
+//! and at 10× the pages as at 1×.
 //!
 //! The allocator counts only on the thread that armed it, so tests running
 //! side by side do not count each other's allocations; every measured call
@@ -117,4 +123,57 @@ fn a_warm_engine_allocates_only_for_the_posting_lists_a_page_joins() {
     }
     assert!(joined_total > n, "the pages gain terms: {joined_total}");
     assert_eq!(engine.num_docs(), n);
+}
+
+/// The benchmark's world (500 people, 900 entity + 160 news + 80 noise
+/// pages) with every entity and page count multiplied by `scale`.
+fn bench_engine(scale: usize) -> (saga_core::synth::SynthKg, SearchEngine) {
+    let s = generate(&SynthConfig {
+        num_people: 500 * scale,
+        num_movies: 160 * scale,
+        num_songs: 160 * scale,
+        num_orgs: 80 * scale,
+        num_places: 60 * scale,
+        num_teams: 25 * scale,
+        ..SynthConfig::tiny(7)
+    });
+    let pages = CorpusConfig {
+        entity_pages: 900 * scale,
+        news_pages: 160 * scale,
+        noise_pages: 80 * scale,
+        ..CorpusConfig::tiny(7 ^ 0x17)
+    };
+    let (corpus, _) = generate_corpus(&s, &[], &pages);
+    let engine = SearchEngine::build(&corpus);
+    assert!(engine.num_docs() >= 1_000 * scale, "{} pages", engine.num_docs());
+    (s, engine)
+}
+
+#[test]
+fn a_warm_query_allocates_only_the_hits_it_returns() {
+    for scale in [1, 10] {
+        let (s, engine) = bench_engine(scale);
+        let name = &s.kg.entity(s.scenario.benicio).name;
+        let queries =
+            [name.clone(), format!("{name} date of birth"), "date of birth person".into()];
+        // Warm this thread's query buffers to this engine and these queries.
+        for q in &queries {
+            engine.search(q, 50);
+        }
+        let mut matched = Vec::new();
+        for q in &queries {
+            for k in [0, 50, usize::MAX] {
+                let (allocs, hits) = count_allocs(|| engine.search(q, k));
+                assert!(allocs <= 1, "{scale}x: {q:?} at k {k} allocated {allocs} times");
+                assert_eq!(hits, engine.search(q, k), "{scale}x: {q:?} at k {k}");
+                if k == usize::MAX {
+                    matched.push(hits.len());
+                }
+            }
+        }
+        // A rare name matches a few pages; the common words most of them.
+        let n = engine.num_docs();
+        assert!(matched[0] < n / 20, "{scale}x: the name matched {} of {n}", matched[0]);
+        assert!(matched[2] > n / 2, "{scale}x: the common words matched {} of {n}", matched[2]);
+    }
 }
