@@ -5,7 +5,7 @@ use crate::report::{f3, ExperimentResult, Table};
 use crate::world::Scale;
 use saga_ondevice::{
     fuse_clusters, generate_device_data, personal_ontology, resolve_references,
-    ConstructionPipeline, DeviceDataConfig, PipelineConfig,
+    ConstructionPipeline, DeviceDataConfig,
 };
 use std::time::Instant;
 
@@ -25,7 +25,7 @@ pub fn run(scale: Scale) -> ExperimentResult {
 
     // ---- full pipeline ------------------------------------------------------
     let start = Instant::now();
-    let mut pipeline = ConstructionPipeline::new(obs.clone(), PipelineConfig::default());
+    let mut pipeline = ConstructionPipeline::new(obs.clone());
     pipeline.run_to_completion();
     let elapsed = start.elapsed();
     let clusters = pipeline.clusters().to_vec();
@@ -71,7 +71,7 @@ pub fn run(scale: Scale) -> ExperimentResult {
 
     // ---- pause/resume equivalence -------------------------------------------
     let reference_fp = pipeline.result_fingerprint();
-    let mut paused = ConstructionPipeline::new(obs.clone(), PipelineConfig::default());
+    let mut paused = ConstructionPipeline::new(obs.clone());
     let mut resumes = 0;
     // Pause often enough to prove the property, without re-serializing the
     // full state tens of thousands of times at large scale.
@@ -79,8 +79,7 @@ pub fn run(scale: Scale) -> ExperimentResult {
     while !paused.is_done() {
         paused.step(batch);
         let ckpt = paused.checkpoint();
-        paused = ConstructionPipeline::resume(obs.clone(), PipelineConfig::default(), &ckpt)
-            .expect("resume");
+        paused = ConstructionPipeline::resume(obs.clone(), &ckpt).expect("resume");
         resumes += 1;
     }
     let mut pr = Table::new(

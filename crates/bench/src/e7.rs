@@ -29,7 +29,7 @@ pub fn run(scale: Scale) -> ExperimentResult {
     let dir = std::env::temp_dir().join(format!("saga-e7-{}", std::process::id()));
     for budget in budgets {
         let start = Instant::now();
-        let r = block_observations(&obs, &dir, budget, 256).expect("blocking");
+        let r = block_observations(&obs, &dir, budget).expect("blocking");
         let elapsed = start.elapsed();
         assert!(
             r.spill_stats.peak_memory_bytes <= budget + 512,

@@ -69,7 +69,7 @@ pub use obs::{
     SpanTimer, WallClock,
 };
 pub use ontology::{Cardinality, Ontology, PredicateInfo, TypeInfo, Volatility};
-pub use persist::engine::{AppendOutcome, Engine, EngineChanges, EngineOptions, EngineStats};
+pub use persist::engine::{AppendOutcome, Engine, EngineOptions, EngineStats};
 pub use persist::kg::{Changes, GraphPin, KgStore, StoreTxn};
 pub use store::{fact_content_key, Delta, FactContentKey, KnowledgeGraph};
 pub use triple::{FactMeta, ObjKey, Triple, TripleKey};

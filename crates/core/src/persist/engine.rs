@@ -317,20 +317,6 @@ pub enum AppendOutcome {
     LogFull,
 }
 
-/// Result of [`Engine::changes_since`]: the durable change cursor.
-#[derive(Debug)]
-pub enum EngineChanges<'a> {
-    /// Every transaction after the requested commit, in commit order.
-    Frames(&'a [(u64, Vec<u8>)]),
-    /// The requested commit predates the last checkpoint; the log no longer
-    /// reaches back that far. The caller must resync from the image at
-    /// `checkpoint` and resume the cursor from there.
-    Lapsed {
-        /// Commit sequence covered by the current checkpoint image.
-        checkpoint: u64,
-    },
-}
-
 /// Integrity report from [`Engine::scrub`].
 #[derive(Debug, Clone, Default)]
 pub struct ScrubReport {
@@ -415,6 +401,8 @@ pub struct Engine {
     /// Next append offset within the log region.
     log_off: u64,
     last_commit: u64,
+    /// The frames [`open`](Self::open) recovered, for the caller's replay;
+    /// appends are not copied here.
     tail: Vec<(u64, Vec<u8>)>,
     replayed_bytes: u64,
     manifest: Option<Manifest>,
@@ -595,10 +583,16 @@ impl Engine {
         self.root.commit
     }
 
-    /// Transactions recovered from the log tail at [`open`](Self::open),
-    /// plus those appended since.
+    /// Transactions recovered from the log tail at [`open`](Self::open)
+    /// (empty after a [`checkpoint`](Self::checkpoint)). Transactions
+    /// appended since are not kept.
     pub fn tail(&self) -> &[(u64, Vec<u8>)] {
         &self.tail
+    }
+
+    /// Transactions in the log since the checkpoint: recovered or appended.
+    fn tail_txns(&self) -> u64 {
+        self.last_commit - self.root.commit
     }
 
     /// Microseconds spent inside the last [`open`](Self::open).
@@ -617,7 +611,7 @@ impl Engine {
             page_size: self.page_size,
             log_cap: self.log_cap,
             log_used: self.log_off,
-            tail_txns: self.tail.len() as u64,
+            tail_txns: self.tail_txns(),
             recovery_micros: self.recovery_micros,
         }
     }
@@ -701,23 +695,11 @@ impl Engine {
         self.kw_sync(SITE_LOG_FSYNC)?;
         self.log_off += frame_len;
         self.last_commit = seq;
-        self.tail.push((seq, payload.to_vec()));
         if let Some(o) = &self.obs {
             o.log_appends.inc();
             o.log_bytes_appended.add(frame_len);
         }
         Ok(AppendOutcome::Committed(seq))
-    }
-
-    /// The durable change cursor: every transaction committed after
-    /// `commit`, or [`EngineChanges::Lapsed`] when the log no longer
-    /// reaches back that far (the caller resyncs from the image).
-    pub fn changes_since(&self, commit: u64) -> EngineChanges<'_> {
-        if commit < self.root.commit {
-            return EngineChanges::Lapsed { checkpoint: self.root.commit };
-        }
-        let skip = ((commit - self.root.commit) as usize).min(self.tail.len());
-        EngineChanges::Frames(&self.tail[skip..])
     }
 
     // ----------------------------------------------------------- checkpoint
@@ -781,9 +763,9 @@ impl Engine {
     /// checkpoint has ever been taken. Every page and the assembled image
     /// are checksum-verified; any mismatch is [`SagaError::Corrupt`].
     ///
-    /// Note the returned image reflects the *checkpoint*; the caller applies
-    /// [`tail`](Self::tail) transactions on top to reach
-    /// [`last_commit`](Self::last_commit).
+    /// Note the returned image reflects the *checkpoint*; after
+    /// [`open`](Self::open) the caller applies the [`tail`](Self::tail)
+    /// transactions on top to reach [`last_commit`](Self::last_commit).
     pub fn materialize(&mut self) -> Result<Option<Vec<u8>>> {
         if self.root.manifest_id == NO_PAGE {
             return Ok(None);
@@ -971,7 +953,7 @@ impl Engine {
             epoch: self.root.epoch,
             checkpoint_commit: self.root.commit,
             last_commit: self.last_commit,
-            tail_txns: self.tail.len() as u64,
+            tail_txns: self.tail_txns(),
             ..ScrubReport::default()
         };
         let mut slots = [0u8; 2 * SLOT_LEN];
@@ -1165,28 +1147,6 @@ mod tests {
         e.checkpoint(&big, e.last_commit() + 1).unwrap();
         assert_eq!(e.last_commit(), 1);
         assert_eq!(e.append(&[1u8; 64]).unwrap(), AppendOutcome::Committed(2));
-    }
-
-    #[test]
-    fn changes_cursor_and_lapse() {
-        let p = tmp("cursor.db");
-        let mut e = Engine::create(&p, &small_opts()).unwrap();
-        e.append(b"a").unwrap();
-        e.append(b"b").unwrap();
-        match e.changes_since(1) {
-            EngineChanges::Frames(f) => assert_eq!(f, &[(2, b"b".to_vec())]),
-            other => panic!("unexpected {other:?}"),
-        }
-        e.checkpoint(b"img", e.last_commit()).unwrap();
-        e.append(b"c").unwrap();
-        match e.changes_since(1) {
-            EngineChanges::Lapsed { checkpoint } => assert_eq!(checkpoint, 2),
-            other => panic!("cursor before the checkpoint must lapse, got {other:?}"),
-        }
-        match e.changes_since(2) {
-            EngineChanges::Frames(f) => assert_eq!(f, &[(3, b"c".to_vec())]),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! MVCC snapshot reads, and a change-subscription cursor.
 //!
 //! **Write path.** [`KgStore::commit`] runs a closure against a
-//! [`StoreTxn`], which applies mutations to the in-memory graph *and*
-//! records them as a deterministic operation list. The list is serialized
+//! [`StoreTxn`], which applies mutations to the in-memory graph (fact
+//! writes queue until the graph commits) *and* records them as a
+//! deterministic operation list. The list is serialized
 //! and appended to the engine's transaction log (one fsync per commit).
 //! When the log region is full, the store checkpoints instead: the full
 //! graph image (with the new transaction baked in) is written as
@@ -170,10 +171,14 @@ fn apply_op(kg: &mut KnowledgeGraph, op: &KgOp) -> Result<()> {
     Ok(())
 }
 
-/// A transaction under construction: mutations apply to the working graph
-/// immediately (so later statements in the same transaction observe earlier
-/// ones) and are recorded for the durable op log. Reads go through
-/// [`Deref`](std::ops::Deref) to the graph.
+/// A transaction under construction. Every mutation is recorded for the
+/// durable op log, and reads go through [`Deref`](std::ops::Deref) to the
+/// working graph. Entity additions, source registrations and popularity
+/// updates take effect at once, so later statements in the transaction see
+/// them. Fact inserts and removals only queue: fact reads such as
+/// [`contains`](KnowledgeGraph::contains) and
+/// [`objects`](KnowledgeGraph::objects) see the committed facts until
+/// [`KgStore::commit`] commits the graph after the closure returns.
 pub struct StoreTxn<'a> {
     kg: &'a mut KnowledgeGraph,
     ops: Vec<KgOp>,
@@ -523,7 +528,7 @@ impl KgStore {
 mod tests {
     use super::*;
     use crate::ontology::{Cardinality, Ontology, Volatility};
-    use crate::value::ValueKind;
+    use crate::value::{Value, ValueKind};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("saga-core-kgstore-tests");
@@ -553,6 +558,40 @@ mod tests {
 
     fn person_type(kg: &KnowledgeGraph) -> crate::ids::TypeId {
         kg.entity(EntityId(0)).entity_type
+    }
+
+    #[test]
+    fn a_txn_sees_its_entities_at_once_and_its_facts_after_commit() {
+        let p = tmp("txn-reads.db");
+        let (kg, knows) = base_graph();
+        let mut store = KgStore::create(&p, kg, &EngineOptions::default()).unwrap();
+        let (alice, bob) = (EntityId(0), EntityId(1));
+        let fact = Triple::new(alice, knows, bob);
+        let (carol, _) = store
+            .commit(|txn| {
+                let t = person_type(txn);
+                let carol = txn.add_entity(EntityBuilder::new("Carol", t));
+                assert_eq!(txn.entity(carol).name, "Carol");
+                let src = txn.register_source("unit-test");
+                assert_eq!(txn.source_name(src), "unit-test");
+                txn.set_popularity(carol, 0.5);
+                assert_eq!(txn.entity(carol).popularity, 0.5);
+                txn.insert_with(fact.clone(), src, 0.9);
+                assert!(!txn.contains(&fact), "an insert queues until the commit");
+                assert!(txn.objects(alice, knows).is_empty());
+                carol
+            })
+            .unwrap();
+        assert!(store.graph().contains(&fact));
+        assert_eq!(store.graph().entity(carol).popularity, 0.5);
+        store
+            .commit(|txn| {
+                txn.remove(&fact);
+                assert!(txn.contains(&fact), "a removal queues until the commit");
+                assert_eq!(txn.objects(alice, knows), vec![Value::Entity(bob)]);
+            })
+            .unwrap();
+        assert!(!store.graph().contains(&fact));
     }
 
     #[test]

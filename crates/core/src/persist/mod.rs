@@ -9,9 +9,8 @@
 //!
 //! Invariants:
 //! - a reader never returns a payload whose checksum does not match;
-//! - a truncated trailing frame (torn write) is reported as `Corrupt`, and
-//!   [`FrameReader::read_all_valid`] lets recovery paths keep every frame
-//!   before the tear (used by on-device checkpoint recovery);
+//! - a truncated trailing frame (torn write) is reported as `Corrupt`,
+//!   after every frame before the tear has been returned;
 //! - library paths never panic: every fallible operation returns
 //!   [`SagaError`] (enforced by the module-level `deny(clippy::unwrap_used)`).
 //!
@@ -186,16 +185,6 @@ impl FrameReader {
             return Err(SagaError::Corrupt("checksum mismatch".into()));
         }
         Ok(Some(payload))
-    }
-
-    /// Reads all frames, stopping (without error) at the first corruption —
-    /// crash-recovery semantics for append-only logs.
-    pub fn read_all_valid(&mut self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        while let Ok(Some(f)) = self.next_frame() {
-            out.push(f);
-        }
-        out
     }
 
     /// Reads all frames, propagating corruption as an error.
@@ -379,13 +368,10 @@ mod tests {
         let f = std::fs::OpenOptions::new().write(true).open(&p).unwrap();
         f.set_len(len - 5).unwrap(); // tear the last frame
         drop(f);
+        // The frame before the tear reads back; the torn one is an error.
         let mut r = FrameReader::open(&p).unwrap();
-        let valid = r.read_all_valid();
-        assert_eq!(valid, vec![b"frame-one".to_vec()]);
-        // And the strict reader errors.
-        let mut r2 = FrameReader::open(&p).unwrap();
-        assert!(r2.next_frame().is_ok());
-        assert!(matches!(r2.next_frame(), Err(SagaError::Corrupt(_))));
+        assert_eq!(r.next_frame().unwrap(), Some(b"frame-one".to_vec()));
+        assert!(matches!(r.next_frame(), Err(SagaError::Corrupt(_))));
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! Paper Sec. 2 lists "IO-optimized disk-based graph operations" as one of
 //! the two approaches Saga uses ("for general KG embeddings we use
 //! disk-based training"). The design follows Marius: embedding partitions
-//! are stored on disk, a fixed-capacity in-memory buffer holds a subset, and
-//! edge buckets are ordered to minimize partition swaps. This module holds
-//! the buffer. The loop is [`CheckpointedTrainer`]'s, run
+//! are stored on disk, and a fixed-capacity in-memory buffer holds a subset.
+//! Marius also orders the edge buckets to minimize partition swaps; this
+//! module does not. It holds the buffer, and the loop is
+//! [`CheckpointedTrainer`]'s, run
 //! [`with_buffer`](CheckpointedTrainer::with_buffer): each round is one
-//! bucket, in `(head, tail)` key order, so every tail partition is visited
-//! before the head partition changes. [`train_disk`] is that loop run
-//! without a log. Experiment E9 benchmarks swap counts against in-memory
+//! bucket, and buckets run in `(head, tail)` key order. That order is not
+//! planned for the buffer. Under its LRU eviction it is close to the worst
+//! order: the head partition stays resident, and a cyclic scan of the other
+//! tails misses on nearly every bucket. [`train_disk`] is that loop run
+//! without a log. Experiment E9 counts partition loads against in-memory
 //! training.
 
 use crate::checkpoint::{CheckpointedTrainer, TrainRun};

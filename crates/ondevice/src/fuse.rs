@@ -155,14 +155,19 @@ fn source_name(kind: SourceKind) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::resolve_entities;
+    use crate::pipeline::ConstructionPipeline;
     use crate::sources::{generate_device_data, DeviceDataConfig};
+
+    fn resolve(obs: &[PersonObservation]) -> Vec<Vec<usize>> {
+        let mut p = ConstructionPipeline::new(obs.to_vec());
+        p.run_to_completion();
+        p.clusters().to_vec()
+    }
 
     #[test]
     fn fusion_builds_consolidated_entities() {
         let (obs, truth) = generate_device_data(&DeviceDataConfig::tiny(31));
-        let dir = std::env::temp_dir().join(format!("saga-fuse-{}", std::process::id()));
-        let (clusters, _) = resolve_entities(&obs, &dir, 1 << 20, 0.9).unwrap();
+        let clusters = resolve(&obs);
         let (ont, handles) = personal_ontology();
         let mut kg = KnowledgeGraph::new(ont);
         let fused = fuse_clusters(&mut kg, &handles, &obs, &clusters);
@@ -188,8 +193,7 @@ mod tests {
     #[test]
     fn display_name_prefers_full_form() {
         let (obs, _) = generate_device_data(&DeviceDataConfig::tiny(31));
-        let dir = std::env::temp_dir().join(format!("saga-fuse2-{}", std::process::id()));
-        let (clusters, _) = resolve_entities(&obs, &dir, 1 << 20, 0.9).unwrap();
+        let clusters = resolve(&obs);
         let (ont, handles) = personal_ontology();
         let mut kg = KnowledgeGraph::new(ont);
         let fused = fuse_clusters(&mut kg, &handles, &obs, &clusters);

@@ -2,11 +2,16 @@
 //!
 //! Private on-device knowledge (paper Sec. 5): personal KG construction
 //! from contacts/messages/calendar with entity resolution and fusion
-//! (Fig. 7), a pausable incremental construction pipeline, memory-bounded
-//! spill-to-disk operators, per-source cross-device sync with computation
-//! offload, on-device semantic annotation with contextual relevance
-//! ranking, and the three global-knowledge enrichment paths (static asset,
-//! piggyback, PIR/DP private retrieval).
+//! (Fig. 7), memory-bounded spill-to-disk operators, per-source
+//! cross-device sync with computation offload, on-device semantic
+//! annotation with contextual relevance ranking, and the three
+//! global-knowledge enrichment paths (static asset, piggyback, PIR/DP
+//! private retrieval).
+//!
+//! Entity resolution has one implementation: the pausable stage machine of
+//! [`ConstructionPipeline`] (block → pair → match → cluster). The first
+//! build and every increment run the same stages, an increment over its new
+//! records only, and either can be checkpointed and resumed at any step.
 
 #![warn(missing_docs)]
 
@@ -30,11 +35,11 @@ pub use enrich::{
 };
 pub use fuse::{fuse_clusters, personal_ontology, FusedPerson, PersonalOntology};
 pub use matching::{
-    block_observations, normalize_email, normalize_phone, resolve_entities, score_pair, BlockKey,
-    MatchScore, UnionFind,
+    block_observations, normalize_email, normalize_phone, score_pair, BlockKey, MatchScore,
+    UnionFind,
 };
 pub use personalize::{build_preferences, recommend, PreferenceProfile};
-pub use pipeline::{ConstructionPipeline, IncrementReport, PipelineConfig, Stage};
+pub use pipeline::{ConstructionPipeline, IncrementReport, Stage};
 pub use sources::{
     generate_device_data, DeviceDataConfig, DeviceTruth, PersonObservation, SourceKind, TruePerson,
 };

@@ -58,8 +58,15 @@ impl BinCodec for BlockKey {
     }
 }
 
+/// Blocks larger than this emit no pairs: a hub key (a very common first
+/// name) would otherwise make blocking quadratic.
+pub const MAX_BLOCK_SIZE: usize = 256;
+
+/// Minimum [`MatchScore::score`] at which two observations merge.
+pub const MATCH_THRESHOLD: f32 = 0.9;
+
 /// Emits the blocking keys of one observation.
-pub fn block_keys(o: &PersonObservation) -> Vec<BlockKey> {
+pub(crate) fn block_keys(o: &PersonObservation) -> Vec<BlockKey> {
     let mut keys = Vec::new();
     if let Some(p) = &o.phone {
         let n = normalize_phone(p);
@@ -81,6 +88,33 @@ pub fn block_keys(o: &PersonObservation) -> Vec<BlockKey> {
     keys
 }
 
+/// Cuts the key group that starts at `keyed[start]` of a sorted
+/// `(key, index)` list into candidate pairs, pushes them onto `pairs` and
+/// returns where the next group starts. Only pairs that touch an index
+/// `>= base` are emitted (`base` 0 emits them all), and a group larger than
+/// [`MAX_BLOCK_SIZE`] emits none.
+pub(crate) fn cut_group(
+    keyed: &[(BlockKey, usize)],
+    start: usize,
+    base: usize,
+    pairs: &mut Vec<(usize, usize)>,
+) -> usize {
+    let key = &keyed[start].0;
+    let end = start + keyed[start..].iter().take_while(|(k, _)| k == key).count();
+    let group = &keyed[start..end];
+    // Indices ascend within a group, so its last one is its largest.
+    if group.len() <= MAX_BLOCK_SIZE && group[group.len() - 1].1 >= base {
+        for (a, &(_, x)) in group.iter().enumerate() {
+            for &(_, y) in &group[a + 1..] {
+                if x != y && y >= base {
+                    pairs.push((x, y));
+                }
+            }
+        }
+    }
+    end
+}
+
 /// Pairwise-blocking output: candidate pairs of observation indices.
 #[derive(Debug, Clone, Default)]
 pub struct BlockingResult {
@@ -91,13 +125,13 @@ pub struct BlockingResult {
 }
 
 /// Memory-bounded blocking: sorts `(key, index)` pairs with a spill sorter
-/// and emits candidate pairs within each key group (groups capped to avoid
-/// quadratic blowup on hub keys like very common first names).
+/// and cuts each key group into candidate pairs ([`MAX_BLOCK_SIZE`] caps a
+/// group). The construction pipeline cuts its in-memory key list the same
+/// way.
 pub fn block_observations(
     observations: &[PersonObservation],
     spill_dir: &Path,
     memory_budget: usize,
-    max_block_size: usize,
 ) -> Result<BlockingResult> {
     let mut sorter: SpillSorter<(BlockKey, usize)> = SpillSorter::new(spill_dir, memory_budget)?;
     for (i, o) in observations.iter().enumerate() {
@@ -110,22 +144,7 @@ pub fn block_observations(
     let mut pairs = Vec::new();
     let mut i = 0;
     while i < sorted.len() {
-        let mut j = i;
-        while j + 1 < sorted.len() && sorted[j + 1].0 == sorted[i].0 {
-            j += 1;
-        }
-        let group = &sorted[i..=j];
-        if group.len() <= max_block_size {
-            for a in 0..group.len() {
-                for b in a + 1..group.len() {
-                    let (x, y) = (group[a].1, group[b].1);
-                    if x != y {
-                        pairs.push((x.min(y), x.max(y)));
-                    }
-                }
-            }
-        }
-        i = j + 1;
+        i = cut_group(&sorted, i, 0, &mut pairs);
     }
     pairs.sort_unstable();
     pairs.dedup();
@@ -219,29 +238,17 @@ impl UnionFind {
     }
 }
 
-/// Full matching: blocking → pairwise scoring → transitive clustering.
-/// Pairs with `score >= threshold` merge.
-pub fn resolve_entities(
-    observations: &[PersonObservation],
-    spill_dir: &Path,
-    memory_budget: usize,
-    threshold: f32,
-) -> Result<(Vec<Vec<usize>>, SpillStats)> {
-    let blocking = block_observations(observations, spill_dir, memory_budget, 256)?;
-    let mut uf = UnionFind::new(observations.len());
-    for (a, b) in &blocking.pairs {
-        let s = score_pair(&observations[*a], &observations[*b]);
-        if s.score >= threshold {
-            uf.union(*a, *b);
-        }
-    }
-    Ok((uf.clusters(), blocking.spill_stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::ConstructionPipeline;
     use crate::sources::{generate_device_data, DeviceDataConfig, SourceKind};
+
+    fn resolve(obs: &[PersonObservation]) -> Vec<Vec<usize>> {
+        let mut p = ConstructionPipeline::new(obs.to_vec());
+        p.run_to_completion();
+        p.clusters().to_vec()
+    }
 
     fn spill_dir(name: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir()
@@ -298,7 +305,7 @@ mod tests {
                 context: String::new(),
             },
         ];
-        let (clusters, _) = resolve_entities(&obs, &spill_dir("tims"), 1 << 20, 0.9).unwrap();
+        let clusters = resolve(&obs);
         let non_singleton: Vec<_> = clusters.iter().filter(|c| c.len() > 1).collect();
         assert_eq!(non_singleton.len(), 1, "exactly one merged Tim: {clusters:?}");
         assert_eq!(non_singleton[0], &vec![0, 1, 2]);
@@ -309,7 +316,7 @@ mod tests {
     #[test]
     fn resolution_matches_ground_truth_well() {
         let (obs, truth) = generate_device_data(&DeviceDataConfig::tiny(21));
-        let (clusters, _) = resolve_entities(&obs, &spill_dir("truth"), 1 << 20, 0.9).unwrap();
+        let clusters = resolve(&obs);
         // Pairwise precision/recall vs ground truth.
         let mut owner_of = vec![0usize; obs.len()];
         for (i, o) in obs.iter().enumerate() {
@@ -344,7 +351,7 @@ mod tests {
     fn blocking_respects_memory_budget() {
         let (obs, _) = generate_device_data(&DeviceDataConfig::tiny(22));
         let budget = 8 * 1024;
-        let r = block_observations(&obs, &spill_dir("budget"), budget, 256).unwrap();
+        let r = block_observations(&obs, &spill_dir("budget"), budget).unwrap();
         assert!(r.spill_stats.peak_memory_bytes <= budget + 256);
         assert!(r.spill_stats.runs_spilled > 0);
         assert!(!r.pairs.is_empty());

@@ -3,13 +3,28 @@
 //! without losing state, allowing deferral of the construction process in
 //! favor of any other higher priority task."
 //!
-//! Every stage advances a cursor in small batches;
+//! It is the crate's one entity resolver. Records arrive in batches, and
+//! every batch runs the same stages, Ingest → Block → Pair → Match → Fuse.
+//! The state remembers `base`, the index of the batch's first record. The
+//! first build is the batch that starts from empty (`base` = 0); an
+//! increment ([`ConstructionPipeline::begin_increment`]) re-enters the
+//! stages at the old record count:
+//! - **Ingest** appends the batch's records;
+//! - **Block** keys the records from `base` on, then re-sorts the key
+//!   list (the sort merges the old sorted run with the new keys);
+//! - **Pair** emits only the pairs that touch a record at or past `base`;
+//! - **Match** scores only those pairs;
+//! - **Fuse** re-clusters every match so far.
+//!
+//! An increment therefore ends with the clusters of a full rebuild over
+//! every record (verified by tests), having scored only its own pairs.
+//! Every stage advances a cursor in small steps, and
 //! [`ConstructionPipeline::checkpoint`] encodes the complete state
-//! (`persist::codec`) between any two batches, and resuming from that
-//! checkpoint yields byte-identical results to an uninterrupted run
-//! (verified by property tests).
+//! (`persist::codec`) between any two of them, in a first build and in an
+//! increment alike. Resuming from that checkpoint yields byte-identical
+//! results to an uninterrupted run (verified by property tests).
 
-use crate::matching::{block_keys, score_pair, BlockKey, UnionFind};
+use crate::matching::{block_keys, cut_group, score_pair, BlockKey, UnionFind, MATCH_THRESHOLD};
 use crate::sources::PersonObservation;
 use saga_core::persist::codec::{self, BinCodec, Reader};
 use saga_core::{Result, SagaError};
@@ -55,29 +70,19 @@ impl BinCodec for Stage {
     }
 }
 
-/// Pipeline configuration.
-#[derive(Debug, Clone)]
-pub struct PipelineConfig {
-    /// Minimum pair score to merge.
-    pub match_threshold: f32,
-    /// Blocks larger than this are skipped (hub-key protection).
-    pub max_block_size: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        Self { match_threshold: 0.9, max_block_size: 256 }
-    }
-}
-
 /// The whole pipeline state: what a checkpoint encodes.
 #[derive(Debug, Clone)]
 struct PipelineState {
     stage: Stage,
     cursor: usize,
+    /// Index of the first record of the batch in flight.
+    base: usize,
     observations: Vec<PersonObservation>,
+    /// Every record's blocking keys (sorted once Block is done).
     keyed: Vec<(BlockKey, usize)>,
+    /// The batch's candidate pairs: those that touch a record `>= base`.
     pairs: Vec<(usize, usize)>,
+    /// Every matched pair, of every batch so far.
     matched: Vec<(usize, usize)>,
     clusters: Vec<Vec<usize>>,
 }
@@ -86,6 +91,7 @@ impl BinCodec for PipelineState {
     fn enc(&self, out: &mut Vec<u8>) {
         self.stage.enc(out);
         self.cursor.enc(out);
+        self.base.enc(out);
         self.observations.enc(out);
         self.keyed.enc(out);
         self.pairs.enc(out);
@@ -96,6 +102,7 @@ impl BinCodec for PipelineState {
         Ok(Self {
             stage: Stage::dec(rd)?,
             cursor: usize::dec(rd)?,
+            base: usize::dec(rd)?,
             observations: Vec::dec(rd)?,
             keyed: Vec::dec(rd)?,
             pairs: Vec::dec(rd)?,
@@ -105,29 +112,28 @@ impl BinCodec for PipelineState {
     }
 }
 
-/// The pausable construction pipeline over a fixed input snapshot.
+/// The pausable construction pipeline over the records fed to it so far.
 pub struct ConstructionPipeline {
     input: Vec<PersonObservation>,
-    cfg: PipelineConfig,
     state: PipelineState,
 }
 
 impl ConstructionPipeline {
-    /// Creates a pipeline over `input`.
-    pub fn new(input: Vec<PersonObservation>, cfg: PipelineConfig) -> Self {
-        Self {
-            input,
-            cfg,
-            state: PipelineState {
-                stage: Stage::Ingest,
-                cursor: 0,
-                observations: Vec::new(),
-                keyed: Vec::new(),
-                pairs: Vec::new(),
-                matched: Vec::new(),
-                clusters: Vec::new(),
-            },
-        }
+    /// Creates a pipeline whose first batch is `input`.
+    pub fn new(input: Vec<PersonObservation>) -> Self {
+        let state = PipelineState {
+            stage: Stage::Done,
+            cursor: 0,
+            base: 0,
+            observations: Vec::new(),
+            keyed: Vec::new(),
+            pairs: Vec::new(),
+            matched: Vec::new(),
+            clusters: Vec::new(),
+        };
+        let mut p = Self { input: Vec::new(), state };
+        p.begin_increment(input);
+        p
     }
 
     /// Current stage.
@@ -146,98 +152,71 @@ impl ConstructionPipeline {
     pub fn step(&mut self, budget: usize) -> Stage {
         let mut remaining = budget.max(1);
         while remaining > 0 && !self.is_done() {
-            match self.state.stage {
+            let s = &mut self.state;
+            let start = s.cursor;
+            // Each stage does up to `remaining` items: how many it did, and
+            // whether the stage is through.
+            let (used, finished) = match s.stage {
                 Stage::Ingest => {
-                    let end = (self.state.cursor + remaining).min(self.input.len());
-                    let n = end - self.state.cursor;
-                    self.state
-                        .observations
-                        .extend(self.input[self.state.cursor..end].iter().cloned());
-                    self.state.cursor = end;
-                    remaining -= n.max(1).min(remaining);
-                    if self.state.cursor == self.input.len() {
-                        self.state.stage = Stage::Block;
-                        self.state.cursor = 0;
-                    }
+                    s.cursor = (start + remaining).min(self.input.len());
+                    s.observations.extend_from_slice(&self.input[start..s.cursor]);
+                    (s.cursor - start, s.cursor == self.input.len())
                 }
                 Stage::Block => {
-                    let end = (self.state.cursor + remaining).min(self.state.observations.len());
-                    for i in self.state.cursor..end {
-                        for k in block_keys(&self.state.observations[i]) {
-                            self.state.keyed.push((k, i));
-                        }
+                    s.cursor = (start + remaining).min(s.observations.len());
+                    for i in start..s.cursor {
+                        s.keyed.extend(block_keys(&s.observations[i]).into_iter().map(|k| (k, i)));
                     }
-                    let n = end - self.state.cursor;
-                    self.state.cursor = end;
-                    remaining -= n.max(1).min(remaining);
-                    if self.state.cursor == self.state.observations.len() {
-                        // Deterministic transition: sort the key list.
-                        self.state.keyed.sort();
-                        self.state.stage = Stage::Pair;
-                        self.state.cursor = 0;
-                    }
+                    (s.cursor - start, s.cursor == s.observations.len())
                 }
                 Stage::Pair => {
-                    // Process one key-group per work item.
-                    let mut processed = 0;
-                    while processed < remaining && self.state.cursor < self.state.keyed.len() {
-                        let i = self.state.cursor;
-                        let mut j = i;
-                        while j + 1 < self.state.keyed.len()
-                            && self.state.keyed[j + 1].0 == self.state.keyed[i].0
-                        {
-                            j += 1;
-                        }
-                        let group = &self.state.keyed[i..=j];
-                        if group.len() <= self.cfg.max_block_size {
-                            for a in 0..group.len() {
-                                for b in a + 1..group.len() {
-                                    let (x, y) = (group[a].1, group[b].1);
-                                    if x != y {
-                                        self.state.pairs.push((x.min(y), x.max(y)));
-                                    }
-                                }
-                            }
-                        }
-                        self.state.cursor = j + 1;
-                        processed += 1;
+                    // One key group per work item.
+                    let mut groups = 0;
+                    while groups < remaining && s.cursor < s.keyed.len() {
+                        s.cursor = cut_group(&s.keyed, s.cursor, s.base, &mut s.pairs);
+                        groups += 1;
                     }
-                    remaining -= processed.max(1).min(remaining);
-                    if self.state.cursor >= self.state.keyed.len() {
-                        self.state.pairs.sort_unstable();
-                        self.state.pairs.dedup();
-                        self.state.stage = Stage::Match;
-                        self.state.cursor = 0;
-                    }
+                    (groups, s.cursor >= s.keyed.len())
                 }
                 Stage::Match => {
-                    let end = (self.state.cursor + remaining).min(self.state.pairs.len());
-                    for idx in self.state.cursor..end {
-                        let (a, b) = self.state.pairs[idx];
-                        let s =
-                            score_pair(&self.state.observations[a], &self.state.observations[b]);
-                        if s.score >= self.cfg.match_threshold {
-                            self.state.matched.push((a, b));
+                    s.cursor = (start + remaining).min(s.pairs.len());
+                    for &(a, b) in &s.pairs[start..s.cursor] {
+                        if score_pair(&s.observations[a], &s.observations[b]).score
+                            >= MATCH_THRESHOLD
+                        {
+                            s.matched.push((a, b));
                         }
                     }
-                    let n = end - self.state.cursor;
-                    self.state.cursor = end;
-                    remaining -= n.max(1).min(remaining);
-                    if self.state.cursor == self.state.pairs.len() {
-                        self.state.stage = Stage::Fuse;
-                        self.state.cursor = 0;
-                    }
+                    (s.cursor - start, s.cursor == s.pairs.len())
                 }
                 Stage::Fuse => {
-                    let mut uf = UnionFind::new(self.state.observations.len());
-                    for &(a, b) in &self.state.matched {
+                    let mut uf = UnionFind::new(s.observations.len());
+                    for &(a, b) in &s.matched {
                         uf.union(a, b);
                     }
-                    self.state.clusters = uf.clusters();
-                    self.state.stage = Stage::Done;
-                    remaining = remaining.saturating_sub(1);
+                    s.clusters = uf.clusters();
+                    (1, true)
                 }
                 Stage::Done => break,
+            };
+            remaining -= used.max(1).min(remaining);
+            if finished {
+                // Deterministic transitions: the key list and the pair list
+                // are sorted once their stage is through.
+                (s.stage, s.cursor) = match s.stage {
+                    Stage::Ingest => (Stage::Block, s.base),
+                    Stage::Block => {
+                        s.keyed.sort();
+                        (Stage::Pair, 0)
+                    }
+                    Stage::Pair => {
+                        s.pairs.sort_unstable();
+                        s.pairs.dedup();
+                        (Stage::Match, 0)
+                    }
+                    Stage::Match => (Stage::Fuse, 0),
+                    Stage::Fuse | Stage::Done => (Stage::Done, 0),
+                };
             }
         }
         self.state.stage
@@ -255,14 +234,11 @@ impl ConstructionPipeline {
         codec::to_bytes(&self.state)
     }
 
-    /// Restores a pipeline from a checkpoint over the same input snapshot.
-    /// A checkpoint that does not decode is [`SagaError::Corrupt`].
-    pub fn resume(
-        input: Vec<PersonObservation>,
-        cfg: PipelineConfig,
-        checkpoint: &[u8],
-    ) -> Result<Self> {
-        Ok(Self { input, cfg, state: codec::from_bytes(checkpoint)? })
+    /// Restores a pipeline from a checkpoint over the same input: every
+    /// batch fed to the checkpointed pipeline, in order. A checkpoint that
+    /// does not decode is [`SagaError::Corrupt`].
+    pub fn resume(input: Vec<PersonObservation>, checkpoint: &[u8]) -> Result<Self> {
+        Ok(Self { input, state: codec::from_bytes(checkpoint)? })
     }
 
     /// The resolved clusters (valid once done).
@@ -280,79 +256,38 @@ impl ConstructionPipeline {
         saga_core::text::fnv1a(format!("{:?}", self.state.clusters).as_bytes())
     }
 
-    /// Continuous construction: ingests a batch of *new* observations into a
-    /// finished pipeline, doing only the incremental work — blocking the new
-    /// records, scoring only pairs that involve at least one new record, and
-    /// re-clustering. Equivalent to a full rebuild over the union (verified
-    /// by tests) at a fraction of the cost.
+    /// Continuous construction: appends `batch` to a finished pipeline and
+    /// re-enters the stages at the old record count, so that the next
+    /// [`step`](Self::step)s block, pair and score only the new records'
+    /// work (see the module doc). The increment pauses, checkpoints and
+    /// resumes like a first build.
     ///
     /// # Panics
     /// Panics if the pipeline has not finished its current input.
-    pub fn ingest_increment(&mut self, new_obs: Vec<PersonObservation>) -> IncrementReport {
+    pub fn begin_increment(&mut self, batch: Vec<PersonObservation>) {
         assert!(self.is_done(), "finish the current input before incrementing");
-        let base = self.state.observations.len();
-        self.input.extend(new_obs.iter().cloned());
-        self.state.observations.extend(new_obs);
+        self.input.extend(batch);
+        let s = &mut self.state;
+        s.base = s.observations.len();
+        (s.stage, s.cursor) = (Stage::Ingest, s.base);
+        s.pairs.clear();
+    }
 
-        // Block only the new observations; merge into the sorted key list.
-        let mut new_keyed: Vec<(BlockKey, usize)> = Vec::new();
-        for (offset, o) in self.state.observations[base..].iter().enumerate() {
-            for k in block_keys(o) {
-                new_keyed.push((k, base + offset));
-            }
-        }
-        new_keyed.sort();
-        let old_keyed = std::mem::take(&mut self.state.keyed);
-        self.state.keyed = merge_sorted_keys(old_keyed, new_keyed);
-
-        // Pairs: scan key groups, emit only pairs touching a new record.
-        let mut new_pairs: Vec<(usize, usize)> = Vec::new();
-        let keyed = &self.state.keyed;
-        let mut i = 0;
-        while i < keyed.len() {
-            let mut j = i;
-            while j + 1 < keyed.len() && keyed[j + 1].0 == keyed[i].0 {
-                j += 1;
-            }
-            let group = &keyed[i..=j];
-            if group.len() <= self.cfg.max_block_size && group.iter().any(|(_, idx)| *idx >= base) {
-                for a in 0..group.len() {
-                    for b in a + 1..group.len() {
-                        let (x, y) = (group[a].1, group[b].1);
-                        if x != y && (x >= base || y >= base) {
-                            new_pairs.push((x.min(y), x.max(y)));
-                        }
-                    }
-                }
-            }
-            i = j + 1;
-        }
-        new_pairs.sort_unstable();
-        new_pairs.dedup();
-
-        // Match only the new pairs.
-        let mut matched_new = 0usize;
-        for &(a, b) in &new_pairs {
-            let s = score_pair(&self.state.observations[a], &self.state.observations[b]);
-            if s.score >= self.cfg.match_threshold {
-                self.state.matched.push((a, b));
-                matched_new += 1;
-            }
-        }
-        self.state.pairs.extend(new_pairs.iter().copied());
-        self.state.pairs.sort_unstable();
-        self.state.pairs.dedup();
-
-        // Re-cluster from the (cheap) accumulated match set.
-        let mut uf = UnionFind::new(self.state.observations.len());
-        for &(a, b) in &self.state.matched {
-            uf.union(a, b);
-        }
-        self.state.clusters = uf.clusters();
+    /// Runs one whole increment ([`begin_increment`](Self::begin_increment)
+    /// and then to completion). Equivalent to a full rebuild over the union
+    /// (verified by tests) at a fraction of the cost.
+    ///
+    /// # Panics
+    /// Panics if the pipeline has not finished its current input.
+    pub fn ingest_increment(&mut self, batch: Vec<PersonObservation>) -> IncrementReport {
+        self.begin_increment(batch);
+        self.run_to_completion();
+        let s = &self.state;
         IncrementReport {
-            new_observations: self.state.observations.len() - base,
-            pairs_scored: new_pairs.len(),
-            pairs_matched: matched_new,
+            new_observations: s.observations.len() - s.base,
+            pairs_scored: s.pairs.len(),
+            // A pair is `(low, high)`; this batch's pairs have `high >= base`.
+            pairs_matched: s.matched.iter().filter(|&&(_, b)| b >= s.base).count(),
         }
     }
 }
@@ -368,27 +303,6 @@ pub struct IncrementReport {
     pub pairs_matched: usize,
 }
 
-/// Merges two sorted `(key, index)` lists.
-fn merge_sorted_keys(
-    a: Vec<(BlockKey, usize)>,
-    b: Vec<(BlockKey, usize)>,
-) -> Vec<(BlockKey, usize)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i].clone());
-            i += 1;
-        } else {
-            out.push(b[j].clone());
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,7 +311,7 @@ mod tests {
     #[test]
     fn pipeline_reaches_done_and_clusters() {
         let (obs, truth) = generate_device_data(&DeviceDataConfig::tiny(41));
-        let mut p = ConstructionPipeline::new(obs, PipelineConfig::default());
+        let mut p = ConstructionPipeline::new(obs);
         p.run_to_completion();
         assert!(p.is_done());
         assert!(!p.clusters().is_empty());
@@ -408,10 +322,10 @@ mod tests {
     #[test]
     fn tiny_steps_match_one_shot() {
         let (obs, _) = generate_device_data(&DeviceDataConfig::tiny(42));
-        let mut one_shot = ConstructionPipeline::new(obs.clone(), PipelineConfig::default());
+        let mut one_shot = ConstructionPipeline::new(obs.clone());
         one_shot.run_to_completion();
 
-        let mut stepped = ConstructionPipeline::new(obs, PipelineConfig::default());
+        let mut stepped = ConstructionPipeline::new(obs);
         while !stepped.is_done() {
             stepped.step(3);
         }
@@ -421,17 +335,16 @@ mod tests {
     #[test]
     fn pause_resume_at_every_stage_is_lossless() {
         let (obs, _) = generate_device_data(&DeviceDataConfig::tiny(43));
-        let mut reference = ConstructionPipeline::new(obs.clone(), PipelineConfig::default());
+        let mut reference = ConstructionPipeline::new(obs.clone());
         reference.run_to_completion();
 
         // Pause after each step, serialize, resume in a fresh pipeline.
-        let mut p = ConstructionPipeline::new(obs.clone(), PipelineConfig::default());
+        let mut p = ConstructionPipeline::new(obs.clone());
         let mut hops = 0;
         while !p.is_done() {
             p.step(7);
             let ckpt = p.checkpoint();
-            p = ConstructionPipeline::resume(obs.clone(), PipelineConfig::default(), &ckpt)
-                .unwrap();
+            p = ConstructionPipeline::resume(obs.clone(), &ckpt).unwrap();
             hops += 1;
             assert!(hops < 100_000, "pipeline must terminate");
         }
@@ -446,7 +359,7 @@ mod tests {
         let (initial, late) = obs.split_at(split);
 
         // Incremental: build on the first 75%, then ingest the rest.
-        let mut inc = ConstructionPipeline::new(initial.to_vec(), PipelineConfig::default());
+        let mut inc = ConstructionPipeline::new(initial.to_vec());
         inc.run_to_completion();
         let before_clusters = inc.clusters().len();
         let report = inc.ingest_increment(late.to_vec());
@@ -454,14 +367,14 @@ mod tests {
         assert!(report.pairs_scored > 0);
 
         // Full rebuild over everything.
-        let mut full = ConstructionPipeline::new(obs.clone(), PipelineConfig::default());
+        let mut full = ConstructionPipeline::new(obs.clone());
         full.run_to_completion();
 
         assert_eq!(inc.result_fingerprint(), full.result_fingerprint());
         // The increment only scored pairs touching new records — far fewer
         // than a full rebuild would.
         let full_pairs = {
-            let mut p = ConstructionPipeline::new(obs.clone(), PipelineConfig::default());
+            let mut p = ConstructionPipeline::new(obs.clone());
             p.run_to_completion();
             p.state.pairs.len()
         };
@@ -475,14 +388,39 @@ mod tests {
     }
 
     #[test]
+    fn an_increment_keys_once_and_scores_only_its_own_pairs() {
+        let (obs, _) = generate_device_data(&DeviceDataConfig::tiny(48));
+        let split = obs.len() / 2;
+        let mut prefix = ConstructionPipeline::new(obs[..split].to_vec());
+        prefix.run_to_completion();
+        let mut full = ConstructionPipeline::new(obs.clone());
+        full.run_to_completion();
+
+        let mut inc = ConstructionPipeline::new(obs[..split].to_vec());
+        inc.run_to_completion();
+        let report = inc.ingest_increment(obs[split..].to_vec());
+        // Every record is keyed once: the key list is the full rebuild's.
+        assert_eq!(inc.state.keyed, full.state.keyed);
+        // The increment scored exactly the full rebuild's pairs that the
+        // prefix had not scored.
+        let new_pairs: Vec<_> =
+            full.state.pairs.iter().filter(|p| !prefix.state.pairs.contains(p)).copied().collect();
+        assert!(!new_pairs.is_empty());
+        assert_eq!(inc.state.pairs, new_pairs);
+        assert_eq!(report.pairs_scored, new_pairs.len());
+        assert_eq!(inc.state.matched.len(), full.state.matched.len());
+        assert_eq!(prefix.state.matched.len() + report.pairs_matched, full.state.matched.len());
+    }
+
+    #[test]
     fn repeated_increments_accumulate() {
         let (obs, truth) = generate_device_data(&DeviceDataConfig::tiny(47));
         let third = obs.len() / 3;
-        let mut p = ConstructionPipeline::new(obs[..third].to_vec(), PipelineConfig::default());
+        let mut p = ConstructionPipeline::new(obs[..third].to_vec());
         p.run_to_completion();
         p.ingest_increment(obs[third..2 * third].to_vec());
         p.ingest_increment(obs[2 * third..].to_vec());
-        let mut full = ConstructionPipeline::new(obs, PipelineConfig::default());
+        let mut full = ConstructionPipeline::new(obs);
         full.run_to_completion();
         assert_eq!(p.result_fingerprint(), full.result_fingerprint());
         let diff = (p.clusters().len() as i64 - truth.persons.len() as i64).abs();
@@ -492,14 +430,14 @@ mod tests {
     #[test]
     fn corrupt_checkpoint_is_rejected() {
         let (obs, _) = generate_device_data(&DeviceDataConfig::tiny(44));
-        let r = ConstructionPipeline::resume(obs, PipelineConfig::default(), b"not json");
+        let r = ConstructionPipeline::resume(obs, b"not json");
         assert!(r.is_err());
     }
 
     #[test]
     fn stages_progress_in_order() {
         let (obs, _) = generate_device_data(&DeviceDataConfig::tiny(45));
-        let mut p = ConstructionPipeline::new(obs, PipelineConfig::default());
+        let mut p = ConstructionPipeline::new(obs);
         let mut seen = vec![p.stage()];
         while !p.is_done() {
             let s = p.step(10);

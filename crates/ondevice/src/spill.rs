@@ -4,7 +4,9 @@
 //! necessary" and "the amount of memory used is bounded".
 //!
 //! Invariant (checked by tests and experiment E7): peak buffered bytes
-//! never exceed the configured budget, regardless of input size.
+//! never exceed the configured budget, regardless of input size. The budget
+//! bounds the sort buffer only: [`SpillSorter::finish`] returns every
+//! merged item in one `Vec`, so its caller holds the whole sorted output.
 
 use saga_core::persist::codec::{self, BinCodec};
 use saga_core::persist::{FrameReader, FrameWriter};
@@ -86,8 +88,9 @@ impl<T: BinCodec + Ord> SpillSorter<T> {
     }
 
     /// Finishes: returns all items in sorted order plus the run stats, then
-    /// removes the spill files. Runs are streamed frame-by-frame, so merge
-    /// memory is one head item per run.
+    /// removes the spill files. Runs are streamed frame-by-frame, so the
+    /// merge holds one head item per run, but the returned `Vec` holds every
+    /// item: the budget does not bound it.
     pub fn finish(mut self) -> Result<(Vec<T>, SpillStats)> {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;

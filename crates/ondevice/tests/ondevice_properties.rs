@@ -3,7 +3,7 @@
 
 use saga_ondevice::{
     gossip_until_stable, sync_pair, ConstructionPipeline, Device, DeviceId, DeviceTier,
-    PersonObservation, PipelineConfig, SourceKind, SpillSorter, SyncPolicy,
+    PersonObservation, SourceKind, SpillSorter, SyncPolicy,
 };
 use saga_testkit::check;
 
@@ -100,7 +100,9 @@ fn spill_sort_equivalence() {
 }
 
 /// The construction pipeline yields identical results for any step
-/// granularity and any pause/resume schedule.
+/// granularity, any pause/resume schedule and any split of the records into
+/// a first build and one or two increments: every case ends at the
+/// full-rebuild fingerprint, in the state an uninterrupted run reaches.
 #[test]
 fn pipeline_schedule_independence() {
     check(24, 3, |rng| {
@@ -111,22 +113,45 @@ fn pipeline_schedule_independence() {
             num_persons: 25,
             ..Default::default()
         });
-        let mut reference = ConstructionPipeline::new(obs.clone(), PipelineConfig::default());
+        let mut reference = ConstructionPipeline::new(obs.clone());
         reference.run_to_completion();
 
-        let mut p = ConstructionPipeline::new(obs.clone(), PipelineConfig::default());
+        // The first build takes a random prefix; the rest comes as one or
+        // two increments.
+        let first = rng.gen_range(0..=obs.len());
+        let mut cuts = vec![first];
+        if rng.gen_bool(0.5) {
+            cuts.push(rng.gen_range(first..=obs.len()));
+        }
+        cuts.push(obs.len());
+
+        let mut p = ConstructionPipeline::new(obs[..first].to_vec());
         let mut step_iter = steps.iter().cycle();
         let mut hops = 0;
-        while !p.is_done() {
-            p.step(*step_iter.next().unwrap());
-            if hops % 3 == 0 {
-                let ckpt = p.checkpoint();
-                p = ConstructionPipeline::resume(obs.clone(), PipelineConfig::default(), &ckpt)
-                    .unwrap();
+        for (i, &end) in cuts.iter().enumerate() {
+            if i > 0 {
+                p.begin_increment(obs[cuts[i - 1]..end].to_vec());
             }
-            hops += 1;
-            assert!(hops < 1_000_000);
+            while !p.is_done() {
+                p.step(*step_iter.next().unwrap());
+                if hops % 3 == 0 {
+                    let ckpt = p.checkpoint();
+                    p = ConstructionPipeline::resume(obs[..end].to_vec(), &ckpt).unwrap();
+                }
+                hops += 1;
+                assert!(hops < 1_000_000);
+            }
         }
         assert_eq!(p.result_fingerprint(), reference.result_fingerprint());
+        assert_eq!(p.observations(), &obs[..]);
+
+        // Pausing lost and redid no work: the state is the one the same
+        // batches reach uninterrupted.
+        let mut straight = ConstructionPipeline::new(obs[..first].to_vec());
+        straight.run_to_completion();
+        for batch in cuts.windows(2) {
+            straight.ingest_increment(obs[batch[0]..batch[1]].to_vec());
+        }
+        assert_eq!(p.checkpoint(), straight.checkpoint());
     });
 }

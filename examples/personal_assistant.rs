@@ -13,7 +13,7 @@ use saga_ondevice::{
     decode_pir_block, dp_count, fuse_clusters, generate_device_data, gossip_until_stable,
     offload_compute, personal_ontology, piggyback_answer, pir_fetch, resolve_references,
     ConstructionPipeline, Device, DeviceDataConfig, DeviceId, DeviceTier, EnrichmentPath,
-    GlobalKnowledge, PipelineConfig, PirDatabase, SourceKind, StaticAsset, SyncPolicy,
+    GlobalKnowledge, PirDatabase, SourceKind, StaticAsset, SyncPolicy,
 };
 
 fn main() {
@@ -21,14 +21,14 @@ fn main() {
     let (obs, truth) = generate_device_data(&DeviceDataConfig::tiny(7));
     println!("device data: {} observations of {} people", obs.len(), truth.persons.len());
 
-    let mut pipeline = ConstructionPipeline::new(obs.clone(), PipelineConfig::default());
+    let mut pipeline = ConstructionPipeline::new(obs.clone());
     let mut pauses = 0;
     while !pipeline.is_done() {
         pipeline.step(50);
         // A higher-priority task arrives: checkpoint and yield.
         let ckpt = pipeline.checkpoint();
-        pipeline = ConstructionPipeline::resume(obs.clone(), PipelineConfig::default(), &ckpt)
-            .expect("resume from checkpoint");
+        pipeline =
+            ConstructionPipeline::resume(obs.clone(), &ckpt).expect("resume from checkpoint");
         pauses += 1;
     }
     println!(
@@ -42,8 +42,9 @@ fn main() {
     let fused = fuse_clusters(&mut kg, &handles, pipeline.observations(), &clusters);
 
     // ---- contextual reference resolution ---------------------------------
-    // Find a first name shared by two fused persons (the "two Tims").
-    let mut by_first: std::collections::HashMap<String, Vec<usize>> = Default::default();
+    // Find a first name shared by two fused persons (the "two Tims"); the
+    // first such name in alphabetical order, so every run prints the same.
+    let mut by_first: std::collections::BTreeMap<String, Vec<usize>> = Default::default();
     for (i, f) in fused.iter().enumerate() {
         if f.members.len() < 2 {
             continue;
