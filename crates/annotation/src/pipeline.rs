@@ -306,7 +306,7 @@ pub fn sync_kg_links(
     let link = |entity, id| TripleKey { s: entity, p: pred, o: ObjKey::literal(id) };
     for entity in dirty {
         existing.clear();
-        existing.extend(kg.object_keys(entity, pred).iter().filter_map(|k| {
+        existing.extend(kg.object_keys(entity, pred).filter_map(|k| {
             let id = k.o.as_literal()?;
             (kg.literal(id).kind() == ValueKind::Identifier).then_some(id)
         }));

@@ -209,11 +209,13 @@ fn link_sync_allocates_per_call_and_per_link_changed() {
         count_allocs(|| sync_kg_links(&mut kg, &moved, &changed, dirty.iter().copied(), CAP));
     let links = (added + removed) as u64;
     assert!(fresh > 10 && added as u64 > fresh && removed > 0, "+{added} -{removed}, {fresh} new");
-    // Per link: its triple in the commit's returned delta (a decoded URL),
-    // and its share of the growth of the write queue and of the commit's
-    // buffers.
-    const PER_LINK: u64 = 2;
-    let bound = PER_CALL + PER_LINK * links + fresh;
+    // Per link: its share of the growth of the write queue and of the
+    // commit's buffers, and of the index chunks the changed links land in.
+    // The commit returns keys, so no link's URL is decoded: 107 allocations
+    // for 521 links and 44 new URLs when this bound was set, about one per
+    // eight links.
+    const LINKS_PER_ALLOC: u64 = 4;
+    let bound = PER_CALL + links / LINKS_PER_ALLOC + fresh;
     assert!(allocs <= bound, "{allocs} allocations for +{added} -{removed} (bound {bound})");
     assert_eq!(sync_kg_links(&mut kg, &moved, &changed, dirty, CAP), (0, 0), "converged");
 }

@@ -43,7 +43,7 @@ fn unfiltered_edges(world: &World) -> Vec<Edge> {
     let kg = &world.synth.kg;
     let mut edges = GraphView::materialize(kg, ViewDef::embedding_training(0)).edges();
     for k in kg.keys() {
-        let t = kg.decode(*k);
+        let t = kg.decode(k);
         if kg.ontology().predicate(t.predicate).is_noise_for_embeddings
             && t.object.as_entity().is_none()
         {

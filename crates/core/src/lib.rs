@@ -71,6 +71,6 @@ pub use obs::{
 pub use ontology::{Cardinality, Ontology, PredicateInfo, TypeInfo, Volatility};
 pub use persist::engine::{AppendOutcome, Engine, EngineOptions, EngineStats};
 pub use persist::kg::{Changes, GraphPin, KgStore, StoreTxn};
-pub use store::{fact_content_key, Delta, FactContentKey, KnowledgeGraph};
+pub use store::{fact_content_key, Delta, FactContentKey, KeyDelta, KnowledgeGraph};
 pub use triple::{FactMeta, ObjKey, Triple, TripleKey};
 pub use value::{Date, Value, ValueKind};

@@ -186,15 +186,6 @@ impl FrameReader {
         }
         Ok(Some(payload))
     }
-
-    /// Reads all frames, propagating corruption as an error.
-    pub fn read_all(&mut self) -> Result<Vec<Vec<u8>>> {
-        let mut out = Vec::new();
-        while let Some(f) = self.next_frame()? {
-            out.push(f);
-        }
-        Ok(out)
-    }
 }
 
 /// Writes `value`'s [`BinCodec`] encoding as the one frame of the file at
@@ -330,7 +321,10 @@ mod tests {
         w.write(&[0u8; 1024]).unwrap();
         w.flush().unwrap();
         let mut r = FrameReader::open(&p).unwrap();
-        let frames = r.read_all().unwrap();
+        let mut frames = Vec::new();
+        while let Some(frame) = r.next_frame().unwrap() {
+            frames.push(frame);
+        }
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0], b"hello");
         assert!(frames[1].is_empty());
@@ -440,7 +434,10 @@ mod tests {
         assert_eq!(recovered, vec![b"keep-me".to_vec(), b"after-recovery".to_vec()]);
         // The strict reader agrees the file is clean again.
         let mut r = FrameReader::open(&p).unwrap();
-        assert_eq!(r.read_all().unwrap().len(), 2);
+        for _ in 0..2 {
+            assert!(r.next_frame().unwrap().is_some());
+        }
+        assert_eq!(r.next_frame().unwrap(), None);
     }
 
     #[test]

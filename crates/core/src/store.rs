@@ -12,28 +12,39 @@
 //!   meta of `spo[i]`, found by the same binary search, with no map to hash.
 //!
 //! Invariant: after `commit()`, the three indexes contain exactly the same
-//! set of [`TripleKey`]s (checked by property tests) and `meta` is as long
-//! as `spo`.
+//! set of [`TripleKey`]s (checked by property tests), and every SPO entry
+//! carries its fact's [`FactMeta`].
+//!
+//! **How the indexes are laid out.** Each index is a sorted run of entries
+//! cut into chunks of about 128 behind `Arc`s, with a vector of chunk
+//! pointers beside each chunk's first key (`store/index.rs`). An SPO entry
+//! is a fact's key with its meta beside it, found by the same binary
+//! search, with no map to hash. A point or range lookup binary-searches the
+//! first keys, then one chunk.
 //!
 //! **What a commit costs.** A commit that removes or adds `d` keys in a
 //! graph of `n` facts sorts its delta once per index order and finds each
-//! delta key by binary search from a moving cursor: O(d · log n)
-//! comparisons, plus moving each index's entries behind its first changed
-//! position as slices — at most one copy of the `n` keys per index, and of
-//! the `n` metas, which move in the SPO pass. No key outside the delta is
-//! hashed or compared.
+//! delta key's chunk by binary search from a moving cursor: O(d · log n)
+//! comparisons. It writes only the chunks the delta lands in, each at most
+//! once per commit: a refresh of an owned chunk in place, and any other
+//! change as one allocation of the chunk's new length (`store/index.rs`
+//! says how chunks are split and merged). No key outside those chunks is
+//! hashed, compared or moved. It returns the changed keys ([`KeyDelta`]);
+//! [`KnowledgeGraph::decode_delta`] decodes them for a reader that wants
+//! [`Triple`]s.
 //!
-//! **What a clone shares.** The ontology, the entity records and the
-//! literal table are `Arc`-shared between a graph and its clones; every
-//! `&mut self` method that writes one calls `Arc::make_mut` first, which
-//! copies the table only while another graph still holds it. So a clone —
-//! a pipeline interval's working copy, or the copy-on-write of a commit
-//! under a reader's pin — copies the three key vectors, the meta vector
-//! (16 bytes a fact) and the source interner, however many entities and
-//! literals the graph has, and a table is copied again only by the graph
-//! that writes it. The literal table's copy shares its values: it is the
-//! table's chunk pointers and hash index, and the first append to it
-//! copies the last chunk, fewer than 32 values ([`crate::literal`]).
+//! **What a clone shares.** The ontology, the entity records, the literal
+//! table, the source interner and every index chunk are `Arc`-shared
+//! between a graph and its clones; every `&mut self` method that writes
+//! one copies it first, and only while another graph still holds it. So a
+//! clone — a pipeline interval's working copy, or the copy-on-write of a
+//! commit under a reader's pin — copies the three chunk-pointer vectors
+//! (40 bytes a chunk: about 7 KB for the grow benchmark's 8,143 facts,
+//! against 700 KB for the flat key and meta vectors they replaced), and a
+//! commit then copies the chunks it writes. The literal table's copy
+//! shares its values: it is the table's chunk pointers and hash index, and
+//! the first append to it copies the last chunk, fewer than 32 values
+//! ([`crate::literal`]).
 //!
 //! **What link reconciliation reads.** [`KnowledgeGraph::object_keys`]
 //! gives a `(subject, predicate)` group's keys undecoded,
@@ -60,6 +71,8 @@
 //! new ids, a group's sort buffers, the output), however many facts and
 //! literals the graph holds.
 
+mod index;
+
 use crate::entity::{EntityBuilder, EntityRecord};
 use crate::ids::{EntityId, Interner, LiteralId, PredicateId, SourceId};
 use crate::literal::LiteralTable;
@@ -67,11 +80,13 @@ use crate::ontology::Ontology;
 use crate::persist::codec::{enc_seq, enc_str, str_len, BinCodec, LEN_BYTES};
 use crate::triple::{FactMeta, ObjKey, Triple, TripleKey};
 use crate::value::{Value, ValueKind};
+use index::{Fact, Index, Place};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// The set of changes applied by one commit.
+/// The set of changes applied by one commit, decoded
+/// ([`KnowledgeGraph::decode_delta`]).
 #[derive(Debug, Clone, Default)]
 pub struct Delta {
     /// Commit sequence number this delta belongs to.
@@ -90,6 +105,22 @@ impl Delta {
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty() && self.refreshed.is_empty()
     }
+}
+
+/// The keys one commit changed, as [`KnowledgeGraph::commit`] returns them:
+/// each list in the order its keys were first queued. Nothing is decoded,
+/// so a caller that drops them copied no literal.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct KeyDelta {
+    /// Commit sequence number.
+    pub commit: u64,
+    /// Keys of the facts newly added.
+    pub added: Vec<TripleKey>,
+    /// Keys of the facts removed.
+    pub removed: Vec<TripleKey>,
+    /// Keys of the facts that already existed and whose metadata was
+    /// refreshed.
+    pub refreshed: Vec<TripleKey>,
 }
 
 /// A fact's place in *content order*: subject, predicate, object kind, then
@@ -186,15 +217,10 @@ impl GraphImage<'_> {
 
 /// Where an image's three indexes and its `(key, meta)` pairs come from.
 enum Indexes<'a> {
-    /// A graph's own. `meta[i]` is the meta of `spo[i]`; the image holds
-    /// the `(spo[i], meta[i])` pairs, in key order, so equal graphs encode
-    /// to equal bytes.
-    Stored {
-        spo: &'a [TripleKey],
-        pos: &'a [TripleKey],
-        osp: &'a [TripleKey],
-        meta: &'a [FactMeta],
-    },
+    /// A graph's own, as they are. The image holds the SPO entries as
+    /// `(key, meta)` pairs, in key order, so equal graphs encode to equal
+    /// bytes.
+    Stored(&'a KnowledgeGraph),
     /// A graph's, with its literals and sources renumbered on the way out.
     Renumbered(Renumbering<'a>),
 }
@@ -202,30 +228,30 @@ enum Indexes<'a> {
 impl Indexes<'_> {
     fn facts(&self) -> usize {
         match self {
-            Indexes::Stored { spo, .. } => spo.len(),
+            Indexes::Stored(graph) => graph.spo.len(),
             Indexes::Renumbered(r) => r.graph.spo.len(),
         }
     }
 
     fn write_spo(&mut self, out: &mut Vec<u8>) {
         match self {
-            Indexes::Stored { spo, .. } => spo.iter().for_each(|k| k.enc(out)),
+            Indexes::Stored(graph) => graph.keys().for_each(|k| k.enc(out)),
             Indexes::Renumbered(r) => r.for_each_fact(|k, _| k.enc(out)),
         }
     }
 
     fn write_pos(&self, out: &mut Vec<u8>) {
         match self {
-            Indexes::Stored { pos, .. } => pos.iter().for_each(|k| k.enc(out)),
+            Indexes::Stored(graph) => graph.pos.iter().for_each(|k| k.enc(out)),
             Indexes::Renumbered(r) => r.write_pos(out),
         }
     }
 
     fn write_osp(&self, out: &mut Vec<u8>) {
         match self {
-            Indexes::Stored { osp, .. } => osp.iter().for_each(|k| k.enc(out)),
+            Indexes::Stored(graph) => graph.osp.iter().for_each(|k| k.enc(out)),
             Indexes::Renumbered(r) => {
-                r.graph.osp[..r.entity_objects].iter().for_each(|k| k.enc(out));
+                r.graph.osp.between(Place::default(), r.literal_objects).for_each(|k| k.enc(out));
                 r.literal_osp().for_each(|k| k.enc(out));
             }
         }
@@ -237,9 +263,7 @@ impl Indexes<'_> {
             m.enc(out);
         };
         match self {
-            Indexes::Stored { spo, meta, .. } => {
-                spo.iter().zip(*meta).for_each(|(k, m)| pair(*k, *m))
-            }
+            Indexes::Stored(graph) => graph.spo.iter().for_each(|&(k, m)| pair(k, m)),
             Indexes::Renumbered(r) => r.for_each_fact(pair),
         }
     }
@@ -255,15 +279,15 @@ struct Renumbering<'a> {
     new_id: Vec<u64>,
     /// Each used source's new id, by old id.
     new_source: Vec<u32>,
-    /// The OSP keys with an entity object: they come first and keep their
-    /// place.
-    entity_objects: usize,
-    /// Each used literal's OSP run, by new id. A run is sorted by
-    /// (subject, predicate) under any id.
-    runs: Vec<&'a [TripleKey]>,
-    /// The literal keys of one `(subject, predicate)` group as (new id,
-    /// place in the group), reused from group to group.
-    order: Vec<(u64, usize)>,
+    /// Where the OSP keys with a literal object start. The keys with an
+    /// entity object come first and keep their place.
+    literal_objects: Place,
+    /// Each used literal's OSP run, by new id: where it starts and how many
+    /// keys it holds. A run is sorted by (subject, predicate) under any id.
+    runs: Vec<(Place, usize)>,
+    /// The literal facts of one `(subject, predicate)` group with their
+    /// new ids, reused from group to group.
+    order: Vec<(u64, Fact)>,
 }
 
 const UNSET: u64 = u64::MAX;
@@ -271,11 +295,6 @@ const UNSET: u64 = u64::MAX;
 /// The literal id of a key known to have a literal object.
 fn old_id(k: &TripleKey) -> LiteralId {
     k.o.as_literal().expect("sorted after the entity keys")
-}
-
-/// The `(subject, predicate)` groups of an SPO-sorted slice.
-fn sp_groups(spo: &[TripleKey]) -> impl Iterator<Item = &[TripleKey]> {
-    spo.chunk_by(|a, b| (a.s, a.p) == (b.s, b.p))
 }
 
 impl Renumbering<'_> {
@@ -288,39 +307,40 @@ impl Renumbering<'_> {
     }
 
     /// Calls `f` with every renumbered key and its meta, in the new SPO
-    /// order. A group's entity keys come first, as they were; renumbering
-    /// moves a key only among the literal keys of its group.
+    /// order. A `(subject, predicate)` group's entity keys come first, as
+    /// they were; renumbering moves a key only among the literal keys of
+    /// its group, which wait in `order` until the group ends.
     fn for_each_fact(&mut self, mut f: impl FnMut(TripleKey, FactMeta)) {
         let mut order = std::mem::take(&mut self.order);
-        let mut at = 0;
-        for group in sp_groups(&self.graph.spo) {
-            let metas = &self.graph.meta[at..at + group.len()];
-            at += group.len();
-            let first_literal = group.partition_point(|k| k.o.is_entity());
-            for (k, m) in group[..first_literal].iter().zip(metas) {
-                f(*k, self.meta(m));
+        let mut group = None;
+        for &(k, m) in self.graph.spo.iter() {
+            if group != Some((k.s, k.p)) {
+                self.flush_group(&mut order, &mut f);
+                group = Some((k.s, k.p));
             }
-            order.clear();
-            order.extend(
-                (group.iter().enumerate().skip(first_literal))
-                    .map(|(i, k)| (self.new_id[old_id(k).index()], i)),
-            );
-            order.sort_unstable();
-            for &(id, i) in &order {
-                f(
-                    TripleKey { o: ObjKey::literal(LiteralId(id)), ..group[i] },
-                    self.meta(&metas[i]),
-                );
+            match k.o.as_literal() {
+                None => f(k, self.meta(&m)),
+                Some(id) => order.push((self.new_id[id.index()], (k, m))),
             }
         }
+        self.flush_group(&mut order, &mut f);
         self.order = order;
+    }
+
+    /// Emits the literal facts of a group, gathered in `order`, renumbered
+    /// and in new-id order.
+    fn flush_group(&self, order: &mut Vec<(u64, Fact)>, f: &mut impl FnMut(TripleKey, FactMeta)) {
+        order.sort_unstable_by_key(|&(id, _)| id);
+        for (id, (k, m)) in order.drain(..) {
+            f(TripleKey { o: ObjKey::literal(LiteralId(id)), ..k }, self.meta(&m));
+        }
     }
 
     /// The literal part of the new OSP index: the runs, in new-id order.
     fn literal_osp(&self) -> impl Iterator<Item = TripleKey> + '_ {
-        self.runs.iter().enumerate().flat_map(|(id, run)| {
+        self.runs.iter().enumerate().flat_map(|(id, &(from, n))| {
             let o = ObjKey::literal(LiteralId(id as u64));
-            run.iter().map(move |k| TripleKey { o, ..*k })
+            self.graph.osp.places_from(from).take(n).map(move |(_, k)| TripleKey { o, ..*k })
         })
     }
 
@@ -331,11 +351,19 @@ impl Renumbering<'_> {
     fn write_pos(&self, out: &mut Vec<u8>) {
         let pos = &self.graph.pos;
         let mut next = vec![0usize; pos.last().map_or(0, |k| k.p.index() + 1)];
-        for block in pos.chunk_by(|a, b| a.p == b.p) {
-            let entities = block.partition_point(|k| k.o.is_entity());
-            block[..entities].iter().for_each(|k| k.enc(out));
-            next[block[0].p.index()] = out.len();
-            out.resize(out.len() + (block.len() - entities) * KEY_BYTES, 0);
+        // Within a block the entity keys come first: a block's literal part
+        // starts at its first literal key.
+        let mut literal_block = None;
+        for k in pos.iter() {
+            if k.o.is_entity() {
+                k.enc(out);
+                continue;
+            }
+            if literal_block != Some(k.p) {
+                literal_block = Some(k.p);
+                next[k.p.index()] = out.len();
+            }
+            out.extend_from_slice(&[0; KEY_BYTES]);
         }
         for k in self.literal_osp() {
             let slot = &mut next[k.p.index()];
@@ -349,7 +377,12 @@ impl Renumbering<'_> {
 /// kind, then canonical string — without a `String` per literal. `Text`
 /// and `Identifier` compare their own text; the other kinds write their
 /// canonical strings into one scratch buffer, reused from group to group.
+/// A group's literals are [`push`](Self::push)ed one by one, and
+/// [`number_group`](Self::number_group) ends the group.
 struct ContentOrder {
+    /// The group's first literal, while it is the only one: a group of one
+    /// needs no canonical string.
+    first: Option<LiteralId>,
     /// The group's literals, in the order being sorted.
     spans: Vec<Span>,
     scratch: String,
@@ -373,35 +406,48 @@ impl ContentOrder {
     /// canonical strings; a group of longer floats grows the scratch.
     fn with_capacity(literals: usize) -> Self {
         Self {
+            first: None,
             spans: Vec::with_capacity(literals),
             scratch: String::with_capacity(literals * SHORT_CANONICAL),
         }
     }
 
-    /// `ids` in content order, ties in id order. A group lists its literals
-    /// in id order, so that is the order a stable sort by cached string
-    /// keys gives, without the buffer a stable sort of a wide group
-    /// allocates. (A table interns literals by kind and canonical string,
-    /// so two it holds never tie.)
-    fn sort(
-        &mut self,
-        ids: impl Iterator<Item = LiteralId>,
-        table: &LiteralTable,
-    ) -> impl Iterator<Item = LiteralId> + '_ {
-        self.spans.clear();
-        self.scratch.clear();
-        for id in ids {
-            let v = table.resolve(id);
-            let start = self.scratch.len();
-            if v.as_text().is_none() {
-                v.write_canonical(&mut self.scratch).expect("a String takes every write");
-            }
-            self.spans.push(Span { kind: v.kind() as u8, start, end: self.scratch.len(), id });
+    /// Adds literal `id` to the group.
+    fn push(&mut self, id: LiteralId, table: &LiteralTable) {
+        if self.spans.is_empty() && self.first.is_none() {
+            self.first = Some(id);
+            return;
+        }
+        if let Some(first) = self.first.take() {
+            self.push_span(first, table);
+        }
+        self.push_span(id, table);
+    }
+
+    fn push_span(&mut self, id: LiteralId, table: &LiteralTable) {
+        let v = table.resolve(id);
+        let start = self.scratch.len();
+        if v.as_text().is_none() {
+            v.write_canonical(&mut self.scratch).expect("a String takes every write");
+        }
+        self.spans.push(Span { kind: v.kind() as u8, start, end: self.scratch.len(), id });
+    }
+
+    /// Calls `number` with the group's ids in content order, ties in id
+    /// order, and ends the group. A group lists its literals in id order,
+    /// so that is the order a stable sort by cached string keys gives,
+    /// without the buffer a stable sort of a wide group allocates. (A
+    /// table interns literals by kind and canonical string, so two it holds
+    /// never tie.)
+    fn number_group(&mut self, table: &LiteralTable, mut number: impl FnMut(LiteralId)) {
+        if let Some(one) = self.first.take() {
+            return number(one);
         }
         let text =
             |s: &Span| table.resolve(s.id).as_text().unwrap_or(&self.scratch[s.start..s.end]);
         self.spans.sort_unstable_by(|a, b| (a.kind, text(a), a.id).cmp(&(b.kind, text(b), b.id)));
-        self.spans.iter().map(|s| s.id)
+        self.spans.drain(..).for_each(|s| number(s.id));
+        self.scratch.clear();
     }
 }
 
@@ -454,12 +500,11 @@ pub struct KnowledgeGraph {
     /// Derived from `entities`; shared with clones until either adds one.
     forms: Arc<FormIndex>,
     literals: Arc<LiteralTable>,
-    sources: Interner,
-    spo: Vec<TripleKey>,
-    pos: Vec<TripleKey>,
-    osp: Vec<TripleKey>,
-    /// `meta[i]` is the meta of `spo[i]`.
-    meta: Vec<FactMeta>,
+    sources: Arc<Interner>,
+    /// Every fact's key and meta, in SPO order.
+    spo: Index<Fact>,
+    pos: Index<TripleKey>,
+    osp: Index<TripleKey>,
     pending_add: Vec<(TripleKey, SourceId, f32)>,
     pending_remove: Vec<TripleKey>,
     commit_counter: u64,
@@ -476,11 +521,10 @@ impl KnowledgeGraph {
             entities: Arc::default(),
             forms: Arc::default(),
             literals: Arc::default(),
-            sources,
-            spo: Vec::new(),
-            pos: Vec::new(),
-            osp: Vec::new(),
-            meta: Vec::new(),
+            sources: Arc::new(sources),
+            spo: Index::default(),
+            pos: Index::default(),
+            osp: Index::default(),
             pending_add: Vec::new(),
             pending_remove: Vec::new(),
             commit_counter: 0,
@@ -501,9 +545,13 @@ impl KnowledgeGraph {
         Arc::make_mut(&mut self.ontology)
     }
 
-    /// Registers a provenance source by name, returning its id.
+    /// Registers a provenance source by name, returning its id. Copies an
+    /// interner another graph shares only for a name it lacks.
     pub fn register_source(&mut self, name: &str) -> SourceId {
-        SourceId(self.sources.intern(name))
+        SourceId(match self.sources.get(name) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.sources).intern(name),
+        })
     }
 
     /// Resolves a source id to its name.
@@ -566,12 +614,6 @@ impl KnowledgeGraph {
     /// Iterates over all entity records.
     pub fn entities(&self) -> impl Iterator<Item = &EntityRecord> {
         self.entities.iter()
-    }
-
-    /// Linear-scan lookup by canonical name; first match wins. Intended for
-    /// tests and examples, not the serving path (which uses alias automata).
-    pub fn find_entity_by_name(&self, name: &str) -> Option<&EntityRecord> {
-        self.entities.iter().find(|e| e.name == name)
     }
 
     /// Every entity with a name or alias that normalizes
@@ -663,13 +705,14 @@ impl KnowledgeGraph {
         self.pending_remove.push(k);
     }
 
-    /// Applies all queued writes, returning the delta. Removals are applied
-    /// before insertions within a commit, so remove+insert of the same key in
-    /// one commit nets to the fact being present with fresh metadata.
-    pub fn commit(&mut self) -> Delta {
+    /// Applies all queued writes, returning the keys it changed. Removals
+    /// are applied before insertions within a commit, so remove+insert of
+    /// the same key in one commit nets to the fact being present with fresh
+    /// metadata.
+    pub fn commit(&mut self) -> KeyDelta {
         self.commit_counter += 1;
         let now = self.commit_counter;
-        let mut delta = Delta { commit: now, ..Delta::default() };
+        let mut delta = KeyDelta { commit: now, ..KeyDelta::default() };
         let removals: Vec<TripleKey> = std::mem::take(&mut self.pending_remove);
         let adds: Vec<(TripleKey, SourceId, f32)> = std::mem::take(&mut self.pending_add);
         let fresh =
@@ -684,65 +727,67 @@ impl KnowledgeGraph {
         // Removals first. A key queued for insertion too is not removed, and
         // a key queued twice is removed once, in its first place.
         let mut removed: Vec<(TripleKey, usize)> = (removals.into_iter().enumerate())
-            .filter(|(_, k)| {
-                self.spo.binary_search(k).is_ok()
-                    && writes.binary_search_by(|(w, _)| w.cmp(k)).is_err()
-            })
+            .filter(|(_, k)| self.holds(k) && writes.binary_search_by(|(w, _)| w.cmp(k)).is_err())
             .map(|(i, k)| (k, i))
             .collect();
         removed.sort_unstable();
         removed.dedup_by_key(|(k, _)| *k);
         let mut removed_keys: Vec<TripleKey> = removed.iter().map(|(k, _)| *k).collect();
         removed.sort_unstable_by_key(|(_, i)| *i);
-        delta.removed = removed.into_iter().map(|(k, _)| self.decode(k)).collect();
+        delta.removed = removed.into_iter().map(|(k, _)| k).collect();
 
-        // Insertions / refreshes. A key the graph holds is refreshed in
-        // place (no key is both removed and written); a new one is added.
-        let (mut added_keys, mut added_meta) = (Vec::new(), Vec::new());
-        let mut firsts: Vec<(usize, TripleKey, bool)> = Vec::new();
+        // Insertions / refreshes, in key order. A key the graph holds is
+        // refreshed (no key is both removed and written); a new one is
+        // added.
+        let mut upserts: Vec<Fact> = Vec::with_capacity(writes.len());
+        let mut added_keys = Vec::with_capacity(writes.len());
+        let mut firsts: Vec<(usize, TripleKey, bool)> = Vec::with_capacity(writes.len());
         for group in writes.chunk_by(|a, b| a.0 == b.0) {
             let (k, first) = group[0];
-            let meta = fresh(group[group.len() - 1].1);
-            let existed = match self.spo.binary_search(&k) {
-                Ok(at) => {
-                    self.meta[at] = meta;
-                    true
-                }
-                Err(_) => {
-                    added_keys.push(k);
-                    added_meta.push(meta);
-                    false
-                }
-            };
+            let existed = self.holds(&k);
+            if !existed {
+                added_keys.push(k);
+            }
+            upserts.push((k, fresh(group[group.len() - 1].1)));
             firsts.push((first, k, existed));
         }
         firsts.sort_unstable_by_key(|(first, _, _)| *first);
+        delta.added.reserve_exact(added_keys.len());
+        delta.refreshed.reserve_exact(firsts.len() - added_keys.len());
         for (_, k, existed) in firsts {
             let into = if existed { &mut delta.refreshed } else { &mut delta.added };
-            into.push(self.decode(k));
+            into.push(k);
         }
 
         // Every removed key is held, every added key is not, and no key is
-        // both: each index takes the sorted delta in one pass, and the meta
-        // moves with SPO.
+        // both: each index takes the sorted delta in one pass. The SPO pass
+        // also writes the refreshed metas.
+        self.spo.apply(&removed_keys, &upserts, TripleKey::cmp);
         if !removed_keys.is_empty() || !added_keys.is_empty() {
-            apply_sorted_delta_beside(
-                &mut self.spo,
-                &mut self.meta,
-                &removed_keys,
-                &added_keys,
-                &added_meta,
-                TripleKey::cmp,
-            );
             removed_keys.sort_unstable_by(pos_cmp);
             added_keys.sort_unstable_by(pos_cmp);
-            apply_sorted_delta(&mut self.pos, &removed_keys, &added_keys, pos_cmp);
+            self.pos.apply(&removed_keys, &added_keys, pos_cmp);
             removed_keys.sort_unstable_by(osp_cmp);
             added_keys.sort_unstable_by(osp_cmp);
-            apply_sorted_delta(&mut self.osp, &removed_keys, &added_keys, osp_cmp);
+            self.osp.apply(&removed_keys, &added_keys, osp_cmp);
         }
 
         delta
+    }
+
+    /// The triples of a commit's keys, decoded through this graph's literal
+    /// table: the graph that made the commit, or one whose literals extend
+    /// its ([`extends_literals_of`](Self::extends_literals_of)). A commit
+    /// keeps every literal it removes interned, so its removed keys decode
+    /// too.
+    pub fn decode_delta(&self, keys: &KeyDelta) -> Delta {
+        let decode = |keys: &[TripleKey]| keys.iter().map(|&k| self.decode(k)).collect();
+        Delta {
+            commit: keys.commit,
+            added: decode(&keys.added),
+            removed: decode(&keys.removed),
+            refreshed: decode(&keys.refreshed),
+        }
     }
 
     /// Current commit sequence number (logical clock for freshness).
@@ -757,35 +802,34 @@ impl KnowledgeGraph {
         self.spo.len()
     }
 
+    /// The committed fact with key `k`, with its meta.
+    fn fact(&self, k: &TripleKey) -> Option<&Fact> {
+        self.spo.get(k, TripleKey::cmp)
+    }
+
+    /// True if the committed store holds the fact with key `k`.
+    fn holds(&self, k: &TripleKey) -> bool {
+        self.fact(k).is_some()
+    }
+
     /// True if the committed store contains the fact.
     pub fn contains(&self, t: &Triple) -> bool {
-        self.encode(t).is_some_and(|k| self.spo.binary_search(&k).is_ok())
+        self.encode(t).is_some_and(|k| self.holds(&k))
     }
 
     /// Provenance metadata for a committed fact.
     pub fn fact_meta(&self, t: &Triple) -> Option<FactMeta> {
-        let at = self.spo.binary_search(&self.encode(t)?).ok()?;
-        Some(self.meta[at])
+        self.fact(&self.encode(t)?).map(|&(_, meta)| meta)
     }
 
-    /// All committed triple keys in SPO order.
-    pub fn keys(&self) -> &[TripleKey] {
-        &self.spo
-    }
-
-    /// The positions of subject `s`'s facts in `spo` (and `meta`).
-    fn subject_range(&self, s: EntityId) -> std::ops::Range<usize> {
-        self.spo.partition_point(|k| k.s < s)..self.spo.partition_point(|k| k.s <= s)
-    }
-
-    /// The SPO range of subject `s`.
-    fn subject_keys(&self, s: EntityId) -> &[TripleKey] {
-        &self.spo[self.subject_range(s)]
+    /// All committed triple keys in SPO order, walking the index's chunks.
+    pub fn keys(&self) -> impl Iterator<Item = TripleKey> + '_ {
+        self.spo.iter().map(|&(k, _)| k)
     }
 
     /// All triples with the given subject.
     pub fn triples_of(&self, s: EntityId) -> impl Iterator<Item = Triple> + '_ {
-        self.subject_keys(s).iter().map(move |k| self.decode(*k))
+        self.subject_facts(s).map(move |(k, _)| self.decode(k))
     }
 
     /// The committed facts of subject `s` as keys with their meta, in SPO
@@ -793,8 +837,7 @@ impl KnowledgeGraph {
     /// where their literal tables agree (see
     /// [`extends_literals_of`](Self::extends_literals_of)).
     pub fn subject_facts(&self, s: EntityId) -> impl Iterator<Item = (TripleKey, FactMeta)> + '_ {
-        let range = self.subject_range(s);
-        self.spo[range.clone()].iter().copied().zip(self.meta[range].iter().copied())
+        self.spo.range(move |k| k.s < s, move |k| k.s <= s).copied()
     }
 
     /// True when this graph's literal table starts with every literal of
@@ -820,21 +863,19 @@ impl KnowledgeGraph {
 
     /// The committed keys of `(s, p, ?)`, in SPO order — literal objects in
     /// id order, after entity objects — decoding nothing.
-    pub fn object_keys(&self, s: EntityId, p: PredicateId) -> &[TripleKey] {
-        let lo = self.spo.partition_point(|k| (k.s, k.p) < (s, p));
-        let hi = self.spo.partition_point(|k| (k.s, k.p) <= (s, p));
-        &self.spo[lo..hi]
+    pub fn object_keys(&self, s: EntityId, p: PredicateId) -> impl Iterator<Item = TripleKey> + '_ {
+        self.spo.range(move |k| (k.s, k.p) < (s, p), move |k| (k.s, k.p) <= (s, p)).map(|&(k, _)| k)
     }
 
     /// Object values for `(s, p, ?)`.
     pub fn objects(&self, s: EntityId, p: PredicateId) -> Vec<Value> {
-        self.object_keys(s, p).iter().map(|k| self.decode(*k).object).collect()
+        self.object_keys(s, p).map(|k| self.decode(k).object).collect()
     }
 
     /// First object for `(s, p, ?)`, convenient for single-valued predicates;
     /// only that one is decoded.
     pub fn object(&self, s: EntityId, p: PredicateId) -> Option<Value> {
-        self.object_keys(s, p).first().map(|k| self.decode(*k).object)
+        self.object_keys(s, p).next().map(|k| self.decode(k).object)
     }
 
     /// Subject ids for `(?, p, o)`.
@@ -846,29 +887,24 @@ impl KnowledgeGraph {
                 None => return Vec::new(),
             },
         };
-        let lo = self.pos.partition_point(|k| (k.p, k.o) < (p, key));
-        let hi = self.pos.partition_point(|k| (k.p, k.o) <= (p, key));
-        self.pos[lo..hi].iter().map(|k| k.s).collect()
+        let below = |k: &TripleKey| (k.p, k.o) < (p, key);
+        self.pos.range(below, |k| (k.p, k.o) <= (p, key)).map(|k| k.s).collect()
     }
 
     /// All triples with the given predicate (POS order).
     pub fn triples_with_predicate(&self, p: PredicateId) -> impl Iterator<Item = Triple> + '_ {
-        let lo = self.pos.partition_point(|k| k.p < p);
-        let hi = self.pos.partition_point(|k| k.p <= p);
-        self.pos[lo..hi].iter().map(move |k| self.decode(*k))
+        self.pos.range(move |k| k.p < p, move |k| k.p <= p).map(move |k| self.decode(*k))
     }
 
     /// Outgoing entity-valued edges of `s`: `(predicate, object entity)`.
     pub fn out_edges(&self, s: EntityId) -> Vec<(PredicateId, EntityId)> {
-        self.subject_keys(s).iter().filter_map(|k| k.o.as_entity().map(|e| (k.p, e))).collect()
+        self.subject_facts(s).filter_map(|(k, _)| k.o.as_entity().map(|e| (k.p, e))).collect()
     }
 
     /// Incoming entity-valued edges of `o`: `(subject, predicate)`.
     pub fn in_edges(&self, o: EntityId) -> Vec<(EntityId, PredicateId)> {
         let key = ObjKey::entity(o);
-        let lo = self.osp.partition_point(|k| k.o < key);
-        let hi = self.osp.partition_point(|k| k.o <= key);
-        self.osp[lo..hi].iter().map(|k| (k.s, k.p)).collect()
+        self.osp.range(|k| k.o < key, |k| k.o <= key).map(|k| (k.s, k.p)).collect()
     }
 
     /// Undirected entity neighbourhood of `e` (deduplicated).
@@ -884,7 +920,8 @@ impl KnowledgeGraph {
         out
     }
 
-    /// Checks the cross-index consistency invariant. Intended for tests.
+    /// Checks the cross-index consistency invariant and every index's
+    /// chunk structure. Intended for tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.spo.len() != self.pos.len() || self.spo.len() != self.osp.len() {
             return Err(format!(
@@ -894,26 +931,18 @@ impl KnowledgeGraph {
                 self.osp.len()
             ));
         }
-        if self.meta.len() != self.spo.len() {
-            return Err(format!("meta len {} != spo len {}", self.meta.len(), self.spo.len()));
-        }
-        if !self.spo.windows(2).all(|w| w[0] < w[1]) {
-            return Err("spo not strictly sorted".into());
-        }
-        if !self.pos.windows(2).all(|w| pos_cmp(&w[0], &w[1]) == Ordering::Less) {
-            return Err("pos not strictly sorted".into());
-        }
-        if !self.osp.windows(2).all(|w| osp_cmp(&w[0], &w[1]) == Ordering::Less) {
-            return Err("osp not strictly sorted".into());
-        }
-        let mut a = self.pos.clone();
+        self.spo.check(TripleKey::cmp).map_err(|e| format!("spo: {e}"))?;
+        self.pos.check(pos_cmp).map_err(|e| format!("pos: {e}"))?;
+        self.osp.check(osp_cmp).map_err(|e| format!("osp: {e}"))?;
+        let spo: Vec<TripleKey> = self.keys().collect();
+        let mut a: Vec<TripleKey> = self.pos.iter().copied().collect();
         a.sort_unstable();
-        if a != self.spo {
+        if a != spo {
             return Err("pos contents differ from spo".into());
         }
-        let mut b = self.osp.clone();
+        let mut b: Vec<TripleKey> = self.osp.iter().copied().collect();
         b.sort_unstable();
-        if b != self.spo {
+        if b != spo {
             return Err("osp contents differ from spo".into());
         }
         Ok(())
@@ -949,7 +978,7 @@ impl KnowledgeGraph {
         // Sources: "unknown", then every other name a fact uses, sorted.
         const USED: u32 = u32::MAX;
         let mut new_source = vec![0u32; self.sources.len()];
-        for m in &self.meta {
+        for (_, m) in self.spo.iter() {
             new_source[m.source.index()] = USED;
         }
         let mut sources = Vec::with_capacity(self.sources.len() + 1);
@@ -973,10 +1002,14 @@ impl KnowledgeGraph {
         // `ValueKind::Entity` sorts below every literal kind, and entity
         // objects intern nothing. So one walk of its groups numbers the
         // literals; only a group holding several orders them by content.
-        let widest = sp_groups(&self.spo)
-            .map(|g| g.len() - g.partition_point(|k| k.o.is_entity()))
-            .max()
-            .unwrap_or(0);
+        let (mut widest, mut group, mut in_group) = (0, None, 0);
+        for k in self.keys().filter(|k| !k.o.is_entity()) {
+            if group != Some((k.s, k.p)) {
+                (group, in_group) = (Some((k.s, k.p)), 0);
+            }
+            in_group += 1;
+            widest = widest.max(in_group);
+        }
         let mut new_id = vec![UNSET; self.literals.len()];
         let mut literals: Vec<&Value> = Vec::with_capacity(self.literals.len());
         let mut number = |old: LiteralId| {
@@ -986,20 +1019,26 @@ impl KnowledgeGraph {
             }
         };
         let mut order = ContentOrder::with_capacity(widest);
-        for group in sp_groups(&self.spo) {
-            match &group[group.partition_point(|k| k.o.is_entity())..] {
-                [] => {}
-                [one] => number(old_id(one)),
-                several => {
-                    order.sort(several.iter().map(old_id), &self.literals).for_each(&mut number)
-                }
+        let mut group = None;
+        for k in self.keys().filter(|k| !k.o.is_entity()) {
+            if group != Some((k.s, k.p)) {
+                order.number_group(&self.literals, &mut number);
+                group = Some((k.s, k.p));
             }
+            order.push(old_id(&k), &self.literals);
         }
+        order.number_group(&self.literals, &mut number);
 
-        let entity_objects = self.osp.partition_point(|k| k.o.is_entity());
-        let mut runs: Vec<&[TripleKey]> = vec![&[]; literals.len()];
-        for run in self.osp[entity_objects..].chunk_by(|a, b| a.o == b.o) {
-            runs[new_id[old_id(&run[0]).index()] as usize] = run;
+        let literal_objects = self.osp.place(|k| k.o.is_entity());
+        let mut runs: Vec<(Place, usize)> = vec![(Place::default(), 0); literals.len()];
+        let mut run = None;
+        for (at, k) in self.osp.places_from(literal_objects) {
+            if run.is_none_or(|(o, _)| o != k.o) {
+                let id = new_id[old_id(k).index()] as usize;
+                runs[id].0 = at;
+                run = Some((k.o, id));
+            }
+            runs[run.expect("set above").1].1 += 1;
         }
 
         let mut out = Vec::new();
@@ -1012,7 +1051,7 @@ impl KnowledgeGraph {
                 graph: self,
                 new_id,
                 new_source,
-                entity_objects,
+                literal_objects,
                 runs,
                 order: Vec::with_capacity(widest),
             }),
@@ -1043,12 +1082,7 @@ impl crate::persist::codec::BinCodec for KnowledgeGraph {
             entities: &self.entities,
             literals: self.literals.values().collect(),
             sources: self.sources.iter().map(|(_, name)| name).collect(),
-            indexes: Indexes::Stored {
-                spo: &self.spo,
-                pos: &self.pos,
-                osp: &self.osp,
-                meta: &self.meta,
-            },
+            indexes: Indexes::Stored(self),
             pending_add: &self.pending_add,
             pending_remove: &self.pending_remove,
             commit_counter: self.commit_counter,
@@ -1059,21 +1093,20 @@ impl crate::persist::codec::BinCodec for KnowledgeGraph {
         let ontology = Arc::new(Ontology::dec(rd)?);
         let entities = Arc::new(Vec::dec(rd)?);
         let literals = Arc::new(LiteralTable::dec(rd)?);
-        let sources = Interner::dec(rd)?;
+        let sources = Arc::new(Interner::dec(rd)?);
         let spo: Vec<TripleKey> = Vec::dec(rd)?;
-        let pos = Vec::dec(rd)?;
-        let osp = Vec::dec(rd)?;
-        let meta = dec_meta(rd, &spo)?;
+        let pos: Vec<TripleKey> = Vec::dec(rd)?;
+        let osp: Vec<TripleKey> = Vec::dec(rd)?;
+        let facts = dec_facts(rd, &spo)?;
         Ok(KnowledgeGraph {
             ontology,
             entities,
             forms: Arc::default(),
             literals,
             sources,
-            spo,
-            pos,
-            osp,
-            meta,
+            spo: Index::from_sorted(&facts),
+            pos: Index::from_sorted(&pos),
+            osp: Index::from_sorted(&osp),
             pending_add: Vec::dec(rd)?,
             pending_remove: Vec::dec(rd)?,
             commit_counter: u64::dec(rd)?,
@@ -1081,12 +1114,12 @@ impl crate::persist::codec::BinCodec for KnowledgeGraph {
     }
 }
 
-/// Reads the image's `(key, meta)` pairs into the meta vector of `spo`:
-/// the pairs must name exactly the keys of `spo`, in its order.
-fn dec_meta(
+/// Reads the image's `(key, meta)` pairs, which must name exactly the keys
+/// of `spo`, in its order.
+fn dec_facts(
     rd: &mut crate::persist::codec::Reader<'_>,
     spo: &[TripleKey],
-) -> crate::error::Result<Vec<FactMeta>> {
+) -> crate::error::Result<Vec<Fact>> {
     use crate::error::SagaError;
     use crate::persist::codec::BinCodec;
     let n = rd.len()?;
@@ -1096,101 +1129,16 @@ fn dec_meta(
             spo.len()
         )));
     }
-    let mut meta = Vec::with_capacity(n);
+    let mut facts = Vec::with_capacity(n);
     for (i, k) in spo.iter().enumerate() {
         if TripleKey::dec(rd)? != *k {
             return Err(SagaError::Corrupt(format!(
                 "graph image meta entry {i} is not the meta of SPO key {i}"
             )));
         }
-        meta.push(FactMeta::dec(rd)?);
+        facts.push((*k, FactMeta::dec(rd)?));
     }
-    Ok(meta)
-}
-
-/// Applies one commit's delta to `index`, sorted by `cmp`: removes the keys
-/// of `removed` and inserts those of `added`, both sorted by `cmp`. Every
-/// removed key is in the index, no added key is, and no key is in both
-/// lists — what [`KnowledgeGraph::commit`] guarantees. Each delta key is
-/// found by binary search from a cursor that moves one way only, and the
-/// runs between delta keys move in place as slices: O(d · log n)
-/// comparisons, one move of the entries behind the first removal and one
-/// of those behind the first insertion.
-fn apply_sorted_delta<F>(
-    index: &mut Vec<TripleKey>,
-    removed: &[TripleKey],
-    added: &[TripleKey],
-    cmp: F,
-) where
-    F: Fn(&TripleKey, &TripleKey) -> Ordering,
-{
-    // Nothing beside the keys: the zero-sized column moves for free.
-    let mut nothing = vec![(); index.len()];
-    apply_sorted_delta_beside(index, &mut nothing, removed, added, &vec![(); added.len()], cmp);
-}
-
-/// [`apply_sorted_delta`] for an index that keeps a column beside its keys
-/// (`beside[i]` belongs to `index[i]`, as `meta` to `spo`): every move of
-/// a run of keys moves the same run of the column, and `added_beside[j]`
-/// goes in with `added[j]`.
-fn apply_sorted_delta_beside<M: Copy, F>(
-    index: &mut Vec<TripleKey>,
-    beside: &mut Vec<M>,
-    removed: &[TripleKey],
-    added: &[TripleKey],
-    added_beside: &[M],
-    cmp: F,
-) where
-    F: Fn(&TripleKey, &TripleKey) -> Ordering,
-{
-    debug_assert_eq!(index.len(), beside.len());
-    debug_assert_eq!(added.len(), added_beside.len());
-    // Front to back: `index[..write]` is final, `index[read..]` unvisited.
-    if !removed.is_empty() {
-        let (mut read, mut write) = (0, 0);
-        for key in removed {
-            let at = read + index[read..].partition_point(|k| cmp(k, key) == Ordering::Less);
-            debug_assert!(
-                index.get(at).is_some_and(|k| cmp(k, key) == Ordering::Equal),
-                "a removed key is not in the index"
-            );
-            if write < read {
-                index.copy_within(read..at, write);
-                beside.copy_within(read..at, write);
-            }
-            write += at - read;
-            read = at + 1;
-        }
-        let len = index.len();
-        index.copy_within(read..len, write);
-        beside.copy_within(read..len, write);
-        index.truncate(write + (len - read));
-        beside.truncate(write + (len - read));
-    }
-    // Back to front, into the grown vector: `index[..end]` is unvisited,
-    // `index[write..]` final.
-    if !added.is_empty() {
-        let mut end = index.len();
-        index.reserve_exact(added.len());
-        index.resize(end + added.len(), added[0]);
-        beside.reserve_exact(added.len());
-        beside.resize(end + added.len(), added_beside[0]);
-        let mut write = index.len();
-        for (key, item) in added.iter().zip(added_beside).rev() {
-            let at = index[..end].partition_point(|k| cmp(k, key) == Ordering::Less);
-            debug_assert!(
-                index[at..end].first().is_none_or(|k| cmp(k, key) != Ordering::Equal),
-                "an added key is already in the index"
-            );
-            let run = end - at;
-            index.copy_within(at..end, write - run);
-            beside.copy_within(at..end, write - run);
-            write -= run + 1;
-            index[write] = *key;
-            beside[write] = *item;
-            end = at;
-        }
-    }
+    Ok(facts)
 }
 
 #[cfg(test)]
@@ -1266,8 +1214,9 @@ mod tests {
             let objects = kg.objects(s, p);
             assert_eq!(objects.len(), n);
             assert_eq!(kg.object(s, p).as_ref(), objects.first(), "({s}, {p})");
-            let keys = kg.object_keys(s, p);
-            assert!(keys.iter().zip(&objects).all(|(k, v)| kg.decode(*k).object == *v));
+            let mut keys = kg.object_keys(s, p);
+            assert!(keys.by_ref().zip(&objects).all(|(k, v)| kg.decode(k).object == *v));
+            assert_eq!(keys.next(), None);
         }
         assert_eq!(kg.object(a, name), Some(Value::from("Zed")), "the first interned");
         let ally = kg.literal_id(ValueKind::Text, "Ally").unwrap();
@@ -1375,10 +1324,16 @@ mod tests {
         assert_eq!(stable, [2, 4, 6, 1, 0, 3, 7, 5]);
         let mut order = ContentOrder::with_capacity(1);
         for ids in [[0, 1, 2, 3, 4, 5, 6, 7], [3, 7, 6, 5, 4, 2, 1, 0], [5, 3, 0, 2, 7, 1, 4, 6]] {
-            let sorted: Vec<u64> =
-                order.sort(ids.iter().map(|&i| LiteralId(i)), &table).map(|l| l.0).collect();
+            ids.iter().for_each(|&i| order.push(LiteralId(i), &table));
+            let mut sorted = Vec::new();
+            order.number_group(&table, |l| sorted.push(l.0));
             assert_eq!(sorted, stable, "from {ids:?}");
         }
+        // A group of one is numbered as it is, and ends like any other.
+        order.push(LiteralId(5), &table);
+        let mut one = Vec::new();
+        order.number_group(&table, |l| one.push(l.0));
+        assert_eq!(one, [5]);
     }
 
     /// The sizes an image is reserved by are the sizes its tables encode to.
@@ -1440,7 +1395,7 @@ mod tests {
         let (mut kg, knows, _, a, b, _) = setup();
         kg.remove(&Triple::new(a, knows, b));
         let d = kg.commit();
-        assert!(d.is_empty() || d.removed.is_empty());
+        assert!(d.removed.is_empty());
         assert_eq!(kg.num_triples(), 0);
     }
 
@@ -1482,12 +1437,12 @@ mod tests {
         back.check_invariants().unwrap();
     }
 
-    /// The commit before the sorted delta and the meta vector, as a model
-    /// outside [`KnowledgeGraph`] — the oracle for
+    /// The commit before the sorted delta and the chunked indexes, as a
+    /// model outside [`KnowledgeGraph`] — the oracle for
     /// [`commit`](KnowledgeGraph::commit): the facts and their meta in an
-    /// ordered map, and the three index orders as sorted vectors that
+    /// ordered map, and the three index orders as flat sorted vectors that
     /// removals `retain` out of and insertions merge into.
-    #[derive(Default)]
+    #[derive(Default, Clone)]
     struct ReferenceStore {
         meta: BTreeMap<TripleKey, FactMeta>,
         spo: Vec<TripleKey>,
@@ -1644,6 +1599,36 @@ mod tests {
         )
     }
 
+    /// Asserts that the commit that returned `got` made `kg` what the
+    /// commit that returned `want` made `reference`: the same changes, the
+    /// same keys in all three orders, the same meta for every key (also
+    /// read subject by subject), the index invariants and chunk bounds, and
+    /// an image `kg` decodes from.
+    fn assert_committed_alike(
+        kg: &KnowledgeGraph,
+        reference: &ReferenceStore,
+        got: &KeyDelta,
+        want: &Delta,
+    ) {
+        use crate::persist::codec::{BinCodec, Reader};
+        assert_eq!(format!("{:?}", kg.decode_delta(got)), format!("{want:?}"));
+        assert!(kg.keys().eq(reference.spo.iter().copied()), "spo");
+        assert!(kg.pos.iter().eq(&reference.pos), "pos");
+        assert!(kg.osp.iter().eq(&reference.osp), "osp");
+        let model: Vec<Fact> = reference.meta.iter().map(|(k, m)| (*k, *m)).collect();
+        assert!(kg.spo.iter().eq(&model), "meta");
+        let mut rest = &model[..];
+        for s in 0..kg.num_entities() as u64 {
+            let (of_s, after) = rest.split_at(rest.partition_point(|(k, _)| k.s.raw() <= s));
+            assert!(kg.subject_facts(EntityId(s)).eq(of_s.iter().copied()), "subject {s}");
+            rest = after;
+        }
+        assert_eq!(kg.check_invariants(), Ok(()));
+        let bytes = kg.canonical_bytes();
+        let back = KnowledgeGraph::dec(&mut Reader::new(&bytes)).unwrap();
+        assert!(back.canonical_bytes() == bytes);
+    }
+
     /// The sorted-delta commit against the `retain` + merge model it
     /// replaced, driven by one random history: inserts, re-inserts under
     /// other meta, removals of present and absent facts, duplicate
@@ -1655,7 +1640,6 @@ mod tests {
     #[test]
     fn sorted_delta_commit_matches_the_reference() {
         check(256, 1, |rng| {
-            use crate::persist::codec::{BinCodec, Reader};
             let history = saga_testkit::vec(rng, 0..96, write);
             let (mut kg, knows, name, a, _, _) = setup();
             let person = kg.entity(a).entity_type;
@@ -1685,30 +1669,161 @@ mod tests {
                     Write::Commit => {
                         let want = reference.commit(&kg);
                         let got = kg.commit();
-                        assert_eq!(format!("{got:?}"), format!("{want:?}"));
-                        assert_eq!(&kg.spo, &reference.spo);
-                        assert_eq!(&kg.pos, &reference.pos);
-                        assert_eq!(&kg.osp, &reference.osp);
-                        let pairs: Vec<(TripleKey, FactMeta)> =
-                            kg.spo.iter().copied().zip(kg.meta.iter().copied()).collect();
-                        let model: Vec<(TripleKey, FactMeta)> =
-                            reference.meta.iter().map(|(k, m)| (*k, *m)).collect();
-                        assert_eq!(&pairs, &model);
-                        for s in 0..kg.num_entities() as u64 {
-                            let facts: Vec<(TripleKey, FactMeta)> =
-                                kg.subject_facts(EntityId(s)).collect();
-                            let want: Vec<(TripleKey, FactMeta)> =
-                                model.iter().filter(|(k, _)| k.s == EntityId(s)).copied().collect();
-                            assert_eq!(facts, want);
-                        }
-                        assert_eq!(kg.check_invariants(), Ok(()));
-                        let bytes = kg.canonical_bytes();
-                        let back = KnowledgeGraph::dec(&mut Reader::new(&bytes)).unwrap();
-                        assert!(back.canonical_bytes() == bytes);
+                        assert_committed_alike(&kg, &reference, &got, &want);
                     }
                 }
             }
         });
+    }
+
+    /// Subjects of the chunk-boundary histories. With two predicates and
+    /// [`WIDE_OBJECTS`] objects a subject holds up to 48 facts, so a graph
+    /// spans up to fifteen chunks of [`index::CHUNK`].
+    const WIDE_SUBJECTS: u64 = 40;
+    const WIDE_OBJECTS: u64 = 24;
+
+    /// One round of a chunk-boundary history, over the subjects
+    /// `from..to`.
+    #[derive(Debug, Clone, Copy)]
+    enum Round {
+        /// Insert every fact of the run whose object is `phase` modulo
+        /// `stride`: a dense run lands in one or two chunks and splits them.
+        Insert { stride: u64, phase: u64 },
+        /// Remove every fact of the run: a run that empties a chunk, or
+        /// crosses a boundary and shrinks the chunks on both sides of it.
+        Remove,
+        /// Re-insert every fact of the run under a new confidence: a
+        /// refresh that keeps each chunk's length.
+        Refresh,
+        /// Scattered single inserts and removals over the whole graph.
+        Scatter,
+    }
+
+    /// The commit against the reference over graphs that span many chunks:
+    /// a bulk first commit, then rounds that split chunks, empty them,
+    /// remove runs across their boundaries and refresh them in place,
+    /// mixed with scattered writes. Before some rounds the history forks:
+    /// the graph it held is kept, as a clone or a reader's pin would hold
+    /// it, and the rest of the history writes a clone. After every commit
+    /// the graph matches the reference and keeps its chunk bounds, and at
+    /// the end every graph it left behind still has the bytes it had, so no
+    /// write to a clone reached a chunk another graph sees. The histories
+    /// must, between them, split a chunk, empty one, remove a run across a
+    /// boundary and fork.
+    #[test]
+    fn chunk_boundaries_match_the_reference() {
+        let (mut splits, mut empties, mut crossings, mut forks) = (0, 0, 0, 0);
+        check(48, 3, |rng| {
+            let (mut kg, knows, name, a, _, _) = setup();
+            let person = kg.entity(a).entity_type;
+            for e in kg.num_entities() as u64..WIDE_SUBJECTS {
+                kg.add_entity(EntityBuilder::new(format!("e{e}"), person));
+            }
+            let wiki = kg.register_source("wiki");
+            let triple = |s: u64, o: u64| {
+                let (p, o) = ([knows, name][(o % 2) as usize], o / 2);
+                let object = match o {
+                    o if o < 6 => Value::Entity(EntityId(o)),
+                    o => Value::Text(format!("v{o}")),
+                };
+                Triple::new(EntityId(s), p, object)
+            };
+            let density = rng.gen_range(1u64..=4);
+            for s in 0..WIDE_SUBJECTS {
+                for o in (0..WIDE_OBJECTS).filter(|_| rng.gen_range(0..4) < density) {
+                    kg.insert(triple(s, o));
+                }
+            }
+            let mut reference = ReferenceStore::default();
+            let want = reference.commit(&kg);
+            let got = kg.commit();
+            assert_committed_alike(&kg, &reference, &got, &want);
+
+            let mut left_behind: Vec<(KnowledgeGraph, Vec<u8>)> = Vec::new();
+            for round in 0..rng.gen_range(4..14) {
+                if rng.gen_range(0..4) == 0 {
+                    let copy = kg.clone();
+                    let bytes = kg.canonical_bytes();
+                    // Keep either graph: the other writes on.
+                    let kept =
+                        if rng.gen_bool(0.5) { std::mem::replace(&mut kg, copy) } else { copy };
+                    left_behind.push((kept, bytes));
+                    forks += 1;
+                }
+                let from = rng.gen_range(0..WIDE_SUBJECTS);
+                let to = (from + rng.gen_range(1..12)).min(WIDE_SUBJECTS);
+                let run = (from..to).flat_map(|s| (0..WIDE_OBJECTS).map(move |o| (s, o)));
+                let step = saga_testkit::one_of(
+                    rng,
+                    &[
+                        &|rng| Round::Insert {
+                            stride: rng.gen_range(1..4),
+                            phase: rng.gen_range(0..4),
+                        },
+                        &|_| Round::Remove,
+                        &|_| Round::Refresh,
+                        &|_| Round::Scatter,
+                    ],
+                );
+                let held: Vec<TripleKey> = kg.keys().collect();
+                let before = kg.spo.chunk_lens();
+                match step {
+                    Round::Insert { stride, phase } => {
+                        run.filter(|(_, o)| o % stride == phase % stride)
+                            .for_each(|(s, o)| kg.insert_with(triple(s, o), wiki, 0.5));
+                    }
+                    Round::Remove => {
+                        let gone: Vec<usize> = (0..held.len())
+                            .filter(|&i| (from..to).contains(&held[i].s.raw()))
+                            .collect();
+                        if let (Some(&first), Some(&last)) = (gone.first(), gone.last()) {
+                            // The chunk of a place in SPO order, before the commit.
+                            let chunk_of = |i: usize| {
+                                (before.iter().scan(0, |end, n| {
+                                    *end += n;
+                                    Some(*end)
+                                }))
+                                .position(|end| i < end)
+                            };
+                            crossings += usize::from(chunk_of(first) != chunk_of(last));
+                        }
+                        run.for_each(|(s, o)| kg.remove(&triple(s, o)));
+                    }
+                    Round::Refresh => {
+                        let confidence = f32::from(round as u8) / 16.0;
+                        (held.iter().filter(|k| (from..to).contains(&k.s.raw())))
+                            .for_each(|&k| kg.insert_key_with(k, wiki, confidence));
+                    }
+                    Round::Scatter => {
+                        for _ in 0..rng.gen_range(1..24) {
+                            let (s, o) =
+                                (rng.gen_range(0..WIDE_SUBJECTS), rng.gen_range(0..WIDE_OBJECTS));
+                            match rng.gen_bool(0.5) {
+                                true => kg.insert(triple(s, o)),
+                                false => kg.remove(&triple(s, o)),
+                            }
+                        }
+                    }
+                }
+                let want = reference.commit(&kg);
+                let got = kg.commit();
+                assert_committed_alike(&kg, &reference, &got, &want);
+                let after = kg.spo.chunk_lens();
+                splits += usize::from(after.len() > before.len());
+                empties += usize::from(
+                    before.iter().sum::<usize>() > after.iter().sum::<usize>()
+                        && after.len() < before.len(),
+                );
+            }
+            for (graph, bytes) in &left_behind {
+                assert!(graph.canonical_bytes() == *bytes, "a write reached a graph left behind");
+                assert_eq!(graph.check_invariants(), Ok(()));
+            }
+        });
+        assert!(
+            splits > 0 && empties > 0 && crossings > 0 && forks > 0,
+            "{splits} splits, {empties} emptied or merged, {crossings} crossings, {forks} forks"
+        );
     }
 
     /// An image whose meta pairs do not name the SPO keys in order — two

@@ -31,11 +31,6 @@ impl Date {
         let day: u8 = it.next()?.parse().ok()?;
         Self::new(year, month, day)
     }
-
-    /// Days since year 0 approximation used for ordering/recency arithmetic.
-    pub fn ordinal(&self) -> i64 {
-        self.year as i64 * 372 + (self.month as i64 - 1) * 31 + (self.day as i64 - 1)
-    }
 }
 
 impl fmt::Display for Date {
@@ -287,10 +282,11 @@ mod tests {
     }
 
     #[test]
-    fn date_ordinal_orders_chronologically() {
+    fn dates_order_chronologically() {
         let a = Date::new(1979, 7, 23).unwrap();
         let b = Date::new(1980, 9, 9).unwrap();
-        assert!(a.ordinal() < b.ordinal());
+        let c = Date::new(1980, 10, 1).unwrap();
+        assert!(a < b && b < c);
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Copy-on-write sharing of a graph's tables. The ontology, the entity
-//! records and the literal table sit behind `Arc`s that a clone shares, so:
+//! records, the literal table, the source interner and every chunk of the
+//! three indexes sit behind `Arc`s that a clone shares, so:
 //!
 //! - a clone and its original write through to neither: every `&mut self`
-//!   method copies the table it writes before writing it;
+//!   method copies the table or chunk it writes before writing it;
 //! - copying a graph costs the same few allocations whatever its size —
-//!   the key vectors, the meta vector and the source interner — and so does a
-//!   `KgStore::commit` of one fact while a reader pins the previous
-//!   version, which copies the pinned graph before it writes;
+//!   the three chunk-pointer vectors — and asks for under 5 % of the bytes
+//!   of the flat key and meta vectors the chunks replaced;
+//! - a `KgStore::commit` of one fact while a reader pins the previous
+//!   version copies the pinned graph's pointer vectors and then at most the
+//!   one chunk of each index the fact lands in, at any size;
 //! - interning a literal into a table a clone or a pin shares copies the
 //!   table's chunk pointers, its hash index and its last, partial chunk of
 //!   fewer than 32 values, not the values before: a bound that holds at any
@@ -118,7 +121,7 @@ fn write_through_every_method(kg: &mut KnowledgeGraph) {
     let source = kg.register_source("sharing-probe");
     let fact = Triple::new(probe, note, Value::Text("a literal no graph had".into()));
     kg.insert_with(fact, source, 0.5);
-    let first = kg.decode(kg.keys()[0]);
+    let first = kg.decode(kg.keys().next().expect("a fact"));
     kg.remove(&first);
     kg.commit();
 }
@@ -130,7 +133,7 @@ fn a_clone_and_its_original_write_through_to_neither() {
     let before = original.canonical_bytes();
     let unwritten = |kg: &KnowledgeGraph| {
         kg.canonical_bytes() == before
-            && kg.find_entity_by_name("Sharing Probe").is_none()
+            && kg.entities_by_form("sharing probe").is_empty()
             && kg.ontology().predicate_by_name("sharing_note").is_none()
             && kg.entity(EntityId(0)).popularity != 0.125
     };
@@ -147,22 +150,56 @@ fn a_clone_and_its_original_write_through_to_neither() {
     original.check_invariants().unwrap();
 }
 
+/// Bytes a fact took in the flat indexes before they were chunked: three
+/// 24-byte keys and a 16-byte meta.
+const FLAT_BYTES_PER_FACT: u64 = 3 * 24 + 16;
+
+/// The most a commit of one fact may ask for to copy index chunks: one
+/// chunk of each index at its largest, 256 entries — 40-byte SPO entries,
+/// 24-byte POS and OSP keys — each behind a 16-byte `Arc` header.
+const THREE_CHUNKS: u64 = 256 * 40 + 2 * 256 * 24 + 3 * 16;
+
+/// What a commit under a pin asks for besides index chunks and pointer
+/// vectors, at any size: its op list and log payload, its sorted delta and
+/// the decoded delta the store keeps.
+const COMMIT_OVERHEAD: u64 = 4 * 1024;
+
+/// The allocator requests and bytes of cloning `kg`.
+fn clone_requests(kg: &KnowledgeGraph) -> (u64, u64) {
+    count_requests(|| drop(std::hint::black_box(kg.clone())))
+}
+
+#[test]
+fn a_clone_asks_for_a_small_share_of_the_flat_index_bytes_at_any_size() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    for scale in [1, 10] {
+        let kg = world(scale).kg;
+        let flat = kg.num_triples() as u64 * FLAT_BYTES_PER_FACT;
+        let (_, bytes) = clone_requests(&kg);
+        assert!(
+            bytes * 20 < flat,
+            "{scale}x: a clone asked for {bytes} bytes, flat indexes {flat}"
+        );
+    }
+}
+
 #[test]
 fn copying_a_graph_allocates_the_same_few_times_at_any_size() {
     let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let (small, large) = (world(1).kg, world(10).kg);
     assert!(large.num_entities() > 8 * small.num_entities());
     assert!(large.num_triples() > 8 * small.num_triples());
-    let copy = |kg: &KnowledgeGraph| count_allocs(|| drop(std::hint::black_box(kg.clone())));
-    let (at_1x, at_10x) = (copy(&small), copy(&large));
+    let (at_1x, at_10x) = (clone_requests(&small).0, clone_requests(&large).0);
     assert_eq!(at_1x, at_10x, "a copy allocates per table, not per entity or literal");
-    assert!(at_1x <= 16, "{at_1x} allocations to copy a graph");
+    // The three chunk-pointer vectors, and one spare.
+    assert!(at_1x <= 4, "{at_1x} allocations to copy a graph");
 }
 
 /// Commits one new entity-valued fact to a store of `world` while a reader
-/// pins the previous version; returns the commit's allocations. A first,
+/// pins the previous version; returns the commit's allocator requests and
+/// bytes, and the bytes a clone of the pinned graph asks for. A first,
 /// uncounted commit warms the engine's buffers.
-fn pinned_commit_allocs(world: SynthKg, tag: &str) -> u64 {
+fn pinned_commit_requests(world: SynthKg, tag: &str) -> (u64, u64, u64) {
     let path = std::env::temp_dir()
         .join(format!("saga-core-graph-sharing-{}-{tag}.store", std::process::id()));
     let _ = std::fs::remove_file(&path);
@@ -177,22 +214,42 @@ fn pinned_commit_allocs(world: SynthKg, tag: &str) -> u64 {
     let _first_pin = store.pin();
     store.commit(|txn| txn.insert(fresh[0].clone())).unwrap();
     let second_pin = store.pin();
-    let allocs = count_allocs(|| {
+    let (_, clone_bytes) = clone_requests(&second_pin);
+    let (allocs, bytes) = count_requests(|| {
         store.commit(|txn| txn.insert(fresh[1].clone())).unwrap();
     });
     assert!(store.graph().contains(&fresh[1]) && !second_pin.contains(&fresh[1]));
     drop(store);
     let _ = std::fs::remove_file(&path);
-    allocs
+    (allocs, bytes, clone_bytes)
 }
 
 #[test]
 fn a_commit_under_a_pin_allocates_the_same_few_times_at_any_size() {
     let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let at_1x = pinned_commit_allocs(world(1), "1x");
-    let at_10x = pinned_commit_allocs(world(10), "10x");
+    let (at_1x, _, _) = pinned_commit_requests(world(1), "1x");
+    let (at_10x, _, _) = pinned_commit_requests(world(10), "10x");
     assert_eq!(at_1x, at_10x, "the pinned copy allocates per table, not per entity or literal");
-    assert!(at_1x <= 64, "{at_1x} allocations for a one-fact commit under a pin");
+    assert!(at_1x <= 24, "{at_1x} allocations for a one-fact commit under a pin");
+}
+
+#[test]
+fn a_commit_under_a_pin_copies_three_chunks_and_the_pointer_vectors_at_any_size() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    for (scale, tag) in [(1, "bytes-1x"), (10, "bytes-10x")] {
+        let world = world(scale);
+        let flat = world.kg.num_triples() as u64 * FLAT_BYTES_PER_FACT;
+        let (_, bytes, pointers) = pinned_commit_requests(world, tag);
+        // The pointer vectors are what a clone of the pinned graph copies,
+        // and that is a small share of the indexes.
+        assert!(pointers * 20 < flat, "{scale}x: {pointers} bytes to copy the pointer vectors");
+        let chunks = bytes.saturating_sub(pointers);
+        assert!(
+            chunks <= THREE_CHUNKS + COMMIT_OVERHEAD,
+            "{scale}x: a one-fact commit under a pin asked for {bytes} bytes, {pointers} of them \
+             the pointer vectors"
+        );
+    }
 }
 
 /// What interning into a shared literal table may copy of its values: the
@@ -243,7 +300,7 @@ fn a_literal_commit_under_a_pin_allocates_the_same_few_times_at_any_size() {
     let at_1x = pinned_literal_commit_allocs(world(1), "1x");
     let at_10x = pinned_literal_commit_allocs(world(10), "10x");
     // The bound of an entity-valued commit under a pin, and the last chunk.
-    bounded_at_any_size(&at_1x, &at_10x, 64 + LAST_CHUNK);
+    bounded_at_any_size(&at_1x, &at_10x, 24 + LAST_CHUNK);
 }
 
 /// Clones `kg` and inserts, into the clone, a fact with an identifier

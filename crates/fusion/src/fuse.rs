@@ -364,7 +364,7 @@ mod tests {
         engine.ingest(&data.records);
         let n = engine.kg().num_entities() as u64;
         for k in engine.kg().keys() {
-            let t = engine.kg().decode(*k);
+            let t = engine.kg().decode(k);
             if let saga_core::Value::Entity(e) = t.object {
                 assert!(e.raw() < n, "foreign entity id {e:?} leaked into fused KG");
             }

@@ -33,7 +33,8 @@ pub struct PointLookupIndex {
 impl PointLookupIndex {
     /// Freeze the current committed state of `kg` into a lookup index.
     pub fn build(kg: &KnowledgeGraph) -> Self {
-        let keys: Vec<TripleKey> = kg.keys().to_vec();
+        let mut keys = Vec::with_capacity(kg.num_triples());
+        keys.extend(kg.keys());
         assert!(keys.len() <= u32::MAX as usize, "CSR offsets are u32");
         let n = kg.num_entities();
         let mut offsets = vec![0u32; n + 2];

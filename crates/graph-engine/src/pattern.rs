@@ -61,9 +61,7 @@ pub fn scan(kg: &KnowledgeGraph, pat: &TriplePattern) -> Vec<Triple> {
             .into_iter()
             .map(|(s, p)| Triple { subject: s, predicate: p, object: Value::Entity(*e) })
             .collect(),
-        (None, None, _) => {
-            kg.keys().iter().map(|k| kg.decode(*k)).filter(|t| pat.matches(t)).collect()
-        }
+        (None, None, _) => kg.keys().map(|k| kg.decode(k)).filter(|t| pat.matches(t)).collect(),
     }
 }
 
@@ -76,7 +74,7 @@ mod tests {
     fn scan_matches_naive_filter_for_all_shapes() {
         let s = generate(&SynthConfig::tiny(3));
         let kg = &s.kg;
-        let all: Vec<Triple> = kg.keys().iter().map(|k| kg.decode(*k)).collect();
+        let all: Vec<Triple> = kg.keys().map(|k| kg.decode(k)).collect();
         let subj = s.people[5];
         let pred = s.preds.occupation;
         let obj = Value::Entity(s.occupations[0]);

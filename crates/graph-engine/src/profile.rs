@@ -218,7 +218,7 @@ pub fn stale_facts(kg: &KnowledgeGraph, max_age: u64, limit: usize) -> Vec<Stale
     let ont = kg.ontology();
     let mut out = Vec::new();
     for k in kg.keys() {
-        let t = kg.decode(*k);
+        let t = kg.decode(k);
         let Some(meta) = kg.fact_meta(&t) else { continue };
         let age = now.saturating_sub(meta.observed_at);
         let threshold = match ont.predicate(t.predicate).volatility {

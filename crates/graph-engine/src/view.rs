@@ -139,7 +139,7 @@ impl GraphView {
             if def.entity_objects_only && !k.o.is_entity() {
                 continue;
             }
-            let t = kg.decode(*k);
+            let t = kg.decode(k);
             if def.passes_static(kg, &t) {
                 *pred_counts.entry(t.predicate).or_default() += 1;
                 retained.push(t);
@@ -289,7 +289,8 @@ mod tests {
         }
         let victim = view.triples().next().unwrap().clone();
         s.kg.remove(&victim);
-        let delta = s.kg.commit();
+        let keys = s.kg.commit();
+        let delta = s.kg.decode_delta(&keys);
         view.apply_delta(&s.kg, &delta);
 
         let fresh = GraphView::materialize(&s.kg, def);
@@ -316,7 +317,7 @@ mod tests {
         let mut retained = Vec::new();
         let mut pred_counts: HashMap<PredicateId, usize> = HashMap::new();
         for k in kg.keys() {
-            let t = kg.decode(*k);
+            let t = kg.decode(k);
             if def.passes_static(kg, &t) {
                 *pred_counts.entry(t.predicate).or_default() += 1;
                 retained.push(t);

@@ -32,11 +32,13 @@ fn view_maintenance_equals_recompute() {
                 s.kg.remove(&t);
             }
             if i % 4 == 3 {
-                let delta = s.kg.commit();
+                let keys = s.kg.commit();
+                let delta = s.kg.decode_delta(&keys);
                 view.apply_delta(&s.kg, &delta);
             }
         }
-        let delta = s.kg.commit();
+        let keys = s.kg.commit();
+        let delta = s.kg.decode_delta(&keys);
         view.apply_delta(&s.kg, &delta);
 
         let fresh = GraphView::materialize(&s.kg, def);

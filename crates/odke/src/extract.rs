@@ -422,7 +422,11 @@ mod tests {
         let movie = table
             .rows
             .iter()
-            .find_map(|row| s.kg.find_entity_by_name(&row[0]).map(|e| (e.id, row.clone())))
+            .find_map(|row| {
+                let named = |&&e: &&EntityId| s.kg.entity(e).name == row[0];
+                let forms = s.kg.entities_by_form(&normalize_phrase(&row[0]));
+                forms.iter().find(named).map(|&e| (e, row.clone()))
+            })
             .expect("a row naming a known movie");
         let cands = extract_from_page(&s.kg, &svc, page, movie.0, s.preds.release_date);
         let from_table: Vec<_> =

@@ -689,8 +689,7 @@ mod tests {
             let mut kg = store.graph().clone();
             let base_facts: Vec<(Triple, FactMeta)> = base
                 .keys()
-                .iter()
-                .map(|&k| base.decode(k))
+                .map(|k| base.decode(k))
                 .map(|t| {
                     let meta = base.fact_meta(&t).unwrap();
                     (t, meta)

@@ -77,8 +77,7 @@ mod tests {
 
         let mut rows: Vec<(Triple, String, f32)> = kg
             .keys()
-            .iter()
-            .map(|&k| {
+            .map(|k| {
                 let t = kg.decode(k);
                 let meta = kg.fact_meta(&t).expect("committed triple has meta");
                 (t, kg.source_name(meta.source).to_string(), meta.confidence)
@@ -117,7 +116,7 @@ mod tests {
         let mut reordered = publish_snapshot(&s.kg);
         // Re-apply one fact over several extra commits: same content,
         // different observed_at stamps and commit counter.
-        let t = reordered.decode(reordered.keys()[0]);
+        let t = reordered.decode(reordered.keys().next().unwrap());
         let meta = reordered.fact_meta(&t).unwrap();
         for _ in 0..3 {
             reordered.insert_with(t.clone(), meta.source, meta.confidence);
@@ -412,7 +411,7 @@ mod tests {
         let never = empty_graph(&[1, 2]);
         assert_assembles_as_reinserted(&never);
         let mut emptied = graph_of(&[(20, 0, text("gone")), (40, 1, Value::Entity(EntityId(9)))]);
-        for k in emptied.keys().to_vec() {
+        for k in emptied.keys().collect::<Vec<_>>() {
             let t = emptied.decode(k);
             emptied.remove(&t);
         }
@@ -438,7 +437,7 @@ mod tests {
             assert!(bytes == published.canonical_bytes());
             assert_eq!(published.check_invariants(), Ok(()));
             assert_eq!(published.num_triples(), kg.num_triples());
-            for &k in kg.keys() {
+            for k in kg.keys() {
                 let t = kg.decode(k);
                 let (was, now) = (kg.fact_meta(&t).unwrap(), published.fact_meta(&t).unwrap());
                 assert_eq!(kg.source_name(was.source), published.source_name(now.source));

@@ -364,3 +364,42 @@ fn runs_over_the_same_inputs_write_identical_store_images() {
     assert!(a.0 == b.0, "bootstrap store images differ");
     assert!(a.1 == b.1, "store images differ after an interval");
 }
+
+/// A reader during a publish: a server holds the store pin of every
+/// version it published while the chain grows on. Over four chained
+/// intervals, after every later interval each held pin still encodes and
+/// publishes exactly the bytes it did when it was taken — no commit's
+/// copy-on-write wrote a chunk a pin sees — and the chain ends where a
+/// batch rebuild does. The chain stops at four: longer chains diverge from
+/// the rebuild at some seeds (see ROADMAP.md).
+#[test]
+fn pins_held_across_chained_intervals_keep_their_bytes() {
+    let (s, mut corpus, truth) = fixture();
+    let cfg = config(&s, &truth);
+    let reg = Registry::new();
+    let (mut state, boot) =
+        grow_batch(&s.kg, &corpus, &cfg, 2, &workdir("pinned-chain"), &reg).expect("bootstrap");
+    let pin = state.store.pin();
+    let mut pins = vec![(pin.canonical_bytes(), boot.published, pin)];
+    for (i, pct) in [5u32, 30, 1, 15].into_iter().enumerate() {
+        churn(&mut corpus, &s, &truth, pct, 800 + i as u64);
+        let rep = grow_incremental(&mut state, &corpus, &cfg, 2, &reg).expect("chained pass");
+        assert!(!rep.lapsed && rep.facts_changed > 0, "interval {i} committed nothing");
+        for (version, (image, published, pin)) in pins.iter().enumerate() {
+            assert!(pin.canonical_bytes() == *image, "interval {i} wrote version {version}");
+            let republished = saga_pipeline::published_bytes(pin);
+            assert!(
+                republished == *published,
+                "interval {i} changed what version {version} publishes"
+            );
+        }
+        let pin = state.store.pin();
+        assert!(saga_pipeline::published_bytes(&pin) == rep.published);
+        pins.push((pin.canonical_bytes(), rep.published, pin));
+    }
+
+    let (_, batch) =
+        grow_batch(&s.kg, &corpus, &cfg, 2, &workdir("pinned-chain-batch"), &Registry::new())
+            .expect("batch rebuild");
+    assert!(pins.last().expect("a pin").1 == batch.published, "the chain diverged from batch");
+}

@@ -16,7 +16,7 @@ fn determinism_across_the_stack() {
         let seed = rng.gen_range(0u64..1000);
         let a = generate(&SynthConfig::tiny(seed));
         let b = generate(&SynthConfig::tiny(seed));
-        assert_eq!(a.kg.keys(), b.kg.keys());
+        assert!(a.kg.keys().eq(b.kg.keys()));
 
         let (ca, _) = generate_corpus(&a, &[], &CorpusConfig::tiny(seed));
         let (cb, _) = generate_corpus(&b, &[], &CorpusConfig::tiny(seed));
