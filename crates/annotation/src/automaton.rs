@@ -62,11 +62,6 @@ impl PhraseAutomaton {
         }
     }
 
-    /// Number of patterns added.
-    pub fn num_patterns(&self) -> usize {
-        self.pattern_len.len()
-    }
-
     /// Adds a pattern (a normalized token sequence), returning its id.
     /// Must be called before [`build`](Self::build).
     ///

@@ -115,19 +115,6 @@ impl AnnotatedCorpus {
         pairs.dedup();
         MentionDocs { slot, pairs }
     }
-
-    /// Documents mentioning `entity` (sorted) — the inversion restricted to
-    /// one entity. A caller with many entities to look up wants one
-    /// restricted pass for all of them (as [`sync_kg_links`] does), not one
-    /// call each.
-    pub fn docs_mentioning(&self, entity: EntityId) -> Vec<DocId> {
-        self.mention_docs(&[entity]).of(entity).collect()
-    }
-
-    /// Total linked mentions.
-    pub fn total_mentions(&self) -> usize {
-        self.docs.values().map(|d| d.mentions.len()).sum()
-    }
 }
 
 /// Pipeline statistics for one run (full or incremental), as the pass that
@@ -425,7 +412,7 @@ mod tests {
             out.docs.insert(ad.doc, ad);
         }
         docs_counter.add(corpus.pages.len() as u64);
-        mentions_counter.add(out.total_mentions() as u64);
+        mentions_counter.add(out.docs.values().map(|d| d.mentions.len() as u64).sum());
         span.stop();
         let mut delta = scope.registry().snapshot();
         delta.diff(&before);
@@ -547,7 +534,7 @@ mod tests {
         assert_eq!(stats.docs_processed, c.len());
         assert!(stats.mentions_found > c.len() / 2, "mentions: {}", stats.mentions_found);
         // The Benicio profile page should link Benicio.
-        let benicio_docs = annotated.docs_mentioning(s.scenario.benicio);
+        let benicio_docs = reference_docs_mentioning(&annotated, s.scenario.benicio);
         assert!(!benicio_docs.is_empty());
         let page = c.page(benicio_docs[0]);
         assert!(page.full_text().contains("Benicio"));
@@ -559,7 +546,8 @@ mod tests {
         let (a1, _) = annotate_corpus(&svc, &c, 1);
         let (a4, _) = annotate_corpus(&svc, &c, 4);
         assert_eq!(a1.docs.len(), a4.docs.len());
-        assert_eq!(a1.total_mentions(), a4.total_mentions());
+        let total = |a: &AnnotatedCorpus| a.docs.values().map(|d| d.mentions.len()).sum::<usize>();
+        assert_eq!(total(&a1), total(&a4));
         for (doc, ad) in &a1.docs {
             let bd = &a4.docs[doc];
             assert_eq!(ad.mentions.len(), bd.mentions.len(), "doc {doc:?}");
@@ -623,7 +611,7 @@ mod tests {
         // this is what exercises the stale-link removal path.
         let benicio = s.scenario.benicio;
         let benicio_name = s.kg.entity(benicio).name.clone();
-        let target = annotated.docs_mentioning(benicio)[0];
+        let target = reference_docs_mentioning(&annotated, benicio)[0];
         {
             let page = c.pages.iter_mut().find(|p| p.id == target).unwrap();
             page.title = page.title.replace(&benicio_name, "an unremarkable person");
@@ -665,8 +653,8 @@ mod tests {
         }
     }
 
-    /// The per-entity scan `docs_mentioning` was before the inversion became
-    /// one routine — the oracle for the restricted pass.
+    /// Documents mentioning `entity`, sorted, by a scan of every document —
+    /// the oracle for the inversion and the restricted pass.
     fn reference_docs_mentioning(annotated: &AnnotatedCorpus, entity: EntityId) -> Vec<DocId> {
         let mut out: Vec<DocId> = annotated
             .docs
@@ -725,7 +713,6 @@ mod tests {
         let by_entity = annotated.entity_docs();
         for (&e, docs) in &by_entity {
             assert_eq!(docs, &reference_docs_mentioning(&annotated, e));
-            assert_eq!(docs, &annotated.docs_mentioning(e));
         }
         let mut kg = s.kg.clone();
         extend_kg_with_links(&mut kg, &c, &annotated, cap);

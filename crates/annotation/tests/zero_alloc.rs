@@ -140,7 +140,7 @@ fn desired_urls<'c>(
     annotated: &AnnotatedCorpus,
     entity: EntityId,
 ) -> impl Iterator<Item = &'c str> {
-    let docs = annotated.docs_mentioning(entity);
+    let docs = annotated.entity_docs().remove(&entity).unwrap_or_default();
     docs.into_iter().take(CAP).map(|d| corpus.page(d).url.as_str())
 }
 

@@ -164,8 +164,7 @@ pub fn run(scale: Scale) -> ExperimentResult {
         "entity linking on homonym queries (the Fig. 2 'Michael Jordan' task)",
         &["tier", "accuracy", "queries"],
     );
-    for tier in [Tier::T0Lexical, Tier::T1Popularity, Tier::T2Contextual] {
-        let svc = world.annotation_service(tier);
+    let mut link_row = |label: String, svc: &saga_annotation::AnnotationService| {
         let mut correct = 0usize;
         let mut total = 0usize;
         for group in &world.synth.homonym_groups {
@@ -181,12 +180,15 @@ pub fn run(scale: Scale) -> ExperimentResult {
                 }
             }
         }
-        linking.row(&[
-            format!("{tier:?}"),
-            f3(correct as f64 / total.max(1) as f64),
-            total.to_string(),
-        ]);
+        linking.row(&[label, f3(correct as f64 / total.max(1) as f64), total.to_string()]);
+    };
+    for tier in [Tier::T0Lexical, Tier::T1Popularity, Tier::T2Contextual] {
+        link_row(format!("{tier:?}"), &world.annotation_service(tier));
     }
+    // The same T2 linker with the graph embeddings trained above as its
+    // coherence feature (Fig. 2: embeddings power entity linking).
+    let coherent = world.annotation_service(Tier::T2Contextual).with_graph_embeddings(model);
+    link_row("T2Contextual + graph coherence".into(), &coherent);
 
     result.tables.push(t);
     result.tables.push(linking);
@@ -217,5 +219,7 @@ mod tests {
         let t2: f64 = lt[2][1].parse().unwrap();
         assert!(t2 >= t0, "T2 {t2} vs T0 {t0}");
         assert!(t2 > 0.8, "T2 accuracy {t2}");
+        let coherent: f64 = lt[3][1].parse().unwrap();
+        assert!(coherent >= t2, "T2 + graph coherence {coherent} vs T2 {t2}");
     }
 }

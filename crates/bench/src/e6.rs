@@ -159,6 +159,29 @@ pub fn run(scale: Scale) -> ExperimentResult {
     }
     result.tables.push(tims);
 
+    // ---- continuous construction: one increment ---------------------------
+    // A build over every record but the last, then the last one as an
+    // increment: it scores only the pairs that touch the new record and
+    // ends with the full rebuild's clusters. The full build's pair count is
+    // that of one increment from empty.
+    let (last, earlier) = obs.split_last().expect("device data has records");
+    let mut grown = ConstructionPipeline::new(earlier.to_vec());
+    grown.run_to_completion();
+    let increment = grown.ingest_increment(vec![last.clone()]);
+    let mut from_empty = ConstructionPipeline::new(Vec::new());
+    from_empty.run_to_completion();
+    let full_pairs = from_empty.ingest_increment(obs.clone()).pairs_scored;
+    let mut inc = Table::new(
+        "continuous construction (Sec. 5): the last record as an increment",
+        &["pairs scored (increment / full build)", "pairs matched", "fingerprint = full rebuild"],
+    );
+    inc.row(&[
+        format!("{} / {full_pairs}", increment.pairs_scored),
+        increment.pairs_matched.to_string(),
+        if grown.result_fingerprint() == reference_fp { "yes" } else { "no" }.into(),
+    ]);
+    result.tables.push(inc);
+
     result.notes.push(
         "expected shape: F1 near 1.0 (strong identifiers dominate); identical fingerprints \
          for paused and uninterrupted runs"
@@ -182,5 +205,10 @@ mod tests {
         assert_eq!(pr[0][1], pr[1][1], "fingerprints differ");
         let pauses: usize = pr[1][2].parse().unwrap();
         assert!(pauses > 3);
+        // One increment ends where the full rebuild does, scoring fewer pairs.
+        let inc = &r.tables[3].rows[0];
+        assert_eq!(inc[2], "yes", "the increment's fingerprint differs from the full rebuild's");
+        let (scored, full) = inc[0].split_once(" / ").unwrap();
+        assert!(scored.parse::<usize>().unwrap() < full.parse().unwrap());
     }
 }

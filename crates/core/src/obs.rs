@@ -211,34 +211,6 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
-
-    /// Upper bound of the bucket containing the `q`-quantile observation
-    /// (`q` in `[0, 1]`); 0 when empty. Unlike going through
-    /// [`Histogram::snapshot`] this reads the atomic buckets into a stack
-    /// array — no allocation — so admission-control paths can consult the
-    /// live p99 per decision. Concurrent recorders may move individual
-    /// buckets mid-scan; the result is a valid quantile of *some* recent
-    /// state, which is all a shed policy needs.
-    pub fn quantile_upper_bound_live(&self, q: f64) -> u64 {
-        let mut counts = [0u64; HISTOGRAM_BUCKETS];
-        let mut n = 0u64;
-        for (c, b) in counts.iter_mut().zip(self.buckets.iter()) {
-            *c = b.load(Ordering::Relaxed);
-            n = n.wrapping_add(*c);
-        }
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (b, c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_upper_bound(b);
-            }
-        }
-        bucket_upper_bound(HISTOGRAM_BUCKETS - 1)
-    }
 }
 
 impl Default for Histogram {
@@ -751,19 +723,6 @@ mod tests {
         assert!(snap.mean() > 184.0 && snap.mean() < 185.0);
         assert_eq!(snap.quantile_upper_bound(0.0), 0);
         assert!(snap.quantile_upper_bound(1.0) >= 1000);
-    }
-
-    #[test]
-    fn live_quantile_matches_snapshot_quantile() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile_upper_bound_live(0.99), 0);
-        for v in [0u64, 1, 2, 3, 7, 100, 250, 1000, 4096] {
-            h.record(v);
-        }
-        let snap = h.snapshot();
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(h.quantile_upper_bound_live(q), snap.quantile_upper_bound(q), "q={q}");
-        }
     }
 
     #[test]

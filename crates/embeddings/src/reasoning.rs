@@ -27,11 +27,6 @@ impl PathQuery {
     pub fn hop(start: EntityId, r: PredicateId) -> Self {
         Self { start, relations: vec![r] }
     }
-
-    /// Two-hop query.
-    pub fn two_hop(start: EntityId, r1: PredicateId, r2: PredicateId) -> Self {
-        Self { start, relations: vec![r1, r2] }
-    }
 }
 
 /// Answers path queries against a trained translational model.
@@ -160,7 +155,7 @@ mod tests {
             })
             .copied()
             .expect("a married person with a spouse birthplace exists");
-        let q = PathQuery::two_hop(married, s.preds.spouse, s.preds.born_in);
+        let q = PathQuery { start: married, relations: vec![s.preds.spouse, s.preds.born_in] };
         let ans = traverse_answers(&s.kg, &q);
         assert!(!ans.is_empty());
         for a in &ans {
@@ -189,7 +184,7 @@ mod tests {
             .people
             .iter()
             .take(120)
-            .map(|&p| PathQuery::two_hop(p, s.preds.spouse, s.preds.born_in))
+            .map(|&p| PathQuery { start: p, relations: vec![s.preds.spouse, s.preds.born_in] })
             .collect();
         let (hits_at_20, total) = evaluate_paths(&s.kg, &reasoner, &queries, 20);
         if total >= 5 {

@@ -19,21 +19,9 @@ impl TriplePattern {
         Self::default()
     }
 
-    /// Binds the subject position.
-    pub fn with_subject(mut self, s: EntityId) -> Self {
-        self.subject = Some(s);
-        self
-    }
-
     /// Binds the predicate position.
     pub fn with_predicate(mut self, p: PredicateId) -> Self {
         self.predicate = Some(p);
-        self
-    }
-
-    /// Binds the object position.
-    pub fn with_object(mut self, o: impl Into<Value>) -> Self {
-        self.object = Some(o.into());
         self
     }
 
@@ -80,11 +68,12 @@ mod tests {
         let obj = Value::Entity(s.occupations[0]);
 
         let patterns = vec![
-            TriplePattern::any().with_subject(subj),
+            TriplePattern { subject: Some(subj), ..TriplePattern::any() },
             TriplePattern::any().with_predicate(pred),
-            TriplePattern::any().with_subject(subj).with_predicate(pred),
-            TriplePattern::any().with_predicate(pred).with_object(obj.clone()),
-            TriplePattern::any().with_object(obj.clone()),
+            TriplePattern { subject: Some(subj), ..TriplePattern::any() }.with_predicate(pred),
+            TriplePattern { object: Some(obj.clone()), ..TriplePattern::any() }
+                .with_predicate(pred),
+            TriplePattern { object: Some(obj.clone()), ..TriplePattern::any() },
             TriplePattern::any(),
         ];
         for pat in patterns {
@@ -103,9 +92,8 @@ mod tests {
         let kg = &s.kg;
         // Find some DOB literal and scan for it.
         let dob_triple = kg.triples_with_predicate(s.preds.date_of_birth).next().unwrap();
-        let pat = TriplePattern::any()
-            .with_predicate(s.preds.date_of_birth)
-            .with_object(dob_triple.object.clone());
+        let pat = TriplePattern { object: Some(dob_triple.object.clone()), ..TriplePattern::any() }
+            .with_predicate(s.preds.date_of_birth);
         let got = scan(kg, &pat);
         assert!(got.iter().any(|t| t.subject == dob_triple.subject));
         assert!(got.iter().all(|t| t.object == dob_triple.object));

@@ -8,7 +8,7 @@
 //! experiment harness.
 
 use saga_core::rng::SplitMix64;
-use saga_core::{EntityId, KnowledgeGraph, PredicateId};
+use saga_core::{EntityId, PredicateId};
 use std::collections::HashMap;
 
 /// Compressed sparse row adjacency over entity-entity edges, undirected with
@@ -22,19 +22,6 @@ pub struct Adjacency {
 }
 
 impl Adjacency {
-    /// Builds adjacency from every entity-entity triple in the store.
-    pub fn from_kg(kg: &KnowledgeGraph) -> Self {
-        let n = kg.num_entities();
-        let mut pairs: Vec<(usize, (EntityId, PredicateId, bool))> = Vec::new();
-        for k in kg.keys() {
-            if let Some(tail) = k.o.as_entity() {
-                pairs.push((k.s.index(), (tail, k.p, true)));
-                pairs.push((tail.index(), (k.s, k.p, false)));
-            }
-        }
-        Self::from_pairs(n, pairs)
-    }
-
     /// Builds adjacency from an explicit edge list (e.g. a view's edges).
     pub fn from_edges(num_entities: usize, edges: &[crate::view::Edge]) -> Self {
         let mut pairs = Vec::with_capacity(edges.len() * 2);
@@ -234,11 +221,24 @@ pub fn precompute_walk_corpus(
 mod tests {
     use super::*;
     use saga_core::synth::{generate, SynthConfig};
+    use saga_core::KnowledgeGraph;
+
+    /// Adjacency over every entity-entity triple in the store.
+    fn store_adjacency(kg: &KnowledgeGraph) -> Adjacency {
+        let edges: Vec<crate::view::Edge> = kg
+            .keys()
+            .filter_map(|k| {
+                let tail = k.o.as_entity()?;
+                Some(crate::view::Edge { head: k.s, relation: k.p, tail })
+            })
+            .collect();
+        Adjacency::from_edges(kg.num_entities(), &edges)
+    }
 
     #[test]
     fn adjacency_matches_store_neighbors() {
         let s = generate(&SynthConfig::tiny(11));
-        let adj = Adjacency::from_kg(&s.kg);
+        let adj = store_adjacency(&s.kg);
         for &e in s.people.iter().take(20) {
             let mut from_adj: Vec<EntityId> = adj.neighbors(e).iter().map(|x| x.0).collect();
             from_adj.sort_unstable();
@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn k_hop_respects_distance_and_limit() {
         let s = generate(&SynthConfig::tiny(11));
-        let adj = Adjacency::from_kg(&s.kg);
+        let adj = store_adjacency(&s.kg);
         let seed = s.scenario.mj_player;
         let one = k_hop(&adj, seed, 1, usize::MAX);
         let direct: std::collections::HashSet<EntityId> =
@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn walks_are_deterministic_and_local() {
         let s = generate(&SynthConfig::tiny(11));
-        let adj = Adjacency::from_kg(&s.kg);
+        let adj = store_adjacency(&s.kg);
         let seed = s.scenario.benicio;
         let a = co_visit_counts(&adj, seed, 50, 4, 99);
         let b = co_visit_counts(&adj, seed, 50, 4, 99);
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn walk_corpus_shape() {
         let s = generate(&SynthConfig::tiny(11));
-        let adj = Adjacency::from_kg(&s.kg);
+        let adj = store_adjacency(&s.kg);
         let ents = &s.people[..10];
         let corpus = precompute_walk_corpus(&adj, ents, 3, 5, 1);
         assert_eq!(corpus.len(), 30);
@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn ppr_mass_concentrates_near_the_seed() {
         let s = generate(&SynthConfig::tiny(11));
-        let adj = Adjacency::from_kg(&s.kg);
+        let adj = store_adjacency(&s.kg);
         let seed = s.scenario.benicio;
         let ppr = personalized_pagerank(&adj, seed, 0.85, 20, 50);
         assert!(!ppr.is_empty());
@@ -319,14 +319,14 @@ mod tests {
     #[test]
     fn ppr_out_of_range_seed_is_empty() {
         let s = generate(&SynthConfig::tiny(11));
-        let adj = Adjacency::from_kg(&s.kg);
+        let adj = store_adjacency(&s.kg);
         assert!(personalized_pagerank(&adj, EntityId(u64::MAX >> 2), 0.85, 5, 10).is_empty());
     }
 
     #[test]
     fn isolated_entity_has_no_neighbors() {
         let s = generate(&SynthConfig::tiny(11));
-        let adj = Adjacency::from_kg(&s.kg);
+        let adj = store_adjacency(&s.kg);
         // An id beyond the range is safely empty.
         assert!(adj.neighbors(EntityId(u64::MAX >> 1)).is_empty());
     }

@@ -1,4 +1,4 @@
-//! Declarative, incrementally-maintained graph views.
+//! Declarative, materialized graph views.
 //!
 //! Views are the paper's central fact-filtering mechanism (Sec. 2): before
 //! embedding training the graph engine "generates a view of the KG by
@@ -14,7 +14,7 @@
 //! the paper's observation that predicate frequency is evaluated *after*
 //! relevance filtering.
 
-use saga_core::{Delta, EntityId, KnowledgeGraph, PredicateId, Triple, TypeId};
+use saga_core::{EntityId, KnowledgeGraph, PredicateId, Triple, TypeId};
 use std::collections::{HashMap, HashSet};
 
 /// Declarative description of a view.
@@ -116,7 +116,7 @@ pub struct Edge {
     pub tail: EntityId,
 }
 
-/// A materialized view with incremental maintenance.
+/// A materialized view.
 #[derive(Debug, Clone)]
 pub struct GraphView {
     def: ViewDef,
@@ -202,34 +202,12 @@ impl GraphView {
         out.dedup();
         out
     }
-
-    /// Applies a store delta, keeping the view consistent with a full
-    /// recompute (verified by property tests).
-    pub fn apply_delta(&mut self, kg: &KnowledgeGraph, delta: &Delta) {
-        for t in &delta.removed {
-            if self.def.passes_static(kg, t) {
-                if let Some(pos) = self.retained.iter().position(|r| r == t) {
-                    self.retained.swap_remove(pos);
-                    let c = self.pred_counts.entry(t.predicate).or_default();
-                    *c = c.saturating_sub(1);
-                }
-            }
-        }
-        for t in &delta.added {
-            if self.def.passes_static(kg, t) && !self.retained.contains(t) {
-                *self.pred_counts.entry(t.predicate).or_default() += 1;
-                self.retained.push(t.clone());
-            }
-        }
-        self.as_of = delta.commit;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use saga_core::synth::{generate, SynthConfig};
-    use saga_core::Value;
 
     #[test]
     fn embedding_view_drops_noise_and_literals() {
@@ -273,34 +251,6 @@ mod tests {
                 assert!(s.kg.entity(o).popularity >= 0.5);
             }
         }
-    }
-
-    #[test]
-    fn incremental_maintenance_matches_recompute() {
-        let mut s = generate(&SynthConfig::tiny(5));
-        let def = ViewDef::embedding_training(3);
-        let mut view = GraphView::materialize(&s.kg, def.clone());
-
-        // Mutate: add edges for a rare predicate until it crosses the
-        // threshold, remove some existing edges.
-        let rare = s.preds.rare[0];
-        for i in 0..6 {
-            s.kg.insert(Triple::new(s.people[i], rare, Value::Entity(s.people[i + 1])));
-        }
-        let victim = view.triples().next().unwrap().clone();
-        s.kg.remove(&victim);
-        let keys = s.kg.commit();
-        let delta = s.kg.decode_delta(&keys);
-        view.apply_delta(&s.kg, &delta);
-
-        let fresh = GraphView::materialize(&s.kg, def);
-        let mut a: Vec<String> = view.triples().map(|t| format!("{t:?}")).collect();
-        let mut b: Vec<String> = fresh.triples().map(|t| format!("{t:?}")).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        // The rare predicate is now visible.
-        assert!(view.triples().any(|t| t.predicate == rare));
     }
 
     #[test]

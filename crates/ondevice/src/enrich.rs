@@ -61,11 +61,6 @@ impl StaticAsset {
     pub fn facts_of(&self, entity: EntityId) -> Vec<&Triple> {
         self.triples.iter().filter(|t| t.subject == entity).collect()
     }
-
-    /// Looks an entity up by exact name.
-    pub fn find_by_name(&self, name: &str) -> Option<EntityId> {
-        self.entities.iter().find(|(_, n, _, _)| n == name).map(|(id, _, _, _)| *id)
-    }
 }
 
 /// The device-side global knowledge store: asset facts plus facts obtained
@@ -266,7 +261,7 @@ mod tests {
         }
         assert!(a.entities.len() < s.kg.num_entities());
         // The flagship scenario entity is popular enough to ship.
-        assert!(a.find_by_name("Michael Jordan").is_some());
+        assert!(a.entities.iter().any(|(_, name, _, _)| name == "Michael Jordan"));
     }
 
     #[test]

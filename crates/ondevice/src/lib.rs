@@ -12,6 +12,10 @@
 //! [`ConstructionPipeline`] (block → pair → match → cluster). The first
 //! build and every increment run the same stages, an increment over its new
 //! records only, and either can be checkpointed and resumed at any step.
+//!
+//! Devices sync per-source op logs and offloaded artifacts, nothing else:
+//! every personal-KG entity is re-derived from the synced records, so there
+//! is no per-entity update or conflict clock to exchange.
 
 #![warn(missing_docs)]
 
@@ -46,6 +50,5 @@ pub use sources::{
 pub use spill::{SpillSorter, SpillStats};
 pub use sync::{
     gossip_until_stable, gossip_until_stable_lossy, offload_compute, sync_pair, sync_pair_lossy,
-    Device, DeviceId, DeviceTier, DivergenceClock, EntityUpdate, LossyLink, SourceOp, SyncPolicy,
-    SyncReport, ViewArtifact,
+    Device, DeviceId, DeviceTier, LossyLink, SourceOp, SyncPolicy, SyncReport, ViewArtifact,
 };

@@ -65,95 +65,6 @@ pub struct SourceOp {
     pub observation: PersonObservation,
 }
 
-/// A per-entity divergence clock: one monotone component per device that
-/// has ever updated the entity (a version vector). Comparing two clocks
-/// classifies their updates as causally ordered or *concurrent* — the
-/// information a last-writer-wins timestamp destroys.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DivergenceClock(BTreeMap<DeviceId, u64>);
-
-impl DivergenceClock {
-    /// The component for `device` (0 when the device never updated).
-    pub fn get(&self, device: DeviceId) -> u64 {
-        self.0.get(&device).copied().unwrap_or(0)
-    }
-
-    /// Bumps `device`'s component, returning its new value.
-    pub fn increment(&mut self, device: DeviceId) -> u64 {
-        let c = self.0.entry(device).or_insert(0);
-        *c += 1;
-        *c
-    }
-
-    /// Pointwise maximum — the causal knowledge of both clocks combined.
-    pub fn merge(&mut self, other: &DivergenceClock) {
-        for (&d, &c) in &other.0 {
-            let e = self.0.entry(d).or_insert(0);
-            *e = (*e).max(c);
-        }
-    }
-
-    /// True when every component of `self` is ≥ the matching component of
-    /// `other` and at least one is strictly greater: `self`'s update was
-    /// made with full knowledge of `other`'s.
-    pub fn dominates(&self, other: &DivergenceClock) -> bool {
-        let geq = other.0.iter().all(|(d, &c)| self.get(*d) >= c);
-        geq && self != other
-    }
-
-    /// True when neither clock dominates and they differ: the two updates
-    /// raced on different devices.
-    pub fn concurrent_with(&self, other: &DivergenceClock) -> bool {
-        self != other && !self.dominates(other) && !other.dominates(self)
-    }
-
-    /// Sum of all components — the first key of the deterministic total
-    /// order used to pick one winner among concurrent updates.
-    pub fn total(&self) -> u64 {
-        self.0.values().sum()
-    }
-}
-
-/// One atomic multi-attribute update to one entity, made on one device.
-///
-/// The attribute map is the unit of atomicity: conflict resolution always
-/// applies a whole update or none of it. Two devices concurrently editing
-/// the same entity can therefore never *interleave* attributes — the
-/// misattribution failure where a record ends up with device A's phone
-/// number attached to device B's email.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EntityUpdate {
-    /// The updated entity (a personal-KG entity key).
-    pub entity: u64,
-    /// Device the update was made on.
-    pub origin: DeviceId,
-    /// The entity's divergence clock *after* this update.
-    pub clock: DivergenceClock,
-    /// The attributes written, atomically.
-    pub attrs: BTreeMap<String, String>,
-}
-
-impl EntityUpdate {
-    /// Idempotence key: `(entity, origin, origin's clock component)` is
-    /// unique because a device bumps its own component on every update.
-    fn key(&self) -> (u64, DeviceId, u64) {
-        (self.entity, self.origin, self.clock.get(self.origin))
-    }
-}
-
-/// Deterministic total order over updates to one entity: causal dominance
-/// first, then `(clock total, origin)` among concurrent updates. Every
-/// replica that holds the same update set resolves the same winner.
-fn update_precedes(a: &EntityUpdate, b: &EntityUpdate) -> bool {
-    if b.clock.dominates(&a.clock) {
-        return true;
-    }
-    if a.clock.dominates(&b.clock) {
-        return false;
-    }
-    (a.clock.total(), a.origin) < (b.clock.total(), b.origin)
-}
-
 /// An artifact produced by offloaded computation (e.g. an expensive view),
 /// synced by value.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,8 +94,6 @@ pub struct Device {
     next_seq: BTreeMap<SourceKind, u64>,
     /// Received artifacts by name (latest version wins).
     artifacts: BTreeMap<String, ViewArtifact>,
-    /// All entity updates this device knows, keyed for idempotence.
-    updates: BTreeMap<(u64, DeviceId, u64), EntityUpdate>,
 }
 
 impl Device {
@@ -197,43 +106,7 @@ impl Device {
             log: BTreeMap::new(),
             next_seq: BTreeMap::new(),
             artifacts: BTreeMap::new(),
-            updates: BTreeMap::new(),
         }
-    }
-
-    /// Applies an atomic multi-attribute update to `entity` on this device.
-    ///
-    /// The update's clock merges every clock this device has seen for the
-    /// entity, then bumps this device's component — so it causally
-    /// dominates everything known locally, and is concurrent with (never
-    /// ordered against) updates this device has not yet synced.
-    pub fn update_entity(&mut self, entity: u64, attrs: BTreeMap<String, String>) {
-        let mut clock = DivergenceClock::default();
-        for u in self.updates.values().filter(|u| u.entity == entity) {
-            clock.merge(&u.clock);
-        }
-        clock.increment(self.id);
-        let update = EntityUpdate { entity, origin: self.id, clock, attrs };
-        self.updates.insert(update.key(), update);
-    }
-
-    /// The resolved attribute map of `entity`: the attributes of the single
-    /// winning update under the deterministic causal-then-total order —
-    /// applied wholesale, never merged attribute-by-attribute.
-    pub fn entity_view(&self, entity: u64) -> Option<&BTreeMap<String, String>> {
-        self.updates
-            .values()
-            .filter(|u| u.entity == entity)
-            .reduce(|best, u| if update_precedes(best, u) { u } else { best })
-            .map(|u| &u.attrs)
-    }
-
-    /// All updates to `entity` no other known update causally dominates —
-    /// the concurrent frontier (length 1 ⇔ no unresolved divergence).
-    pub fn divergence_frontier(&self, entity: u64) -> Vec<&EntityUpdate> {
-        let all: Vec<&EntityUpdate> =
-            self.updates.values().filter(|u| u.entity == entity).collect();
-        all.iter().filter(|u| !all.iter().any(|o| o.clock.dominates(&u.clock))).copied().collect()
     }
 
     /// Ingests a locally-observed record, appending to the op log.
@@ -255,9 +128,8 @@ impl Device {
         self.log.values().filter(|op| op.source == source).collect()
     }
 
-    /// Stable fingerprint of this device's ops for the given sources plus
-    /// its entity updates (always synced) — equal fingerprints ⇔ identical
-    /// synced state.
+    /// Stable fingerprint of this device's ops for the given sources —
+    /// equal fingerprints ⇔ identical synced state.
     pub fn fingerprint(&self, sources: &[SourceKind]) -> u64 {
         let mut s = String::new();
         for op in self.log.values() {
@@ -267,9 +139,6 @@ impl Device {
                     op.origin, op.source, op.seq, op.observation
                 ));
             }
-        }
-        for u in self.updates.values() {
-            s.push_str(&format!("{}|{:?}|{:?}|{:?};", u.entity, u.origin, u.clock, u.attrs));
         }
         saga_core::text::fnv1a(s.as_bytes())
     }
@@ -299,8 +168,6 @@ pub struct SyncReport {
     pub ops_b_to_a: usize,
     /// Artifacts copied in either direction.
     pub artifacts_exchanged: usize,
-    /// Entity updates copied in either direction.
-    pub updates_exchanged: usize,
 }
 
 /// [`sync_pair_lossy`] over [`LossyLink::perfect`]: every message arrives
@@ -356,8 +223,8 @@ impl LossyLink {
 }
 
 /// Bidirectional sync: exchanges ops of every source that **both** devices
-/// sync (a source kept private by either side never crosses), entity
-/// updates and artifacts. Every message passes through `link` and may be
+/// sync (a source kept private by either side never crosses) and
+/// artifacts. Every message passes through `link` and may be
 /// dropped or duplicated in flight. Reported counts reflect state that
 /// actually changed, so duplicated deliveries and re-sends of already-known
 /// ops count zero.
@@ -386,21 +253,6 @@ pub fn sync_pair_lossy(a: &mut Device, b: &mut Device, link: &mut LossyLink) -> 
             if let std::collections::btree_map::Entry::Vacant(e) = a.log.entry(key) {
                 e.insert(op.clone());
                 report.ops_b_to_a += 1;
-            }
-        }
-    }
-
-    for u in a.updates.values().cloned().collect::<Vec<_>>() {
-        for _ in 0..link.copies() {
-            if b.updates.insert(u.key(), u.clone()).is_none() {
-                report.updates_exchanged += 1;
-            }
-        }
-    }
-    for u in b.updates.values().cloned().collect::<Vec<_>>() {
-        for _ in 0..link.copies() {
-            if a.updates.insert(u.key(), u.clone()).is_none() {
-                report.updates_exchanged += 1;
             }
         }
     }
@@ -474,7 +326,7 @@ pub fn gossip_until_stable(devices: &mut [Device], max_rounds: usize) -> usize {
             for j in i + 1..devices.len() {
                 let (left, right) = devices.split_at_mut(j);
                 let r = sync_pair(&mut left[i], &mut right[0]);
-                moved += r.ops_a_to_b + r.ops_b_to_a + r.updates_exchanged;
+                moved += r.ops_a_to_b + r.ops_b_to_a;
             }
         }
         if moved == 0 {
@@ -655,109 +507,6 @@ mod tests {
         };
         assert_eq!(run(11), run(11), "same seed, same loss pattern");
         assert_ne!(run(11), run(12), "different seeds, different loss patterns");
-    }
-
-    fn attrs(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
-        pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
-    }
-
-    #[test]
-    fn divergence_clock_orders_and_detects_races() {
-        let (a, b) = (DeviceId(0), DeviceId(1));
-        let mut ca = DivergenceClock::default();
-        ca.increment(a);
-        let mut cb = DivergenceClock::default();
-        cb.increment(b);
-        assert!(ca.concurrent_with(&cb), "independent edits race");
-
-        let mut cab = ca.clone();
-        cab.merge(&cb);
-        cab.increment(a);
-        assert!(cab.dominates(&ca) && cab.dominates(&cb), "merged+bumped sees both");
-        assert!(!ca.dominates(&ca), "a clock never dominates itself");
-        assert_eq!(cab.total(), 3);
-    }
-
-    #[test]
-    fn concurrent_multi_attribute_updates_never_interleave() {
-        let mut devices = three_devices();
-        // Laptop and phone concurrently edit entity 7 — both rewrite the
-        // phone AND email attributes as one atomic update.
-        let by_laptop = attrs(&[("phone", "111"), ("email", "l@x")]);
-        let by_phone = attrs(&[("phone", "222"), ("email", "p@x")]);
-        devices[0].update_entity(7, by_laptop.clone());
-        devices[1].update_entity(7, by_phone.clone());
-        gossip_until_stable(&mut devices, 10);
-
-        let view = devices[0].entity_view(7).expect("entity resolved").clone();
-        assert!(
-            view == by_laptop || view == by_phone,
-            "attributes interleaved across concurrent updates: {view:?}"
-        );
-        for d in &devices[1..] {
-            assert_eq!(d.entity_view(7), Some(&view), "device {:?} resolved differently", d.id);
-        }
-        // Both racing updates remain visible on the frontier.
-        assert_eq!(devices[2].divergence_frontier(7).len(), 2);
-    }
-
-    #[test]
-    fn causal_update_dominates_its_ancestor() {
-        let mut devices = three_devices();
-        devices[0].update_entity(7, attrs(&[("phone", "111"), ("email", "l@x")]));
-        gossip_until_stable(&mut devices, 10);
-        // The phone edits *after* seeing the laptop's update: causally later.
-        devices[1].update_entity(7, attrs(&[("phone", "222"), ("email", "p@x")]));
-        gossip_until_stable(&mut devices, 10);
-        for d in &devices {
-            assert_eq!(
-                d.entity_view(7),
-                Some(&attrs(&[("phone", "222"), ("email", "p@x")])),
-                "causally-later update must win on {:?}",
-                d.id
-            );
-            assert_eq!(d.divergence_frontier(7).len(), 1, "no divergence left");
-        }
-    }
-
-    #[test]
-    fn same_device_updates_are_totally_ordered() {
-        let mut d = Device::new(DeviceId(3), DeviceTier::Phone, SyncPolicy::all());
-        d.update_entity(1, attrs(&[("name", "old")]));
-        d.update_entity(1, attrs(&[("name", "new")]));
-        assert_eq!(d.entity_view(1), Some(&attrs(&[("name", "new")])));
-        assert_eq!(d.divergence_frontier(1).len(), 1);
-    }
-
-    #[test]
-    fn concurrent_updates_converge_under_lossy_gossip() {
-        let reference = {
-            let mut devices = three_devices();
-            devices[0].update_entity(7, attrs(&[("phone", "111"), ("email", "l@x")]));
-            devices[1].update_entity(7, attrs(&[("phone", "222"), ("email", "p@x")]));
-            devices[2].update_entity(9, attrs(&[("nick", "watchy")]));
-            gossip_until_stable(&mut devices, 10);
-            devices[0].entity_view(7).expect("resolved").clone()
-        };
-
-        for seed in 0..10 {
-            let mut devices = three_devices();
-            devices[0].update_entity(7, attrs(&[("phone", "111"), ("email", "l@x")]));
-            devices[1].update_entity(7, attrs(&[("phone", "222"), ("email", "p@x")]));
-            devices[2].update_entity(9, attrs(&[("nick", "watchy")]));
-            let mut link = LossyLink::new(seed, 0.3, 0.2);
-            let rounds = gossip_until_stable_lossy(&mut devices, &mut link, 50);
-            assert!(rounds < 50, "seed {seed}: updates must converge despite drops");
-            for d in &devices {
-                assert_eq!(
-                    d.entity_view(7),
-                    Some(&reference),
-                    "seed {seed}: {:?} diverged from the lossless winner",
-                    d.id
-                );
-                assert_eq!(d.entity_view(9), Some(&attrs(&[("nick", "watchy")])));
-            }
-        }
     }
 
     #[test]

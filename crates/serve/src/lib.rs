@@ -1,7 +1,7 @@
 //! # saga-serve — the sharded serving front-end
 //!
-//! Serves point lookups (graph facts by entity) and vector searches
-//! (flat / HNSW / quantized k-NN) behind a sharded, concurrent front-end:
+//! Serves point lookups (graph facts by entity) and vector searches (exact
+//! flat k-NN) behind a sharded, concurrent front-end:
 //!
 //! * [`policy`] — shard routing (entity-hash), coalescing windows, and the
 //!   latency-budget admission rule ([`policy::should_shed`]) with its
@@ -10,7 +10,7 @@
 //! * [`shard`] — the threaded engine: one persistent worker per shard
 //!   coalescing concurrent requests into micro-batches, shedding at
 //!   admission when the shard's p99 burns its budget.
-//! * [`server`] — the engine bound to real backends: partitioned ANN
+//! * [`server`] — the engine bound to real backends: partitioned flat ANN
 //!   indexes, the graph store's [`saga_graph::PointLookupIndex`], obs
 //!   counters, fault-driven brownout, and the [`SlotBoard`] completion
 //!   board callers wait on.

@@ -101,16 +101,6 @@ pub struct ClientStats {
     pub budget_exhausted: u64,
 }
 
-impl ClientStats {
-    /// Retry amplification: wire attempts per logical call.
-    pub fn amplification(&self) -> f64 {
-        if self.calls == 0 {
-            return 0.0;
-        }
-        self.attempts as f64 / self.calls as f64
-    }
-}
-
 /// Max mismatched-id frames discarded within one attempt before the
 /// attempt is declared failed (guards against a frame-flooding peer).
 const MAX_STALE_PER_ATTEMPT: u32 = 64;

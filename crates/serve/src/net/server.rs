@@ -61,7 +61,7 @@ use std::time::Duration;
 /// Configuration for [`NetServer::start`].
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
-    /// ANN backend for the search partitions.
+    /// ANN backend for the search partitions (flat; see [`IndexKind`]).
     pub kind: IndexKind,
     /// Shard (and engine worker) count.
     pub shards: usize,
@@ -69,8 +69,8 @@ pub struct NetServerConfig {
     pub dim: usize,
     /// Synthetic corpus size.
     pub vectors: usize,
-    /// Nominal top-k (sizes scratch and the HNSW `ef` floor; per-request
-    /// `k` may still range up to [`MAX_K`]).
+    /// Nominal top-k. The flat backend sizes nothing by it: each request's
+    /// own `k`, up to [`MAX_K`], decides how many hits it gets.
     pub k: usize,
     /// Master seed: corpus and knowledge graph derive from it.
     pub seed: u64,
@@ -169,7 +169,7 @@ impl NetService {
         let synth = generate(&SynthConfig::tiny(cfg.seed));
         let lookup = Arc::new(PointLookupIndex::build(&synth.kg));
         let num_entities = (synth.kg.num_entities() as u64).max(1);
-        let parts = build_partitions(cfg.kind, cfg.shards, cfg.dim, cfg.vectors, cfg.k, cfg.seed);
+        let parts = build_partitions(cfg.shards, cfg.dim, cfg.vectors, cfg.seed);
         // Call slots bound the pending table; exhausting them sheds at the
         // door. Sized past max_inflight so batch items have headroom.
         let capacity = (cfg.max_inflight * 8).clamp(256, 8_192);
@@ -524,7 +524,7 @@ impl NetServer {
 /// partition / search / merge path with no engine and no network. Parity
 /// tests compare client-observed responses against this bit-for-bit.
 pub fn oracle_search(cfg: &NetServerConfig, query_seed: u64, k: u32) -> Vec<WireHit> {
-    let parts = build_partitions(cfg.kind, cfg.shards, cfg.dim, cfg.vectors, cfg.k, cfg.seed);
+    let parts = build_partitions(cfg.shards, cfg.dim, cfg.vectors, cfg.seed);
     let k = (k as usize).min(MAX_K as usize);
     let mut hits: Vec<saga_ann::Hit> = Vec::new();
     for part in &parts {

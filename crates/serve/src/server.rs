@@ -4,14 +4,13 @@
 //! ## Sharding model
 //!
 //! Vectors are partitioned across shards by [`crate::policy::route`] over
-//! the vector id; each shard owns a [`FlatIndex`] / [`QuantizedTable`] /
-//! [`HnswIndex`] over its slice. A search fans out to every shard, each
-//! returning its local top-k; since flat and quantized scoring are exact
-//! over their partitions, the merged global top-k ([`Hit::best_first`] — the
-//! selection kernel's order) is identical to an unsharded search, which
-//! the equivalence tests assert. Point lookups hit the shared
-//! [`PointLookupIndex`] CSR and route by entity hash, so a hot entity lands
-//! on one shard's coalescer — the batching opportunity.
+//! the vector id; each shard owns a [`FlatIndex`] over its slice. A search
+//! fans out to every shard, each returning its local top-k; since flat
+//! scoring is exact over its partition, the merged global top-k
+//! ([`Hit::best_first`] — the selection kernel's order) is identical to an
+//! unsharded search, which the equivalence tests assert. Point lookups hit
+//! the shared [`PointLookupIndex`] CSR and route by entity hash, so a hot
+//! entity lands on one shard's coalescer — the batching opportunity.
 //!
 //! ## Completion
 //!
@@ -36,18 +35,9 @@
 //! budget. A flat hit's bytes depend on the query and the row only, never on
 //! the batch (see `saga_ann::flat`), so a reply does not depend on what it
 //! rode with.
-//!
-//! The quantized and HNSW backends still search one distinct query at a
-//! time inside that function: no measured path runs them, so they get the
-//! dedup and nothing else. (For HNSW the shared `k` also widens the beam of
-//! a rider that asked for less — an approximate index's answer may only get
-//! better for it.)
 
 use crate::shard::{BatchExecutor, EngineClock, Job};
-use saga_ann::{
-    FlatIndex, FlatScratch, Hit, HnswIndex, HnswParams, Metric, QuantScratch, QuantizedTable,
-    SearchScratch,
-};
+use saga_ann::{FlatIndex, FlatScratch, Hit, Metric};
 use saga_core::fault::FaultPlan;
 use saga_core::obs::{Counter, Histogram, Registry};
 use saga_core::trace::{Request, RequestKind, SplitMix64};
@@ -56,15 +46,15 @@ use saga_graph::PointLookupIndex;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Which ANN backend a service runs its search partitions on.
+/// Which ANN backend a service runs its search partitions on: the exact
+/// flat scan, the one backend. The enum and the `kind` fields of
+/// [`ServiceConfig`] and [`crate::NetServerConfig`] stay because callers,
+/// the benchmark's drivers among them, build those configs by struct
+/// literal with `IndexKind::Flat`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
     /// Exact flat scan.
     Flat,
-    /// Scalar-quantized i8 slab (batch kernels).
-    Quant,
-    /// HNSW graph (approximate).
-    Hnsw,
 }
 
 /// Deterministic synthetic vector for a seed: uniform in [-1, 1).
@@ -77,12 +67,6 @@ pub(crate) fn synth_vector(seed: u64, dim: usize, out: &mut Vec<f32>) {
 fn push_synth_vector(seed: u64, dim: usize, out: &mut Vec<f32>) {
     let mut rng = SplitMix64::new(seed);
     out.extend((0..dim).map(|_| (rng.next_f64() * 2.0 - 1.0) as f32));
-}
-
-pub(crate) enum ShardBackend {
-    Flat(FlatIndex),
-    Quant { table: QuantizedTable, metric: Metric },
-    Hnsw { index: HnswIndex, ef: usize },
 }
 
 /// One search of a batch: which query, and how many of its hits.
@@ -98,8 +82,6 @@ struct Call {
 /// so the mutex is uncontended — it exists to make the sharing `Sync`.
 pub(crate) struct ShardScratch {
     flat: FlatScratch,
-    quant: QuantScratch,
-    hnsw: SearchScratch,
     /// The batch's searches, in the order the executor gave them.
     calls: Vec<Call>,
     /// The batch's distinct query vectors, row-major, in first-seen order.
@@ -107,8 +89,6 @@ pub(crate) struct ShardScratch {
     /// Their hits, query after query; `ends[q]` closes query `q`'s run.
     hits: Vec<Hit>,
     ends: Vec<u32>,
-    /// One query's hits, for the backends that search one at a time.
-    out: Vec<Hit>,
 }
 
 impl ShardScratch {
@@ -124,7 +104,7 @@ impl ShardScratch {
 }
 
 pub(crate) struct ShardSlot {
-    backend: ShardBackend,
+    index: FlatIndex,
     dim: usize,
     pub(crate) state: Mutex<ShardScratch>,
 }
@@ -135,11 +115,9 @@ pub(crate) struct ShardSlot {
 /// serve bit-identical corpora for a given (seed, dim, vectors) — the
 /// loopback parity tests depend on that.
 pub(crate) fn build_partitions(
-    kind: IndexKind,
     shards: usize,
     dim: usize,
     vectors: usize,
-    k: usize,
     seed: u64,
 ) -> Vec<ShardSlot> {
     assert!(shards > 0 && dim > 0);
@@ -153,39 +131,19 @@ pub(crate) fn build_partitions(
     parts
         .into_iter()
         .map(|rows| {
-            let backend = match kind {
-                IndexKind::Flat => {
-                    let mut idx = FlatIndex::new(dim, metric);
-                    for (id, v) in &rows {
-                        idx.add(*id, v);
-                    }
-                    ShardBackend::Flat(idx)
-                }
-                IndexKind::Quant => {
-                    ShardBackend::Quant { table: QuantizedTable::build(dim, rows), metric }
-                }
-                IndexKind::Hnsw => {
-                    let params = HnswParams::default();
-                    let ef = params.ef_search.max(k);
-                    let mut idx = HnswIndex::new(dim, metric, params);
-                    for (id, v) in &rows {
-                        idx.add(*id, v);
-                    }
-                    ShardBackend::Hnsw { index: idx, ef }
-                }
-            };
+            let mut index = FlatIndex::new(dim, metric);
+            for (id, v) in &rows {
+                index.add(*id, v);
+            }
             ShardSlot {
-                backend,
+                index,
                 dim,
                 state: Mutex::new(ShardScratch {
                     flat: FlatScratch::new(),
-                    quant: QuantScratch::new(),
-                    hnsw: SearchScratch::new(),
                     calls: Vec::new(),
                     queries: Vec::new(),
                     hits: Vec::new(),
                     ends: Vec::new(),
-                    out: Vec::with_capacity(k),
                 }),
             }
         })
@@ -202,7 +160,7 @@ pub(crate) fn search_slot_batch(
     st: &mut ShardScratch,
     batch: impl Iterator<Item = (u64, usize)>,
 ) -> u64 {
-    let ShardScratch { flat, quant, hnsw, calls, queries, hits, ends, out } = st;
+    let ShardScratch { flat, calls, queries, hits, ends } = st;
     let dim = slot.dim;
     calls.clear();
     queries.clear();
@@ -221,27 +179,9 @@ pub(crate) fn search_slot_batch(
         calls.push(Call { seed, k, query });
     }
     let k = calls.iter().map(|c| c.k).max().unwrap_or(0);
-    match &slot.backend {
-        ShardBackend::Flat(idx) => {
-            idx.search_block_into(queries, k, flat, hits);
-            let per_query = k.min(idx.live_len()) as u32;
-            ends.extend((1..=distinct).map(|q| q * per_query));
-        }
-        ShardBackend::Quant { table, metric } => {
-            for query in queries.chunks_exact(dim) {
-                table.search_into(*metric, query, k, quant, out);
-                hits.extend_from_slice(out);
-                ends.push(hits.len() as u32);
-            }
-        }
-        ShardBackend::Hnsw { index, ef } => {
-            for query in queries.chunks_exact(dim) {
-                index.search_ef_into(query, k, *ef, hnsw, out);
-                hits.extend_from_slice(out);
-                ends.push(hits.len() as u32);
-            }
-        }
-    }
+    slot.index.search_block_into(queries, k, flat, hits);
+    let per_query = k.min(slot.index.live_len()) as u32;
+    ends.extend((1..=distinct).map(|q| q * per_query));
     calls.len() as u64 - distinct as u64
 }
 
@@ -401,7 +341,7 @@ impl ShardedService {
         clock: Arc<dyn EngineClock>,
         registry: &Registry,
     ) -> Arc<Self> {
-        let shards = build_partitions(cfg.kind, cfg.shards, cfg.dim, cfg.vectors, cfg.k, cfg.seed);
+        let shards = build_partitions(cfg.shards, cfg.dim, cfg.vectors, cfg.seed);
         let scope = registry.scope("serve");
         let capture =
             cfg.capture.then(|| (0..trace.len()).map(|_| Mutex::new(Vec::new())).collect());
@@ -662,7 +602,7 @@ mod tests {
         // same batch; capture must still equal the reference for each.
         let world = tiny_world(600);
         let svc_cfg = ServiceConfig {
-            kind: IndexKind::Quant,
+            kind: IndexKind::Flat,
             shards: 1,
             dim: 16,
             vectors: 200,
@@ -681,22 +621,13 @@ mod tests {
         engine.shutdown();
         assert_eq!(served + shed, world.trace.len() as u64);
         assert!(service.dedup_count() > 0, "Zipf trace produced no batch duplicates");
-        // Spot-check a few captured results against a fresh single search.
+        // Spot-check a few captured results against a fresh single search
+        // over the same rows.
         let mut spot = 0;
         for r in world.trace.iter() {
             let RequestKind::Search { query_seed } = r.kind else { continue };
             let got = service.captured(r.id).expect("capture on");
-            let fresh = {
-                let mut q = Vec::new();
-                synth_vector(query_seed, 16, &mut q);
-                let rows = (0..200u64).map(|id| {
-                    let mut v = Vec::new();
-                    synth_vector(11 ^ id.wrapping_mul(0x9E37_79B9), 16, &mut v);
-                    (id, v)
-                });
-                QuantizedTable::build(16, rows).search(Metric::Cosine, &q, 4)
-            };
-            assert_eq!(got, fresh, "ticket {}", r.id);
+            assert_eq!(got, reference_hits(16, 200, 11, 4, query_seed), "ticket {}", r.id);
             spot += 1;
             if spot >= 5 {
                 break;

@@ -63,8 +63,8 @@ fn rank(a: &SearchHit, b: &SearchHit) -> Ordering {
 /// Inverted index with BM25 ranking.
 #[derive(Debug, Clone, Default)]
 pub struct SearchEngine {
-    /// term → dense term id. Ids are never reclaimed: a term whose last
-    /// document was removed keeps an empty posting list.
+    /// term → dense term id. Ids are never reclaimed: a term that its last
+    /// document dropped keeps an empty posting list.
     term_ids: HashMap<String, u32>,
     /// term id → postings (doc, term frequency), strictly sorted by doc.
     postings: Vec<Vec<(DocId, u32)>>,
@@ -176,18 +176,6 @@ impl SearchEngine {
         }
         *total_len = *total_len - u64::from(doc_len[slot]) + len as u64;
         doc_len[slot] = len as u32;
-    }
-
-    /// Removes a document from the index (no-op if absent).
-    pub fn remove_doc(&mut self, doc: DocId) {
-        let Some(terms) = self.doc_terms.get_mut(doc.index()).and_then(Option::take) else {
-            return;
-        };
-        for term in terms {
-            unlist(&mut self.postings[term as usize], doc);
-        }
-        self.total_len -= u64::from(std::mem::take(&mut self.doc_len[doc.index()]));
-        self.num_docs -= 1;
     }
 
     fn avg_len(&self) -> f32 {
@@ -463,16 +451,15 @@ mod tests {
     /// an unknown term, and two that tokenize to nothing.
     const FIXED_QUERIES: [&str; 4] = ["a a the", "zz", "", "."];
 
-    /// Any history of `index_page` (new page, replacement, empty page)
-    /// and `remove_doc` (present or absent), over ids in random order,
-    /// keeps every posting list strictly sorted by `DocId`, leaves the
-    /// engine holding exactly what a fresh engine over the surviving
-    /// pages holds (postings by term text, document lengths, `total_len`,
-    /// `num_docs`), and answering every query after every step exactly as
-    /// the engine it replaced: same documents, same order, same score
-    /// bits, same `num_docs`, for every `k` from 0 past the number of
-    /// matches. On a six-word vocabulary most replacements drop a term,
-    /// keep one at a new `tf` and add one;
+    /// Any history of `index_page` (new page, replacement, empty page),
+    /// over ids in random order, keeps every posting list strictly sorted
+    /// by `DocId`, leaves the engine holding exactly what a fresh engine
+    /// over the latest version of every page holds (postings by term text,
+    /// document lengths, `total_len`, `num_docs`), and answering every
+    /// query after every step exactly as the engine it replaced: same
+    /// documents, same order, same score bits, same `num_docs`, for every
+    /// `k` from 0 past the number of matches. On a six-word vocabulary most
+    /// replacements drop a term, keep one at a new `tf` and add one;
     /// `a_replacement_drops_keeps_and_adds_terms` pins each case.
     ///
     /// The cases run in sequence on a thread of their own, so the query
@@ -489,26 +476,20 @@ mod tests {
                         0 => scratch_len() + rng.gen_range(0..3),
                         _ => rng.gen_range(0..12),
                     };
-                    (id, rng.gen::<bool>(), words(rng, PAGE_VOCAB, 7))
+                    (id, words(rng, PAGE_VOCAB, 7))
                 });
                 let mut queries = saga_testkit::vec(rng, 1..4, |rng| words(rng, QUERY_VOCAB, 5));
                 queries.extend(FIXED_QUERIES.map(str::to_owned));
                 let (mut engine, mut reference) =
                     (SearchEngine::default(), ReferenceEngine::default());
-                let mut surviving = BTreeMap::new();
-                for (step, (id, remove, text)) in history.iter().enumerate() {
-                    if *remove {
-                        engine.remove_doc(DocId(*id));
-                        reference.remove_doc(DocId(*id));
-                        surviving.remove(id);
-                    } else {
-                        engine.index_page(&page(*id, text));
-                        reference.index_page(&page(*id, text));
-                        surviving.insert(*id, text.as_str());
-                    }
+                let mut latest = BTreeMap::new();
+                for (step, (id, text)) in history.iter().enumerate() {
+                    engine.index_page(&page(*id, text));
+                    reference.index_page(&page(*id, text));
+                    latest.insert(*id, text.as_str());
                     assert_eq!(engine.num_docs(), reference.num_docs(), "step {}", step);
                     assert_invariants(&engine);
-                    let rebuilt = fresh(&surviving);
+                    let rebuilt = fresh(&latest);
                     assert_eq!(structure(&engine), structure(&rebuilt), "step {}", step);
                     for query in &queries {
                         for k in (0..=engine.num_docs() + 1).chain([usize::MAX]) {
@@ -543,19 +524,9 @@ mod tests {
         let hits = engine.search("beta gamma", 10);
         assert_eq!(hits.len(), 2);
         assert_eq!(bits(&hits), bits(&reference.search("beta gamma", 10)));
-        // Re-indexing it neither double-counts nor loses it...
+        // Re-indexing it neither double-counts nor loses it.
         engine.index_page(&pages[1]);
         assert_eq!((engine.num_docs(), engine.total_len), (3, 5));
-        // ...and removing it removes exactly one document and no tokens.
-        engine.remove_doc(DocId(1));
-        reference.remove_doc(DocId(1));
-        assert_eq!((engine.num_docs(), engine.total_len), (2, 5));
-        assert_eq!(
-            bits(&engine.search("beta gamma", 10)),
-            bits(&reference.search("beta gamma", 10))
-        );
-        engine.remove_doc(DocId(1));
-        assert_eq!(engine.num_docs(), 2);
     }
 
     #[test]
@@ -627,18 +598,5 @@ mod tests {
         assert_eq!(after[0].doc, doc);
         // Old content still searchable (page replaced, not duplicated).
         assert_eq!(e.num_docs(), c.len());
-    }
-
-    #[test]
-    fn remove_doc_purges_postings() {
-        let (_, c, mut e) = setup();
-        let doc = c.pages[0].id;
-        e.remove_doc(doc);
-        assert_eq!(e.num_docs(), c.len() - 1);
-        let hits = e.search(&c.pages[0].title, 50);
-        assert!(hits.iter().all(|h| h.doc != doc));
-        // Removing again is a no-op.
-        e.remove_doc(doc);
-        assert_eq!(e.num_docs(), c.len() - 1);
     }
 }
