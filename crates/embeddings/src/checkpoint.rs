@@ -158,6 +158,14 @@ pub(crate) struct CheckpointMeta {
     pub quarantined: Vec<(u16, u16)>,
 }
 
+impl CheckpointMeta {
+    /// Bytes the [`BinCodec`] encoding takes: eleven `u64`/`f64` fields,
+    /// and two length-prefixed sequences of 8-byte losses and 4-byte pairs.
+    fn encoded_len(&self) -> usize {
+        11 * 8 + (8 + 8 * self.epoch_losses_done.len()) + (8 + 4 * self.quarantined.len())
+    }
+}
+
 impl BinCodec for CheckpointMeta {
     fn enc(&self, out: &mut Vec<u8>) {
         self.config_digest.enc(out);
@@ -198,7 +206,8 @@ impl BinCodec for CheckpointMeta {
 /// One checkpoint frame — one [`Wal`] frame, one codec value: the kind
 /// tag, the cursor meta, the full relation table and the partition tables
 /// dirtied since the previous durable frame. The WAL frame checksum is its
-/// integrity check.
+/// integrity check. A frame is read back as this value; it is written by
+/// [`encode_frame`], from the trainer's own tables.
 #[derive(Debug, Clone)]
 pub(crate) struct CheckpointFrame {
     pub kind: String,
@@ -225,12 +234,27 @@ impl BinCodec for CheckpointFrame {
     }
 }
 
-impl CheckpointFrame {
-    /// Appends the frame to `log` and syncs it.
-    pub(crate) fn append_to(&self, log: &mut TrainCheckpointLog) -> Result<()> {
-        log.wal.append(&codec::to_bytes(self))?;
-        log.wal.sync()
-    }
+/// The bytes of the frame of kind [`KIND_TRAIN_ROUND`] with `meta`, the
+/// core's relation table and the partition tables it touched since the
+/// last durable frame — what [`codec::to_bytes`] of that
+/// [`CheckpointFrame`] is, encoded from the core's tables instead of copies
+/// of them, into a buffer sized once.
+fn encode_frame(meta: &CheckpointMeta, core: &mut TrainerCore) -> Result<Vec<u8>> {
+    let kind = KIND_TRAIN_ROUND.as_bytes();
+    let relations = core.relations();
+    let len = 8
+        + kind.len()
+        + meta.encoded_len()
+        + EmbeddingTable::encoded_len(relations.len(), relations.dim())
+        + core.touched_encoded_len();
+    let mut out = Vec::with_capacity(len);
+    // A `String` encodes as the sequence of its bytes.
+    codec::enc_seq(kind.iter(), &mut out);
+    meta.enc(&mut out);
+    relations.enc(&mut out);
+    core.enc_touched(&mut out)?;
+    debug_assert_eq!(out.len(), len, "frame size");
+    Ok(out)
 }
 
 /// A WAL of checkpoint frames. Opening replays the valid prefix and
@@ -611,12 +635,7 @@ impl<'a> CheckpointedTrainer<'a> {
             checkpoint_retries: report.checkpoint_retries,
             quarantined: quarantined.iter().copied().collect(),
         };
-        let frame = CheckpointFrame {
-            kind: KIND_TRAIN_ROUND.into(),
-            meta,
-            relations: core.relations().clone(),
-            parts: core.touched_tables()?,
-        };
+        let frame = encode_frame(&meta, core)?;
 
         if let Some(injector) = self.faults {
             let key = ((epoch as u64) << 32) | round as u64;
@@ -636,7 +655,8 @@ impl<'a> CheckpointedTrainer<'a> {
                 return Err(e);
             }
         }
-        frame.append_to(log)?;
+        log.wal.append(&frame)?;
+        log.wal.sync()?;
         report.checkpoints_written += 1;
         core.clear_touched();
         Ok(())
@@ -666,6 +686,8 @@ mod tests {
             quarantined: vec![(1, 2), (3, 3)],
         };
         let bytes = codec::to_bytes(&meta);
+        assert_eq!(bytes.len(), meta.encoded_len());
+        assert_eq!(codec::to_bytes(&CheckpointMeta::default()).len(), 104);
         let back: CheckpointMeta = codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, meta);
         // Truncations are rejected.
@@ -689,5 +711,64 @@ mod tests {
         assert_eq!(back.meta, frame.meta);
         assert_eq!(back.parts.iter().map(|(p, _)| *p).collect::<Vec<_>>(), vec![0, 2]);
         assert_eq!(back.parts[1].1.row(5), frame.parts[1].1.row(5));
+    }
+
+    /// The frame encoded from the core's tables is byte for byte
+    /// `codec::to_bytes` of the frame of copies it replaced: before any
+    /// round, after every round of two epochs with the touched set growing
+    /// (as in a delta run) and cleared (as in a full run), and with a
+    /// buffer that keeps some of the tables on disk.
+    #[test]
+    fn the_borrowed_frame_encodes_as_the_owned_frame() {
+        use crate::disk::PartitionBuffer;
+        use crate::partition::Rounds;
+        use saga_graph::{GraphView, ViewDef};
+
+        let s = saga_core::synth::generate(&saga_core::synth::SynthConfig::tiny(61));
+        let v = GraphView::materialize(&s.kg, ViewDef::embedding_training(2));
+        let ds = TrainingSet::from_edges(&v.edges(), 0.05, 0.05, 3);
+        let cfg = TrainConfig { dim: 4, epochs: 2, negatives: 2, ..Default::default() };
+        let dir = std::env::temp_dir()
+            .join("saga-checkpoint-tests")
+            .join(format!("{}-frame", std::process::id()));
+        let num_parts = 6;
+        for (buffered, clear) in [(false, false), (false, true), (true, true)] {
+            let buffer = buffered.then(|| PartitionBuffer::new(2, &dir, num_parts).unwrap());
+            let mut core = TrainerCore::new(&ds, &cfg, num_parts, buffer).unwrap();
+            let mut meta = CheckpointMeta { config_digest: 7, ..Default::default() };
+            let mut frames = 0;
+            let mut check = |core: &mut TrainerCore, meta: &CheckpointMeta| {
+                let owned = CheckpointFrame {
+                    kind: KIND_TRAIN_ROUND.into(),
+                    meta: meta.clone(),
+                    relations: core.relations().clone(),
+                    parts: core.touched_tables().unwrap(),
+                };
+                assert_eq!(encode_frame(meta, core).unwrap(), codec::to_bytes(&owned));
+                frames += usize::from(!owned.parts.is_empty());
+            };
+            check(&mut core, &meta);
+            let mut rounds = Rounds::default();
+            for epoch in 0..cfg.epochs {
+                core.shuffle_epoch(cfg.seed, epoch);
+                core.pack_rounds(&mut rounds);
+                for ri in 0..rounds.len() {
+                    core.page_in(rounds.round(ri)).unwrap();
+                    let out =
+                        core.run_round(&cfg, epoch, rounds.round(ri), 1, &BTreeSet::new(), None);
+                    meta.epoch = epoch as u64;
+                    meta.round = ri as u64;
+                    meta.cur_epoch_loss += out.loss;
+                    meta.quarantined.push((ri as u16, epoch as u16));
+                    check(&mut core, &meta);
+                    if clear {
+                        core.clear_touched();
+                    }
+                }
+                meta.epoch_losses_done.push(meta.cur_epoch_loss);
+            }
+            assert!(frames > 2, "frames with tables: {frames}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

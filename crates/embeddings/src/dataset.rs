@@ -60,7 +60,9 @@ fn vocabularies(edges: &[Edge]) -> (Vec<EntityId>, Vec<PredicateId>) {
     (entities, relations)
 }
 
-/// `edges` in dense ids, sorted by `(h, r, t)` and deduplicated.
+/// `edges` in dense ids, sorted by `(h, r, t)` and deduplicated. Edges in
+/// SPO order without repeats — a view's — densify to strictly increasing
+/// triples, because dense ids follow KG ids; those are not sorted again.
 fn densify(edges: &[Edge], entities: &[EntityId], relations: &[PredicateId]) -> Vec<DenseTriple> {
     let mut v: Vec<DenseTriple> = edges
         .iter()
@@ -70,8 +72,10 @@ fn densify(edges: &[Edge], entities: &[EntityId], relations: &[PredicateId]) -> 
             t: dense(entities, &e.tail),
         })
         .collect();
-    v.sort_unstable_by_key(triple_order);
-    v.dedup();
+    if !v.windows(2).all(|w| triple_order(&w[0]) < triple_order(&w[1])) {
+        v.sort_unstable_by_key(triple_order);
+        v.dedup();
+    }
     v
 }
 
@@ -91,9 +95,10 @@ impl TrainingSet {
         let n_test = (n as f64 * test_frac) as usize;
         let valid = triples[..n_valid].to_vec();
         let test = triples[n_valid..n_valid + n_test].to_vec();
-        let train = triples[n_valid + n_test..].to_vec();
+        // The shuffled buffer's tail is the training split.
+        triples.drain(..n_valid + n_test);
 
-        Self { entities, relations, train, valid, test, all_triples }
+        Self { entities, relations, train: triples, valid, test, all_triples }
     }
 
     /// Builds a training set from explicit splits (for ablations that need
@@ -319,6 +324,32 @@ mod tests {
         }
         let empty = TrainingSet::from_edges(&[], 0.1, 0.1, 1);
         HashedSet::from_edges(&[], 0.1, 0.1, 1).assert_same_as(&empty);
+    }
+
+    /// A view's edges, in SPO order, skip the sort: they build the set the
+    /// same edges build shuffled, or with every edge repeated.
+    #[test]
+    fn sorted_edges_build_the_set_shuffled_edges_build() {
+        let s = generate(&SynthConfig::tiny(21));
+        let edges = GraphView::materialize(&s.kg, ViewDef::embedding_training(2)).edges();
+        let spo = |e: &Edge| (e.head, e.relation, e.tail);
+        assert!(edges.windows(2).all(|w| spo(&w[0]) < spo(&w[1])), "a view's edges are sorted");
+        let mut shuffled = edges.clone();
+        SplitMix64::new(7).shuffle(&mut shuffled);
+        let repeated: Vec<Edge> = edges.iter().flat_map(|&e| [e, e]).collect();
+        for (valid, test, seed) in [(0.05, 0.05, 3), (0.2, 0.1, 9)] {
+            let want = TrainingSet::from_edges(&edges, valid, test, seed);
+            for other in [&shuffled, &repeated] {
+                let got = TrainingSet::from_edges(other, valid, test, seed);
+                assert_eq!(got.entities, want.entities);
+                assert_eq!(got.relations, want.relations);
+                assert_eq!(
+                    (&got.train, &got.valid, &got.test),
+                    (&want.train, &want.valid, &want.test)
+                );
+                assert_eq!(got.all_triples, want.all_triples);
+            }
+        }
     }
 
     /// A partitioned model trained on the sorted-lookup set is bit for bit

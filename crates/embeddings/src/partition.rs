@@ -34,6 +34,7 @@ use crate::disk::{DiskStats, PartitionBuffer};
 use crate::table::EmbeddingTable;
 use crate::train::{train_step, TrainConfig, TrainedModel, REL_SEED};
 use saga_core::fault::{FaultInjector, RetryPolicy};
+use saga_core::persist::codec::BinCodec;
 use saga_core::rng::SplitMix64;
 use saga_core::{Result, SagaError};
 use std::collections::{BTreeSet, HashMap};
@@ -55,18 +56,27 @@ pub struct Partitioning {
 
 impl Partitioning {
     /// Randomly assigns `num_entities` entities to `num_parts` partitions.
+    /// Every partition is drawn first, in entity order, so each member
+    /// list is sized once.
     pub fn random(num_entities: usize, num_parts: usize, seed: u64) -> Self {
         assert!(num_parts >= 1 && num_parts <= u16::MAX as usize);
         let mut rng = SplitMix64::new(seed);
-        let mut part_of = vec![0u16; num_entities];
-        let mut local_idx = vec![0u32; num_entities];
-        let mut members = vec![Vec::new(); num_parts];
-        for e in 0..num_entities {
-            let p = rng.gen_range(0..num_parts) as u16;
-            part_of[e] = p;
-            local_idx[e] = members[p as usize].len() as u32;
-            members[p as usize].push(e as u32);
+        let part_of: Vec<u16> =
+            (0..num_entities).map(|_| rng.gen_range(0..num_parts) as u16).collect();
+        let mut sizes = vec![0usize; num_parts];
+        for &p in &part_of {
+            sizes[p as usize] += 1;
         }
+        let mut members: Vec<Vec<u32>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        let local_idx = part_of
+            .iter()
+            .enumerate()
+            .map(|(e, &p)| {
+                let m = &mut members[p as usize];
+                m.push(e as u32);
+                (m.len() - 1) as u32
+            })
+            .collect();
         Self { num_parts, part_of, local_idx, members }
     }
 
@@ -471,8 +481,37 @@ impl TrainerCore {
         &self.relations
     }
 
-    /// Copies of the tables that changed since the last
-    /// [`clear_touched`](Self::clear_touched), ascending by partition.
+    /// Bytes [`enc_touched`](Self::enc_touched) appends.
+    pub(crate) fn touched_encoded_len(&self) -> usize {
+        let tables: usize = (0..self.num_parts)
+            .filter(|&p| self.touched[p])
+            .map(|p| 2 + EmbeddingTable::encoded_len(self.parts.members[p].len(), self.dim))
+            .sum();
+        8 + tables
+    }
+
+    /// Appends what a `Vec<(u16, EmbeddingTable)>` of copies of the tables
+    /// that changed since the last [`clear_touched`](Self::clear_touched),
+    /// ascending by partition, encodes to — without the copies: a resident
+    /// table is encoded under its lock, an evicted one read back from disk.
+    pub(crate) fn enc_touched(&mut self, out: &mut Vec<u8>) -> Result<()> {
+        self.touched.iter().filter(|&&t| t).count().enc(out);
+        for p in 0..self.num_parts {
+            if !self.touched[p] {
+                continue;
+            }
+            (p as u16).enc(out);
+            match self.read_evicted(p)? {
+                Some(table) => table.enc(out),
+                None => self.tables[p].lock().expect("partition lock").enc(out),
+            }
+        }
+        Ok(())
+    }
+
+    /// Copies of the tables [`enc_touched`](Self::enc_touched) encodes:
+    /// what a checkpoint frame held before it borrowed them.
+    #[cfg(test)]
     pub(crate) fn touched_tables(&mut self) -> Result<Vec<(u16, EmbeddingTable)>> {
         let mut out = Vec::new();
         for p in 0..self.num_parts {
@@ -1041,6 +1080,35 @@ mod tests {
         let s = generate(&SynthConfig::tiny(61));
         let v = GraphView::materialize(&s.kg, ViewDef::embedding_training(2));
         TrainingSet::from_edges(&v.edges(), 0.05, 0.05, 3)
+    }
+
+    /// `Partitioning::random` as it pushed into growing member lists: the
+    /// oracle of the count-then-fill body.
+    fn reference_random(num_entities: usize, num_parts: usize, seed: u64) -> Partitioning {
+        let mut rng = SplitMix64::new(seed);
+        let mut part_of = vec![0u16; num_entities];
+        let mut local_idx = vec![0u32; num_entities];
+        let mut members = vec![Vec::new(); num_parts];
+        for e in 0..num_entities {
+            let p = rng.gen_range(0..num_parts) as u16;
+            part_of[e] = p;
+            local_idx[e] = members[p as usize].len() as u32;
+            members[p as usize].push(e as u32);
+        }
+        Partitioning { num_parts, part_of, local_idx, members }
+    }
+
+    #[test]
+    fn random_partitioning_matches_the_push_by_push_reference() {
+        for (n, parts, seed) in [(0, 1, 1), (1, 1, 2), (100, 4, 1), (37, 32, 9), (1000, 32, 7)] {
+            let got = Partitioning::random(n, parts, seed);
+            let want = reference_random(n, parts, seed);
+            assert_eq!(got.num_parts, want.num_parts);
+            assert_eq!(got.part_of, want.part_of, "({n}, {parts}, {seed})");
+            assert_eq!(got.local_idx, want.local_idx, "({n}, {parts}, {seed})");
+            assert_eq!(got.members, want.members, "({n}, {parts}, {seed})");
+            assert!(got.members.iter().all(|m| m.capacity() == m.len()), "sized once");
+        }
     }
 
     #[test]

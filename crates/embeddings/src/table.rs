@@ -133,6 +133,11 @@ impl EmbeddingTable {
     pub fn to_bytes(&self) -> Vec<u8> {
         codec::to_bytes(self)
     }
+
+    /// Bytes the [`BinCodec`] encoding of an `n × dim` table takes.
+    pub(crate) fn encoded_len(n: usize, dim: usize) -> usize {
+        8 + 8 + 8 * n * dim
+    }
 }
 
 /// Layout: `dim` and the row count, then the `n × dim` data values and the
@@ -225,6 +230,7 @@ mod tests {
         let mut t = EmbeddingTable::init(7, 5, 11);
         t.adagrad_update(3, &[1.0, -0.5, 0.25, 2.0, -3.0], 0.1);
         let bytes = t.to_bytes();
+        assert_eq!(bytes.len(), EmbeddingTable::encoded_len(7, 5));
         let back: EmbeddingTable = codec::from_bytes(&bytes).unwrap();
         assert_eq!(back.dim(), 5);
         assert_eq!(back.len(), 7);

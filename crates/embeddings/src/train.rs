@@ -7,8 +7,7 @@ use crate::sampler::NegativeSampler;
 use crate::table::EmbeddingTable;
 use saga_core::persist::codec::{BinCodec, Reader};
 use saga_core::rng::SplitMix64;
-use saga_core::{EntityId, PredicateId};
-use std::collections::HashMap;
+use saga_core::{EntityId, PredicateId, SagaError};
 
 /// Contrastive loss for (positive, negative) score pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,14 +90,15 @@ impl Default for TrainConfig {
 }
 
 /// A trained embedding model: entity/relation matrices plus the id maps
-/// back into the knowledge graph.
+/// back into the knowledge graph. The id maps are sorted, so a KG id's
+/// local index is a binary search (as in [`TrainingSet`]).
 #[derive(Debug, Clone)]
 pub struct TrainedModel {
     /// The model architecture.
     pub kind: ModelKind,
-    /// Local entity index → KG entity id.
+    /// Local entity index → KG entity id, strictly increasing.
     pub entity_ids: Vec<EntityId>,
-    /// Local relation index → KG predicate id.
+    /// Local relation index → KG predicate id, strictly increasing.
     pub relation_ids: Vec<PredicateId>,
     /// Entity embedding matrix.
     pub entities: EmbeddingTable,
@@ -106,12 +106,16 @@ pub struct TrainedModel {
     pub relations: EmbeddingTable,
     /// Mean training loss per epoch (diagnostics / convergence tests).
     pub epoch_losses: Vec<f32>,
-    entity_index: HashMap<EntityId, u32>,
-    relation_index: HashMap<PredicateId, u32>,
+}
+
+/// True when `ids` is strictly increasing: sorted, without a repeat.
+fn strictly_increasing<T: Ord>(ids: &[T]) -> bool {
+    ids.windows(2).all(|w| w[0] < w[1])
 }
 
 impl TrainedModel {
-    /// Assembles a model from its parts, building the lookup maps.
+    /// Assembles a model from its parts. The id maps must be strictly
+    /// increasing, as a [`TrainingSet`]'s vocabularies are.
     pub fn assemble(
         kind: ModelKind,
         entity_ids: Vec<EntityId>,
@@ -120,18 +124,8 @@ impl TrainedModel {
         relations: EmbeddingTable,
         epoch_losses: Vec<f32>,
     ) -> Self {
-        let entity_index = entity_ids.iter().enumerate().map(|(i, &e)| (e, i as u32)).collect();
-        let relation_index = relation_ids.iter().enumerate().map(|(i, &r)| (r, i as u32)).collect();
-        Self {
-            kind,
-            entity_ids,
-            relation_ids,
-            entities,
-            relations,
-            epoch_losses,
-            entity_index,
-            relation_index,
-        }
+        debug_assert!(strictly_increasing(&entity_ids) && strictly_increasing(&relation_ids));
+        Self { kind, entity_ids, relation_ids, entities, relations, epoch_losses }
     }
 
     /// Embedding dimension.
@@ -141,12 +135,12 @@ impl TrainedModel {
 
     /// Local index of a KG entity, if it was in the training vocabulary.
     pub fn entity_index(&self, e: EntityId) -> Option<u32> {
-        self.entity_index.get(&e).copied()
+        self.entity_ids.binary_search(&e).ok().map(|i| i as u32)
     }
 
     /// Local index of a KG predicate.
     pub fn relation_index(&self, r: PredicateId) -> Option<u32> {
-        self.relation_index.get(&r).copied()
+        self.relation_ids.binary_search(&r).ok().map(|i| i as u32)
     }
 
     /// Embedding vector of a KG entity.
@@ -176,15 +170,16 @@ impl TrainedModel {
         saga_core::persist::save_value(path, self)
     }
 
-    /// Loads a model saved by [`save`](Self::save), rebuilding lookups.
-    /// Corrupted files are rejected by the frame checksum.
+    /// Loads a model saved by [`save`](Self::save). Corrupted files are
+    /// rejected by the frame checksum.
     pub fn load(path: &std::path::Path) -> saga_core::Result<Self> {
         saga_core::persist::load_value(path)
     }
 }
 
-/// A model encodes its parts; decoding [`assemble`](TrainedModel::assemble)s
-/// them, which rebuilds the lookup maps.
+/// A model encodes its parts. Decoding [`assemble`](TrainedModel::assemble)s
+/// them, and rejects id maps that are not strictly increasing as
+/// [`SagaError::Corrupt`]: a binary search in them would miss ids.
 impl BinCodec for TrainedModel {
     fn enc(&self, out: &mut Vec<u8>) {
         self.kind.enc(out);
@@ -195,10 +190,16 @@ impl BinCodec for TrainedModel {
         self.epoch_losses.enc(out);
     }
     fn dec(rd: &mut Reader<'_>) -> saga_core::Result<Self> {
+        let kind = ModelKind::dec(rd)?;
+        let entity_ids: Vec<EntityId> = Vec::dec(rd)?;
+        let relation_ids: Vec<PredicateId> = Vec::dec(rd)?;
+        if !strictly_increasing(&entity_ids) || !strictly_increasing(&relation_ids) {
+            return Err(SagaError::Corrupt("model ids are not strictly increasing".into()));
+        }
         Ok(Self::assemble(
-            ModelKind::dec(rd)?,
-            Vec::dec(rd)?,
-            Vec::dec(rd)?,
+            kind,
+            entity_ids,
+            relation_ids,
             EmbeddingTable::dec(rd)?,
             EmbeddingTable::dec(rd)?,
             Vec::dec(rd)?,
@@ -333,6 +334,7 @@ pub(crate) const REL_SEED: u64 = 0x7e1a_7105;
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use saga_core::persist::codec;
     use saga_core::synth::{generate, SynthConfig};
     use saga_graph::{GraphView, ViewDef};
 
@@ -434,7 +436,7 @@ mod tests {
         assert_eq!(back.entities.row(3), m.entities.row(3));
         let t = &ds.test[0];
         assert_eq!(back.score_dense(t), m.score_dense(t));
-        // Loading rebuilds the lookup maps.
+        // Lookups answer after loading.
         let e = m.entity_ids[3];
         assert_eq!(back.entity_embedding(e), m.entity_embedding(e));
         assert_eq!(back.relation_index(m.relation_ids[0]), Some(0));
@@ -445,5 +447,31 @@ mod tests {
         std::fs::write(&path, bytes).unwrap();
         assert!(TrainedModel::load(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A model whose id map repeats or reorders an id decodes as corrupt,
+    /// not as a model whose lookups miss or pick one of two rows.
+    #[test]
+    fn repeated_or_unsorted_ids_decode_as_corrupt() {
+        let ds = dataset(53);
+        let m = train(&ds, &TrainConfig { epochs: 1, dim: 4, ..TrainConfig::default() });
+        let decode = |entity_ids: Vec<EntityId>, relation_ids: Vec<PredicateId>| {
+            let bytes = codec::to_bytes(&TrainedModel { entity_ids, relation_ids, ..m.clone() });
+            codec::from_bytes::<TrainedModel>(&bytes)
+        };
+        let (ents, rels) = (m.entity_ids.clone(), m.relation_ids.clone());
+        assert!(decode(ents.clone(), rels.clone()).is_ok());
+        let mut repeated = ents.clone();
+        repeated[1] = repeated[0];
+        let mut swapped = ents.clone();
+        swapped.swap(0, 1);
+        let mut repeated_rel = rels.clone();
+        repeated_rel[1] = repeated_rel[0];
+        for (e, r) in [(repeated, rels.clone()), (swapped, rels), (ents, repeated_rel)] {
+            match decode(e, r) {
+                Err(SagaError::Corrupt(_)) => {}
+                other => panic!("expected Corrupt, got {:?}", other.map(|m| m.entity_ids.len())),
+            }
+        }
     }
 }

@@ -6,10 +6,12 @@
 //!   sequence the round loop performs.
 //! - The round loop itself allocates per run, never per round or epoch: at
 //!   one worker, the same set trained for 2 and for 6 epochs allocates the
-//!   same number of times through `train_partitioned`. A warm-started delta
-//!   `CheckpointedTrainer::train` does too, up to its one checkpoint frame:
-//!   the frame carries a loss per completed epoch, so its encoding buffer
-//!   may grow once more at 6 epochs.
+//!   same number of times through `train_partitioned`, and so does a
+//!   warm-started delta `CheckpointedTrainer::train`, whose one checkpoint
+//!   frame is encoded into a buffer sized once.
+//! - Building the embedding-training set (view, edges, splits) allocates a
+//!   fixed number of times, whatever the size of the graph: as often on a
+//!   synthetic world ten times the size of another.
 //!
 //! The allocator counts only on the thread that armed it, so tests running
 //! side by side do not count each other's allocations; every measured call
@@ -156,8 +158,36 @@ fn delta_training_allocates_per_run_not_per_round() {
     let (two, two_rounds) = allocs(2);
     let (six, six_rounds) = allocs(6);
     assert!(six_rounds > two_rounds, "{six_rounds} rounds at 6 epochs, {two_rounds} at 2");
-    // The 6-epoch frame holds four more epoch losses (32 bytes), which may
-    // cost its encoding one more buffer growth. An allocation per epoch
-    // would add at least four, one per round far more.
-    assert!(six.abs_diff(two) <= 1, "2 epochs allocate {two} times, 6 epochs {six}");
+    assert_eq!(two, six, "2 epochs allocate {two} times, 6 epochs {six}");
+}
+
+#[test]
+fn building_the_training_set_allocates_the_same_at_any_graph_size() {
+    use saga_core::synth::{generate, SynthConfig};
+    let tiny = SynthConfig::tiny(61);
+    let ten_times = SynthConfig {
+        num_people: 10 * tiny.num_people,
+        num_movies: 10 * tiny.num_movies,
+        num_songs: 10 * tiny.num_songs,
+        num_orgs: 10 * tiny.num_orgs,
+        num_places: 10 * tiny.num_places,
+        num_teams: 10 * tiny.num_teams,
+        ..tiny.clone()
+    };
+    let allocs = |world: &SynthConfig| {
+        let s = generate(world);
+        let mut train = 0;
+        let n = count_allocs(|| {
+            let v = GraphView::materialize(&s.kg, ViewDef::embedding_training(2));
+            let ds = TrainingSet::from_edges(&v.edges(), 0.05, 0.05, 3);
+            train = ds.train.len();
+            std::hint::black_box(ds);
+        });
+        (n, train)
+    };
+    let (one, one_train) = allocs(&tiny);
+    let (ten, ten_train) = allocs(&ten_times);
+    assert!(ten_train > 5 * one_train, "{ten_train} training triples at 10×, {one_train} at 1×");
+    assert_eq!(one, ten, "1× allocates {one} times, 10× {ten}");
+    assert!(one <= 9, "{one} allocations");
 }

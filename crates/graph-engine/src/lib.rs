@@ -3,8 +3,8 @@
 //! The graph query engine layered on the `saga-core` triple store:
 //!
 //! - [`pattern`] — index-dispatched triple-pattern scans;
-//! - [`view`] — declarative, materialized views (the fact filtering of
-//!   paper Sec. 2 and the static knowledge asset of Sec. 5);
+//! - [`view`] — declarative views, filters over the graph's keys (the fact
+//!   filtering of paper Sec. 2 and the static knowledge asset of Sec. 5);
 //! - [`traverse`] — CSR adjacency, k-hop neighbourhoods, seeded random walks
 //!   and the pre-computed traversal corpora used for related-entity
 //!   embeddings;

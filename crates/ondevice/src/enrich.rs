@@ -30,7 +30,7 @@ impl StaticAsset {
     /// view plus the entity records it references.
     pub fn build(server: &KnowledgeGraph, min_popularity: f32) -> Self {
         let view = GraphView::materialize(server, ViewDef::static_knowledge_asset(min_popularity));
-        let triples: Vec<Triple> = view.triples().cloned().collect();
+        let triples: Vec<Triple> = view.triples().collect();
         let mut ids: Vec<EntityId> = view.entities();
         // Also include entities referenced only as subjects of literal facts.
         ids.extend(triples.iter().map(|t| t.subject));

@@ -48,7 +48,7 @@ fn views_are_sound_projections() {
         def.min_popularity = min_pop;
         let view = GraphView::materialize(&s.kg, def);
         for t in view.triples() {
-            assert!(s.kg.contains(t), "view triple missing from store: {t:?}");
+            assert!(s.kg.contains(&t), "view triple missing from store: {t:?}");
             assert!(s.kg.entity(t.subject).popularity >= min_pop);
         }
     });
