@@ -8,8 +8,7 @@
 //! [`FlatIndex::search_batch`] feeds it blocks.
 //!
 //! - **Stored row norms.** `‖row‖` is kept beside the slab (maintained by
-//!   `add` / `upsert` / `compact`), so a
-//!   cosine scan is a dot product and one multiply + divide per pair instead
+//!   `add` / `upsert`), so a cosine scan is a dot product and one multiply + divide per pair instead
 //!   of recomputing every row's norm — half the FMAs — on every query.
 //! - **Strip walk.** The slab is walked in row strips sized to stay in L1
 //!   (`STRIP_BYTES`); every query tile of the block
@@ -161,9 +160,9 @@ thread_local! {
 /// Exact k-NN over a contiguous vector slab.
 ///
 /// Mutation model (incremental pipeline): [`upsert`](Self::upsert)
-/// replaces a row in place, [`remove`](Self::remove) tombstones it (the
-/// slab keeps the bytes; search skips them), and
-/// [`compact`](Self::compact) reclaims tombstoned rows. An index
+/// replaces a row in place and [`remove`](Self::remove) tombstones it (the
+/// slab keeps the bytes, search skips them, and only a rebuild of the
+/// index reclaims them, as the growth pipeline's lapse path does). An index
 /// maintained through any upsert/remove sequence returns exactly the same
 /// top-k (ties included) as one built from scratch on the surviving rows.
 #[derive(Debug, Clone)]
@@ -214,7 +213,7 @@ impl FlatIndex {
         self.ids.len() - self.tombstones
     }
 
-    /// Number of tombstoned rows awaiting [`compact`](Self::compact).
+    /// Number of tombstoned rows; only a rebuild of the index drops them.
     pub fn tombstones(&self) -> usize {
         self.tombstones
     }
@@ -285,7 +284,7 @@ impl FlatIndex {
     }
 
     /// Tombstone-deletes every live row under `id`: the slab keeps the
-    /// bytes until [`compact`](Self::compact), but search and
+    /// bytes until the index is rebuilt, but search and
     /// [`get`](Self::get) no longer see them. Returns true when at least
     /// one row was removed. O(1) unless some id has a duplicate row.
     pub fn remove(&mut self, id: u64) -> bool {
@@ -300,37 +299,6 @@ impl FlatIndex {
             self.tombstones += 1;
         }
         true
-    }
-
-    /// Reclaims tombstoned rows, preserving the relative order of live
-    /// rows (so post-compaction results — including tie order beyond id
-    /// tie-breaks — are identical to before).
-    pub fn compact(&mut self) {
-        if self.tombstones == 0 {
-            return;
-        }
-        let mut w = 0usize;
-        for r in 0..self.ids.len() {
-            if self.dead[r] {
-                continue;
-            }
-            if w != r {
-                self.ids[w] = self.ids[r];
-                self.norms[w] = self.norms[r];
-                self.data.copy_within(r * self.dim..(r + 1) * self.dim, w * self.dim);
-            }
-            w += 1;
-        }
-        self.ids.truncate(w);
-        self.norms.truncate(w);
-        self.data.truncate(w * self.dim);
-        self.dead.clear();
-        self.dead.resize(w, false);
-        self.tombstones = 0;
-        self.pos.clear();
-        for (i, &id) in self.ids.iter().enumerate() {
-            self.pos.entry(id).or_insert(i as u32);
-        }
     }
 
     /// Returns the stored vector for position `i`.
@@ -565,7 +533,6 @@ mod tests {
         Add(u64, [i8; 2]),
         Upsert(u64, [i8; 2]),
         Remove(u64),
-        Compact,
     }
 
     fn step(rng: &mut SplitMix64) -> Step {
@@ -583,14 +550,13 @@ mod tests {
                     Step::Upsert(id, v)
                 },
                 &|rng| Step::Remove(rng.gen_range(0u64..6)),
-                &|_| Step::Compact,
             ],
         )
     }
 
     /// Upsert and remove against the scanning bodies they replaced, on
-    /// random histories of add (duplicate ids included), upsert, remove
-    /// and compact: after every step both indexes answer every id's
+    /// random histories of add (duplicate ids included), upsert and
+    /// remove: after every step both indexes answer every id's
     /// `get`, count the same live rows and tombstones, and return the
     /// same hits, score bits included, for every metric.
     #[test]
@@ -615,10 +581,6 @@ mod tests {
                     }
                     Step::Remove(id) => {
                         assert_eq!(idx.remove(id), reference.reference_remove(id));
-                    }
-                    Step::Compact => {
-                        idx.compact();
-                        reference.compact();
                     }
                 }
                 for id in 0..7 {
@@ -761,25 +723,6 @@ mod tests {
         assert_eq!(idx.live_len(), 2);
         let hits = idx.search(&[0.0, 0.0], 3);
         assert_eq!(hits.iter().map(|h| h.id).collect::<Vec<_>>(), vec![3, 2]);
-    }
-
-    #[test]
-    fn compact_drops_tombstones_and_preserves_results() {
-        let mut idx = FlatIndex::new(1, Metric::Dot);
-        for i in 0..10u64 {
-            idx.add(i, &[i as f32]);
-        }
-        for i in [0u64, 3, 7] {
-            idx.remove(i);
-        }
-        idx.upsert(5, &[50.0]);
-        let before = idx.search(&[1.0], 10);
-        idx.compact();
-        assert_eq!(idx.tombstones(), 0);
-        assert_eq!(idx.len(), 7);
-        assert_eq!(idx.search(&[1.0], 10), before);
-        assert_eq!(idx.get(5), Some(&[50.0][..]));
-        assert_eq!(idx.get(3), None);
     }
 
     #[test]

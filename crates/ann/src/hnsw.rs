@@ -154,8 +154,8 @@ pub struct HnswIndex {
     entry: Option<u32>,
     max_level: usize,
     /// Tombstone flags parallel to `nodes`; dead nodes keep routing (their
-    /// edges stay in the graph) but are filtered from results until
-    /// [`compact`](Self::compact) rebuilds without them.
+    /// edges stay in the graph) but are filtered from results until the
+    /// index is rebuilt.
     dead: Vec<bool>,
     /// Live tombstone count.
     tombstones: usize,
@@ -197,7 +197,7 @@ impl HnswIndex {
         self.nodes.len() - self.tombstones
     }
 
-    /// Number of tombstoned nodes awaiting [`compact`](Self::compact).
+    /// Number of tombstoned nodes; only a rebuild of the index drops them.
     pub fn tombstones(&self) -> usize {
         self.tombstones
     }
@@ -372,8 +372,7 @@ impl HnswIndex {
 
     /// Tombstones every live node carrying `id`. Dead nodes keep serving
     /// as routing waypoints (their edges survive) but never appear in
-    /// results; [`compact`](Self::compact) rebuilds without them. Returns
-    /// `true` if any node died.
+    /// results until the index is rebuilt. Returns `true` if any node died.
     pub fn remove(&mut self, id: u64) -> bool {
         if self.by_id.remove(&id).is_none() {
             return false;
@@ -385,23 +384,6 @@ impl HnswIndex {
             }
         }
         true
-    }
-
-    /// Deterministically rebuilds the graph from the live vectors in node
-    /// order, dropping tombstones. The rebuild reseeds level assignment
-    /// from `params.seed`, so compacting equal live sets yields equal
-    /// graphs regardless of the mutation history that produced them.
-    pub fn compact(&mut self) {
-        if self.tombstones == 0 {
-            return;
-        }
-        let mut fresh = HnswIndex::new(self.dim, self.metric, self.params);
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !self.dead[i] {
-                fresh.add(n.id, self.vec_at(i as u32));
-            }
-        }
-        *self = fresh;
     }
 
     /// Approximate top-`k` search with the default `ef_search`.
@@ -585,7 +567,7 @@ mod tests {
     }
 
     #[test]
-    fn churned_index_keeps_recall_and_compacts_clean() {
+    fn churned_index_keeps_recall() {
         let dim = 16;
         let vecs = random_vectors(600, dim, 303);
         let fresh_vecs = random_vectors(600, dim, 904);
@@ -605,47 +587,17 @@ mod tests {
                 hnsw.remove(i as u64);
             }
         }
+        assert_eq!(hnsw.live_len(), flat.live_len());
         let queries = random_vectors(25, dim, 55);
-        let recall = |hnsw: &HnswIndex| {
-            let mut sum = 0.0;
-            for q in &queries {
-                let truth: std::collections::HashSet<u64> =
-                    flat.search(q, 10).into_iter().map(|h| h.id).collect();
-                let got =
-                    hnsw.search_ef(q, 10, 80).iter().filter(|h| truth.contains(&h.id)).count();
-                sum += got as f64 / 10.0;
-            }
-            sum / queries.len() as f64
-        };
-        let before = recall(&hnsw);
-        assert!(before > 0.8, "post-churn recall@10 = {before}");
-        hnsw.compact();
-        assert_eq!(hnsw.tombstones(), 0);
-        assert_eq!(hnsw.len(), flat.live_len());
-        let after = recall(&hnsw);
-        assert!(after > 0.8, "post-compact recall@10 = {after}");
-    }
-
-    #[test]
-    fn compact_is_equivalent_to_scratch_build() {
-        let vecs = random_vectors(150, 8, 77);
-        let mut idx = HnswIndex::new(8, Metric::Cosine, HnswParams::default());
-        for (i, v) in vecs.iter().enumerate() {
-            idx.add(i as u64, v);
+        let mut sum = 0.0;
+        for q in &queries {
+            let truth: std::collections::HashSet<u64> =
+                flat.search(q, 10).into_iter().map(|h| h.id).collect();
+            let got = hnsw.search_ef(q, 10, 80).iter().filter(|h| truth.contains(&h.id)).count();
+            sum += got as f64 / 10.0;
         }
-        for i in [10u64, 20, 30, 40] {
-            idx.remove(i);
-        }
-        idx.compact();
-        let mut scratch_built = HnswIndex::new(8, Metric::Cosine, HnswParams::default());
-        for (i, v) in vecs.iter().enumerate() {
-            if ![10, 20, 30, 40].contains(&(i as u64)) {
-                scratch_built.add(i as u64, v);
-            }
-        }
-        for q in vecs.iter().take(20) {
-            assert_eq!(idx.search(q, 5), scratch_built.search(q, 5));
-        }
+        let recall = sum / queries.len() as f64;
+        assert!(recall > 0.8, "post-churn recall@10 = {recall}");
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub use hnsw::{HnswIndex, HnswParams, SearchScratch};
 pub use kv::{CacheStats, EmbeddingCache};
 pub use pq::{PqCodebook, PqConfig, PqIndex, PqScratch};
 pub use quant::{QuantScratch, QuantizedTable, QuantizedVector};
-pub use vector::{l2_norm, normalize, Metric};
+pub use vector::Metric;
 
 /// The one fan-out behind every `search_batch`: `queries` cut into
 /// contiguous chunks of `ceil(n / workers)`, the first searched on the

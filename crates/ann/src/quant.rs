@@ -34,11 +34,6 @@ impl QuantizedVector {
         Self { scale, data }
     }
 
-    /// Reconstructs the approximate f32 vector.
-    pub fn dequantize(&self) -> Vec<f32> {
-        self.data.iter().map(|&q| q as f32 * self.scale).collect()
-    }
-
     /// Memory footprint in bytes (data + scale).
     pub fn bytes(&self) -> usize {
         self.data.len() + std::mem::size_of::<f32>()
@@ -106,7 +101,7 @@ pub struct QuantizedTable {
     scales: Vec<f32>,
     data: Vec<i8>,
     /// Tombstone flags for deleted/shadowed rows; slab bytes stay in place
-    /// until [`compact`](Self::compact).
+    /// until the table is rebuilt.
     dead: Vec<bool>,
     /// Live tombstone count.
     tombstones: usize,
@@ -172,7 +167,7 @@ impl QuantizedTable {
         self.ids.len() - self.tombstones
     }
 
-    /// Number of tombstoned rows awaiting [`compact`](Self::compact).
+    /// Number of tombstoned rows; only a rebuild of the table drops them.
     pub fn tombstones(&self) -> usize {
         self.tombstones
     }
@@ -205,8 +200,8 @@ impl QuantizedTable {
         }
     }
 
-    /// Tombstones every live row of `id`; slab bytes are reclaimed by the
-    /// next [`compact`](Self::compact). Returns `true` if any row died.
+    /// Tombstones every live row of `id`; slab bytes are reclaimed only when
+    /// the table is rebuilt. Returns `true` if any row died.
     pub fn remove(&mut self, id: u64) -> bool {
         if self.pos.remove(&id).is_none() {
             return false;
@@ -218,38 +213,6 @@ impl QuantizedTable {
             }
         }
         true
-    }
-
-    /// Drops tombstoned rows in place, preserving the relative order of
-    /// live rows, and rebuilds the id lookup.
-    pub fn compact(&mut self) {
-        if self.tombstones == 0 {
-            return;
-        }
-        let mut w = 0usize;
-        for r in 0..self.ids.len() {
-            if self.dead[r] {
-                continue;
-            }
-            if w != r {
-                self.ids[w] = self.ids[r];
-                self.scales[w] = self.scales[r];
-                self.norms[w] = self.norms[r];
-                self.data.copy_within(r * self.dim..(r + 1) * self.dim, w * self.dim);
-            }
-            w += 1;
-        }
-        self.ids.truncate(w);
-        self.scales.truncate(w);
-        self.norms.truncate(w);
-        self.data.truncate(w * self.dim);
-        self.dead.clear();
-        self.dead.resize(w, false);
-        self.tombstones = 0;
-        self.pos.clear();
-        for (i, &id) in self.ids.iter().enumerate() {
-            self.pos.entry(id).or_insert(i as u32);
-        }
     }
 
     /// Total payload bytes (i8 data + scales + norms + ids).
@@ -395,11 +358,17 @@ impl QuantizedTable {
 mod tests {
     use super::*;
 
+    /// The approximate f32 vector `q` stands for: the reference the i8
+    /// scoring is checked against.
+    fn dequantize(q: &QuantizedVector) -> Vec<f32> {
+        q.data.iter().map(|&x| x as f32 * q.scale).collect()
+    }
+
     #[test]
     fn quantize_round_trip_error_is_small() {
         let v: Vec<f32> = (0..64).map(|i| ((i as f32) * 0.37).sin()).collect();
         let q = QuantizedVector::quantize(&v);
-        let back = q.dequantize();
+        let back = dequantize(&q);
         for (a, b) in v.iter().zip(&back) {
             assert!((a - b).abs() < 0.01, "{a} vs {b}");
         }
@@ -408,7 +377,7 @@ mod tests {
     #[test]
     fn zero_vector_is_stable() {
         let q = QuantizedVector::quantize(&[0.0; 8]);
-        assert_eq!(q.dequantize(), vec![0.0; 8]);
+        assert_eq!(dequantize(&q), vec![0.0; 8]);
         // Zero-norm guards: cosine is 0, euclidean is plain −‖q‖².
         assert_eq!(q.score(Metric::Cosine, &[1.0; 8]), 0.0);
         assert!((q.score(Metric::Euclidean, &[1.0; 8]) + 8.0).abs() < 1e-5);
@@ -449,7 +418,7 @@ mod tests {
         let q = QuantizedVector::quantize(&v);
         let query = vec![1.0f32, 2.0, -1.0, 0.5];
         let fast = q.score(Metric::Dot, &query);
-        let slow = Metric::Dot.score(&q.dequantize(), &query);
+        let slow = Metric::Dot.score(&dequantize(&q), &query);
         assert!((fast - slow).abs() < 1e-4);
     }
 
@@ -458,7 +427,7 @@ mod tests {
         let v: Vec<f32> = (0..48).map(|i| ((i as f32) * 0.23).sin()).collect();
         let q = QuantizedVector::quantize(&v);
         let query: Vec<f32> = (0..48).map(|i| ((i as f32) * 0.41).cos()).collect();
-        let deq = q.dequantize();
+        let deq = dequantize(&q);
         for m in [Metric::Dot, Metric::Cosine, Metric::Euclidean] {
             let fast = q.score(m, &query);
             let slow = m.score(&query, &deq);
@@ -515,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn upsert_remove_compact_track_live_rows() {
+    fn upsert_and_remove_track_live_rows() {
         let dim = 8;
         let v = |seed: u64| -> Vec<f32> {
             (0..dim).map(|j| ((seed * 13 + j as u64) as f32 * 0.21).sin()).collect()
@@ -540,11 +509,6 @@ mod tests {
         let hits = t.search(Metric::Dot, &v(0), 10);
         let h2 = hits.iter().find(|h| h.id == 2).unwrap();
         assert!((h2.score - q.score(Metric::Dot, &v(0))).abs() < 1e-4);
-        let before = t.search(Metric::Cosine, &v(0), 10);
-        t.compact();
-        assert_eq!(t.tombstones(), 0);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.search(Metric::Cosine, &v(0), 10), before);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Dense vector math shared by the indexes, backed by the unrolled kernels
-//! in [`saga_core::kernels`].
+//! The similarity metric shared by the indexes, backed by the unrolled
+//! kernels in [`saga_core::kernels`].
 
 use saga_core::kernels;
 
@@ -27,21 +27,6 @@ impl Metric {
     }
 }
 
-/// L2 norm of a vector.
-pub fn l2_norm(v: &[f32]) -> f32 {
-    kernels::l2_norm(v)
-}
-
-/// Normalizes `v` to unit length in place (no-op for the zero vector).
-pub fn normalize(v: &mut [f32]) {
-    let n = l2_norm(v);
-    if n > 0.0 {
-        for x in v {
-            *x /= n;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,15 +47,5 @@ mod tests {
     fn euclidean_is_negative_distance() {
         assert_eq!(Metric::Euclidean.score(&[0.0], &[3.0]), -9.0);
         assert_eq!(Metric::Euclidean.score(&[1.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn normalize_unit_length() {
-        let mut v = vec![3.0, 4.0];
-        normalize(&mut v);
-        assert!((l2_norm(&v) - 1.0).abs() < 1e-6);
-        let mut z = vec![0.0, 0.0];
-        normalize(&mut z);
-        assert_eq!(z, vec![0.0, 0.0]);
     }
 }

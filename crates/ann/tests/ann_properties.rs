@@ -12,12 +12,17 @@ fn vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
     (0..n).map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect()
 }
 
+/// The approximate f32 vector `q` stands for: the reference the i8
+/// scoring is checked against.
+fn dequantize(q: &QuantizedVector) -> Vec<f32> {
+    q.data.iter().map(|&x| x as f32 * q.scale).collect()
+}
+
 /// One step of a deterministic index-mutation script.
 #[derive(Clone, Debug)]
 enum MutOp {
     Upsert(u64, Vec<f32>),
     Remove(u64),
-    Compact,
 }
 
 /// Generates a mutation script over a small id universe with components on
@@ -31,7 +36,7 @@ fn mutation_script(
     let mut rng = SplitMix64::new(seed);
     let mut script = Vec::with_capacity(ops);
     let mut live = std::collections::BTreeMap::new();
-    for step in 0..ops {
+    for _ in 0..ops {
         let id = rng.gen_range(0u64..40);
         if rng.gen_bool(0.25) {
             script.push(MutOp::Remove(id));
@@ -40,9 +45,6 @@ fn mutation_script(
             let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-2i32..=2) as f32 * 0.5).collect();
             script.push(MutOp::Upsert(id, v.clone()));
             live.insert(id, v);
-        }
-        if step == ops / 2 {
-            script.push(MutOp::Compact);
         }
     }
     (script, live)
@@ -83,7 +85,7 @@ fn quantization_error_bound() {
     check(12, 2, |rng| {
         let v = saga_testkit::vec(rng, 1..256, |rng| rng.gen_range(-100.0f32..100.0));
         let q = QuantizedVector::quantize(&v);
-        let back = q.dequantize();
+        let back = dequantize(&q);
         for (orig, rec) in v.iter().zip(&back) {
             assert!(
                 (orig - rec).abs() <= q.scale / 2.0 + 1e-6,
@@ -190,7 +192,7 @@ fn i8_scoring_matches_dequantized_reference() {
         let mut rng = SplitMix64::new(seed);
         let query: Vec<f32> = (0..v.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let q = QuantizedVector::quantize(&v);
-        let deq = q.dequantize();
+        let deq = dequantize(&q);
         for metric in [Metric::Dot, Metric::Cosine, Metric::Euclidean] {
             let fast = q.score(metric, &query);
             let slow = metric.score(&query, &deq);
@@ -210,9 +212,8 @@ fn i8_scoring_matches_dequantized_reference() {
 }
 
 /// An index grown incrementally through upserts and tombstone deletes
-/// (with a mid-stream compaction) returns exactly the same top-k as an
-/// index built from scratch on the final vector set — ties included —
-/// for the flat backend, both before and after a final compaction.
+/// returns exactly the same top-k as an index built from scratch on the
+/// final vector set — ties included — for the flat backend.
 #[test]
 fn flat_incremental_equals_scratch_build() {
     check(12, 7, |rng| {
@@ -234,7 +235,6 @@ fn flat_incremental_equals_scratch_build() {
                     MutOp::Remove(id) => {
                         inc.remove(*id);
                     }
-                    MutOp::Compact => inc.compact(),
                 }
             }
             let mut scratch = FlatIndex::new(dim, metric);
@@ -243,16 +243,13 @@ fn flat_incremental_equals_scratch_build() {
             }
             assert_eq!(inc.live_len(), scratch.len());
             let want = scratch.search(&q, k);
-            assert_eq!(&inc.search(&q, k), &want, "pre-compact, metric {:?}", metric);
-            inc.compact();
-            assert_eq!(&inc.search(&q, k), &want, "post-compact, metric {:?}", metric);
+            assert_eq!(&inc.search(&q, k), &want, "metric {:?}", metric);
         }
     });
 }
 
 /// The block scan against its two references, bit for bit, after a
-/// random `add` (duplicate ids allowed) / `upsert` / `remove` /
-/// `compact` history: `search_block_into` ≡ `search_into` query by query
+/// random `add` (duplicate ids allowed) / `upsert` / `remove` history: `search_block_into` ≡ `search_into` query by query
 /// ≡ a full [`Hit::best_first`] sort over every live row scored alone
 /// from freshly computed norms — so the stored norms are the fresh ones,
 /// tombstones never surface, and neither the block a query rode in nor
@@ -304,13 +301,9 @@ fn flat_block_scan_equals_single_queries_and_full_sort() {
                             None => rows.push((id, v, true)),
                         }
                     }
-                    7..=8 => {
+                    _ => {
                         idx.remove(id);
                         rows.iter_mut().filter(|r| r.0 == id).for_each(|r| r.2 = false);
-                    }
-                    _ => {
-                        idx.compact();
-                        rows.retain(|r| r.2);
                     }
                 }
             }
@@ -382,19 +375,13 @@ fn quantized_incremental_equals_scratch_build() {
                 MutOp::Remove(id) => {
                     inc.remove(*id);
                 }
-                MutOp::Compact => inc.compact(),
             }
         }
         let scratch = QuantizedTable::build(dim, live.iter().map(|(id, v)| (*id, v.clone())));
         assert_eq!(inc.live_len(), scratch.len());
         for metric in [Metric::Cosine, Metric::Euclidean, Metric::Dot] {
             let want = scratch.search(metric, &q, k);
-            assert_eq!(&inc.search(metric, &q, k), &want, "pre-compact, metric {:?}", metric);
-        }
-        inc.compact();
-        for metric in [Metric::Cosine, Metric::Euclidean, Metric::Dot] {
-            let want = scratch.search(metric, &q, k);
-            assert_eq!(&inc.search(metric, &q, k), &want, "post-compact, metric {:?}", metric);
+            assert_eq!(&inc.search(metric, &q, k), &want, "metric {:?}", metric);
         }
     });
 }

@@ -370,9 +370,10 @@ mod tests {
             }
         }
         let (c, svc, _) = delta_world(Tier::T2Contextual);
-        let injector = FaultInjector::new(
-            FaultPlan::reliable(7).with_site(SITE_EMBED_CACHE, SiteFaults::mixed(0.0, 1.0)),
-        );
+        let injector = FaultInjector::new(FaultPlan::reliable(7).with_site(
+            SITE_EMBED_CACHE,
+            SiteFaults { permanent_rate: 1.0, ..SiteFaults::transient(0.0) },
+        ));
         let mut out = AnnotatedCorpus::default();
         let annotator = ResilientAnnotator::new(&svc).with_faults(&injector);
         let (_, report) = annotator.annotate(&c, &all_docs(&c), 2, &mut out);
@@ -409,9 +410,10 @@ mod tests {
     fn quarantined_docs_recover_on_the_next_pass() {
         let (_, c, svc) = setup();
         // Heavy permanent faults: some documents must fail this pass.
-        let injector = FaultInjector::new(
-            FaultPlan::reliable(42).with_site(SITE_ANNOTATE, SiteFaults::mixed(0.1, 0.25)),
-        );
+        let injector = FaultInjector::new(FaultPlan::reliable(42).with_site(
+            SITE_ANNOTATE,
+            SiteFaults { permanent_rate: 0.25, ..SiteFaults::transient(0.1) },
+        ));
         let annotator = ResilientAnnotator::new(&svc).with_faults(&injector);
         let mut out = AnnotatedCorpus::default();
         let (stats, report) = annotator.annotate(&c, &all_docs(&c), 4, &mut out);
@@ -438,9 +440,10 @@ mod tests {
     #[test]
     fn embedding_cache_outage_degrades_to_t1() {
         let (_, c, svc) = setup();
-        let injector = FaultInjector::new(
-            FaultPlan::reliable(7).with_site(SITE_EMBED_CACHE, SiteFaults::mixed(0.0, 1.0)),
-        );
+        let injector = FaultInjector::new(FaultPlan::reliable(7).with_site(
+            SITE_EMBED_CACHE,
+            SiteFaults { permanent_rate: 1.0, ..SiteFaults::transient(0.0) },
+        ));
         let annotator = ResilientAnnotator::new(&svc).with_faults(&injector);
         let mut out = AnnotatedCorpus::default();
         let (stats, report) = annotator.annotate(&c, &all_docs(&c), 2, &mut out);
@@ -456,9 +459,10 @@ mod tests {
     fn faulty_pass_is_deterministic_across_worker_counts() {
         let (_, c, svc) = setup();
         let run = |workers: usize| {
-            let injector = FaultInjector::new(
-                FaultPlan::reliable(9).with_site(SITE_ANNOTATE, SiteFaults::mixed(0.3, 0.1)),
-            );
+            let injector = FaultInjector::new(FaultPlan::reliable(9).with_site(
+                SITE_ANNOTATE,
+                SiteFaults { permanent_rate: 0.1, ..SiteFaults::transient(0.3) },
+            ));
             let annotator = ResilientAnnotator::new(&svc).with_faults(&injector);
             let mut out = AnnotatedCorpus::default();
             let (stats, report) = annotator.annotate(&c, &all_docs(&c), workers, &mut out);
@@ -472,9 +476,10 @@ mod tests {
         use saga_core::obs::Registry;
         let (_, c, svc) = setup();
         let run = |workers: usize| {
-            let injector = FaultInjector::new(
-                FaultPlan::reliable(9).with_site(SITE_ANNOTATE, SiteFaults::mixed(0.3, 0.1)),
-            );
+            let injector = FaultInjector::new(FaultPlan::reliable(9).with_site(
+                SITE_ANNOTATE,
+                SiteFaults { permanent_rate: 0.1, ..SiteFaults::transient(0.3) },
+            ));
             // The registry shares the injector's virtual clock, so even the
             // whole-pass span (total charged latency) is deterministic.
             let registry = Registry::with_clock(Arc::new(injector.clock().clone()));

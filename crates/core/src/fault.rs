@@ -92,11 +92,6 @@ impl SiteFaults {
     pub fn transient(rate: f64) -> Self {
         Self { transient_rate: rate, permanent_rate: 0.0, latency_ms: 1, fault_latency_ms: 10 }
     }
-
-    /// A profile with both transient and permanent failures.
-    pub fn mixed(transient_rate: f64, permanent_rate: f64) -> Self {
-        Self { transient_rate, permanent_rate, latency_ms: 1, fault_latency_ms: 10 }
-    }
 }
 
 /// A seeded, declarative description of where and how often faults occur.
@@ -493,7 +488,7 @@ pub enum WriteVerdict {
 /// component is dead until dropped and reopened, exactly like a `kill -9`
 /// whose surviving bytes are what had already been handed to the kernel.
 ///
-/// An [`observer`](Self::observer) switch never fires and just counts, so
+/// A switch [`armed`](Self::armed) at `u64::MAX` never fires and just counts, so
 /// a harness can first discover how many kill points a workload has, then
 /// enumerate them all — the kill-at-every-sync-point matrix.
 #[derive(Debug)]
@@ -514,11 +509,6 @@ impl KillSwitch {
             counter: AtomicU64::new(0),
             fired: std::sync::atomic::AtomicBool::new(false),
         })
-    }
-
-    /// A switch that never fires, counting operations for discovery runs.
-    pub fn observer() -> Arc<Self> {
-        Self::armed(u64::MAX, KillMode::Before)
     }
 
     /// Operations consulted so far.
@@ -623,8 +613,10 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_and_stateless() {
-        let plan = FaultPlan::reliable(42).with_site("search", SiteFaults::mixed(0.3, 0.1));
-        let twin = FaultPlan::reliable(42).with_site("search", SiteFaults::mixed(0.3, 0.1));
+        let plan = FaultPlan::reliable(42)
+            .with_site("search", SiteFaults { permanent_rate: 0.1, ..SiteFaults::transient(0.3) });
+        let twin = FaultPlan::reliable(42)
+            .with_site("search", SiteFaults { permanent_rate: 0.1, ..SiteFaults::transient(0.3) });
         for key in 0..200 {
             for attempt in 0..4 {
                 assert_eq!(
@@ -639,7 +631,8 @@ mod tests {
             }
         }
         // Different seeds give different fault patterns.
-        let other = FaultPlan::reliable(43).with_site("search", SiteFaults::mixed(0.3, 0.1));
+        let other = FaultPlan::reliable(43)
+            .with_site("search", SiteFaults { permanent_rate: 0.1, ..SiteFaults::transient(0.3) });
         let same: usize = (0..200)
             .filter(|&k| plan.decide("search", k, 0) == other.decide("search", k, 0))
             .count();
@@ -648,7 +641,8 @@ mod tests {
 
     #[test]
     fn rates_are_roughly_respected() {
-        let plan = FaultPlan::reliable(7).with_site("fetch", SiteFaults::mixed(0.3, 0.1));
+        let plan = FaultPlan::reliable(7)
+            .with_site("fetch", SiteFaults { permanent_rate: 0.1, ..SiteFaults::transient(0.3) });
         let n = 10_000u64;
         let mut transient = 0;
         let mut permanent = 0;
@@ -676,7 +670,8 @@ mod tests {
 
     #[test]
     fn permanent_faults_stick_across_attempts() {
-        let plan = FaultPlan::reliable(3).with_site("fetch", SiteFaults::mixed(0.0, 0.5));
+        let plan = FaultPlan::reliable(3)
+            .with_site("fetch", SiteFaults { permanent_rate: 0.5, ..SiteFaults::transient(0.0) });
         let perm_key =
             (0..1000).find(|&k| plan.decide("fetch", k, 0) == Some(FaultKind::Permanent)).unwrap();
         for attempt in 0..10 {

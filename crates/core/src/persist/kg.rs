@@ -15,8 +15,8 @@
 //! replays the log tail by re-applying each transaction's operation list.
 //! Replay is deterministic: the same operations against the same image
 //! produce a byte-identical graph (the graph's binary encoding is canonical —
-//! see [`KnowledgeGraph::canonical_bytes`] — sorted metadata pairs, dense
-//! ids in allocation order), which is what the crash matrix asserts at
+//! see the [`BinCodec`] impl of [`KnowledgeGraph`] — sorted metadata pairs,
+//! dense ids in allocation order), which is what the crash matrix asserts at
 //! every kill point.
 //!
 //! **Read path (MVCC).** [`KgStore::pin`] hands out an
@@ -534,6 +534,7 @@ impl KgStore {
 mod tests {
     use super::*;
     use crate::ontology::{Cardinality, Ontology, Volatility};
+    use crate::persist::codec::to_bytes;
     use crate::value::{Value, ValueKind};
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -617,12 +618,12 @@ mod tests {
             .unwrap();
         assert_eq!(delta.added.len(), 2);
         assert_eq!(store.last_commit(), 1);
-        let before = store.graph().canonical_bytes();
+        let before = to_bytes(store.graph());
         drop(store);
         let store = KgStore::open(&p).unwrap();
         assert_eq!(store.last_commit(), 1);
         assert!(store.graph().contains(&Triple::new(EntityId(0), knows, id)));
-        let after = store.graph().canonical_bytes();
+        let after = to_bytes(store.graph());
         assert_eq!(before, after, "replayed state must be byte-identical");
         store.graph().check_invariants().unwrap();
     }
@@ -643,7 +644,7 @@ mod tests {
         let mut store = KgStore::create(&p, kg, &EngineOptions::default()).unwrap();
         store.commit(|txn| txn.insert(Triple::new(EntityId(0), knows, EntityId(1)))).unwrap();
         let pin = store.pin();
-        let pinned = pin.canonical_bytes();
+        let pinned = to_bytes(&*pin);
         assert_eq!(pin.commit(), 1);
         assert_eq!(store.live_readers(), 1);
         // The store's graph shares its entity and literal tables with the
@@ -664,7 +665,7 @@ mod tests {
         assert!(!pin.contains(&nick) && store.graph().contains(&nick));
         assert!(pin.try_entity(carol).is_none());
         assert_eq!(store.graph().entity(carol).name, "Carol");
-        assert_eq!(pin.canonical_bytes(), pinned, "a pinned version never changes");
+        assert_eq!(to_bytes(&*pin), pinned, "a pinned version never changes");
         drop(pin);
         assert_eq!(store.live_readers(), 0);
     }
@@ -723,11 +724,11 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(store.last_commit(), 20);
-        let before = store.graph().canonical_bytes();
+        let before = to_bytes(store.graph());
         drop(store);
         let store = KgStore::open(&p).unwrap();
         assert_eq!(store.last_commit(), 20);
-        assert_eq!(store.graph().canonical_bytes(), before);
+        assert_eq!(to_bytes(store.graph()), before);
     }
 
     #[test]

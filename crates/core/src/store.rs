@@ -60,8 +60,7 @@
 //! build it once between them; adding an entity gives the graph that adds
 //! it an empty cell (a fresh one if a clone shares the old). A graph
 //! nobody asks for a name (a serving shard's) never builds it. It is
-//! derived state: never encoded, so image bytes and
-//! [`KnowledgeGraph::canonical_bytes`] do not depend on it.
+//! derived state: never encoded, so image bytes do not depend on it.
 //!
 //! **What a publish costs.** [`KnowledgeGraph::canonicalized_bytes`]
 //! renumbers literals, which permutes literal ids and nothing else, so it
@@ -948,8 +947,8 @@ impl KnowledgeGraph {
         Ok(())
     }
 
-    /// The image ([`canonical_bytes`](Self::canonical_bytes)) of this graph
-    /// with the build history taken out: the ontology, the entity records
+    /// The image (the [`BinCodec`] encoding) of this graph with the build
+    /// history taken out: the ontology, the entity records
     /// and every committed fact with its source name and confidence, but
     /// literals numbered by first use in content order ([`FactContentKey`]),
     /// only the sources the facts use, interned by sorted name after
@@ -1062,19 +1061,14 @@ impl KnowledgeGraph {
         .write(&mut out);
         out
     }
-
-    /// The canonical binary encoding of the graph: the same logical state
-    /// always produces the same bytes (metadata entries are sorted by
-    /// triple key, floats encode by bit pattern, ids are dense). This is
-    /// the checkpoint-image format of [`crate::persist::kg::KgStore`] and
-    /// the byte-level equality witness used by the crash-recovery proofs.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        crate::persist::codec::BinCodec::enc(self, &mut out);
-        out
-    }
 }
 
+/// The graph's image, also its checkpoint image in
+/// [`crate::persist::kg::KgStore`]: the same logical state always produces
+/// the same bytes (metadata entries are sorted by triple key, floats encode
+/// by bit pattern, ids are dense), so equal
+/// [`to_bytes`](crate::persist::codec::to_bytes) are the byte-level
+/// equality witness of the crash-recovery proofs.
 impl crate::persist::codec::BinCodec for KnowledgeGraph {
     fn enc(&self, out: &mut Vec<u8>) {
         GraphImage {
@@ -1145,6 +1139,7 @@ fn dec_facts(
 mod tests {
     use super::*;
     use crate::ontology::{Cardinality, Volatility};
+    use crate::persist::codec::to_bytes;
     use crate::value::ValueKind;
     use saga_testkit::{check, SplitMix64};
     use std::collections::{BTreeMap, HashSet};
@@ -1301,7 +1296,7 @@ mod tests {
     /// decoded table, which does not check.
     #[test]
     fn content_order_is_kind_then_string_then_id() {
-        use crate::persist::codec::{from_bytes, to_bytes};
+        use crate::persist::codec::from_bytes;
         let values = vec![
             Value::Float(1.00004),
             Value::Integer(9),
@@ -1355,7 +1350,7 @@ mod tests {
         let mut out = vec![7];
         s.kg.enc(&mut out);
         assert_eq!(out.capacity(), out.len(), "an image grows its buffer once, exactly");
-        assert_eq!(&out[1..], s.kg.canonical_bytes());
+        assert_eq!(&out[1..], to_bytes(&s.kg));
     }
 
     #[test]
@@ -1376,7 +1371,7 @@ mod tests {
         let bytes = kg.canonicalized_bytes();
         let c = KnowledgeGraph::dec(&mut Reader::new(&bytes)).unwrap();
         c.check_invariants().unwrap();
-        assert_eq!(c.canonical_bytes(), bytes, "the image of the graph it decodes to");
+        assert_eq!(to_bytes(&c), bytes, "the image of the graph it decodes to");
         assert_eq!(c.canonicalized_bytes(), bytes, "idempotent");
         assert_eq!(c.current_commit(), 1);
         // Content order, not insertion order: "Ally" is literal 0, "Zed" 1,
@@ -1624,9 +1619,9 @@ mod tests {
             rest = after;
         }
         assert_eq!(kg.check_invariants(), Ok(()));
-        let bytes = kg.canonical_bytes();
+        let bytes = to_bytes(kg);
         let back = KnowledgeGraph::dec(&mut Reader::new(&bytes)).unwrap();
-        assert!(back.canonical_bytes() == bytes);
+        assert!(to_bytes(&back) == bytes);
     }
 
     /// The sorted-delta commit against the `retain` + merge model it
@@ -1743,7 +1738,7 @@ mod tests {
             for round in 0..rng.gen_range(4..14) {
                 if rng.gen_range(0..4) == 0 {
                     let copy = kg.clone();
-                    let bytes = kg.canonical_bytes();
+                    let bytes = to_bytes(&kg);
                     // Keep either graph: the other writes on.
                     let kept =
                         if rng.gen_bool(0.5) { std::mem::replace(&mut kg, copy) } else { copy };
@@ -1816,7 +1811,7 @@ mod tests {
                 );
             }
             for (graph, bytes) in &left_behind {
-                assert!(graph.canonical_bytes() == *bytes, "a write reached a graph left behind");
+                assert!(to_bytes(graph) == *bytes, "a write reached a graph left behind");
                 assert_eq!(graph.check_invariants(), Ok(()));
             }
         });
@@ -1838,7 +1833,7 @@ mod tests {
         kg.insert(Triple::new(a, knows, c));
         kg.insert(Triple::new(b, name, "Bo"));
         kg.commit();
-        let image = kg.canonical_bytes();
+        let image = to_bytes(&kg);
         assert!(KnowledgeGraph::dec(&mut Reader::new(&image)).is_ok());
 
         // With nothing queued the image ends with the meta pairs, two empty

@@ -131,7 +131,7 @@ impl Default for TraceConfig {
 }
 
 /// Generate a request trace. Deterministic in the config: same config ⇒
-/// bit-identical `Vec<Request>` (see [`trace_fingerprint`]).
+/// bit-identical `Vec<Request>`.
 pub fn generate_trace(cfg: &TraceConfig) -> Vec<Request> {
     assert!(cfg.entities > 0 && cfg.query_pool > 0, "empty universes");
     let mut rng = SplitMix64::new(cfg.seed);
@@ -157,31 +157,6 @@ pub fn generate_trace(cfg: &TraceConfig) -> Vec<Request> {
     out
 }
 
-/// Order-sensitive 64-bit fingerprint of a trace. Two traces fingerprint
-/// equal iff every field of every request matches — the determinism tests
-/// compare this instead of materializing both traces.
-pub fn trace_fingerprint(trace: &[Request]) -> u64 {
-    let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |v: u64| {
-        acc = splitmix64(acc ^ v);
-    };
-    for r in trace {
-        fold(r.id as u64);
-        match r.kind {
-            RequestKind::Lookup { entity } => {
-                fold(1);
-                fold(entity);
-            }
-            RequestKind::Search { query_seed } => {
-                fold(2);
-                fold(query_seed);
-            }
-        }
-        fold(r.arrival_ticks);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,21 +167,8 @@ mod tests {
         let a = generate_trace(&cfg);
         let b = generate_trace(&cfg);
         assert_eq!(a, b);
-        assert_eq!(trace_fingerprint(&a), trace_fingerprint(&b));
         let c = generate_trace(&TraceConfig { seed: cfg.seed + 1, ..cfg });
-        assert_ne!(trace_fingerprint(&a), trace_fingerprint(&c));
-    }
-
-    #[test]
-    fn fingerprint_is_order_and_field_sensitive() {
-        let cfg = TraceConfig { requests: 64, ..TraceConfig::default() };
-        let a = generate_trace(&cfg);
-        let mut swapped = a.clone();
-        swapped.swap(0, 1);
-        assert_ne!(trace_fingerprint(&a), trace_fingerprint(&swapped));
-        let mut bumped = a.clone();
-        bumped[10].arrival_ticks += 1;
-        assert_ne!(trace_fingerprint(&a), trace_fingerprint(&bumped));
+        assert_ne!(a, c);
     }
 
     #[test]

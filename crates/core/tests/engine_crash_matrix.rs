@@ -7,15 +7,15 @@
 //! force: a discovery run counts every engine I/O operation for a
 //! deterministic workload, then the workload is re-run once per operation
 //! index × kill mode × seed with a [`KillSwitch`] armed at exactly that
-//! operation, and the recovered state is compared byte-for-byte (via
-//! [`KnowledgeGraph::canonical_bytes`]) against an oracle run that never
-//! crashed.
+//! operation, and the recovered state is compared byte-for-byte (its
+//! canonical image, [`to_bytes`]) against an oracle run that never crashed.
 //!
 //! A separate sweep flips bits across the store file and asserts corruption
 //! is always surfaced as a typed error or a clean prefix state — never a
 //! panic, never silently wrong data.
 
 use saga_core::fault::{crash_matrix, KillMode, KillSwitch};
+use saga_core::persist::codec::to_bytes;
 use saga_core::{
     Cardinality, EngineOptions, EntityBuilder, EntityId, KgStore, KnowledgeGraph, Ontology,
     SagaError, Triple, ValueKind, Volatility,
@@ -101,10 +101,10 @@ fn apply_txn(store: &mut KgStore, seed: u64, i: u64) -> Result<(), SagaError> {
 fn oracle_prefixes(seed: u64) -> Vec<Vec<u8>> {
     let p = tmp(&format!("oracle-{seed}.db"));
     let mut store = KgStore::create(&p, base_graph(), &opts()).unwrap();
-    let mut prefixes = vec![store.graph().canonical_bytes()];
+    let mut prefixes = vec![to_bytes(store.graph())];
     for i in 1..=TXNS {
         apply_txn(&mut store, seed, i).unwrap();
-        prefixes.push(store.graph().canonical_bytes());
+        prefixes.push(to_bytes(store.graph()));
     }
     let _ = std::fs::remove_file(&p);
     prefixes
@@ -114,7 +114,7 @@ fn oracle_prefixes(seed: u64) -> Vec<Vec<u8>> {
 fn discover_ops(seed: u64) -> u64 {
     let p = tmp(&format!("discover-{seed}.db"));
     let mut store = KgStore::create(&p, base_graph(), &opts()).unwrap();
-    let observer = KillSwitch::observer();
+    let observer = KillSwitch::armed(u64::MAX, KillMode::Before);
     store.set_kill(observer.clone());
     for i in 1..=TXNS {
         apply_txn(&mut store, seed, i).unwrap();
@@ -169,7 +169,7 @@ fn kill_at_every_io_boundary_recovers_bit_identical() {
         if c != acked && c != acked + 1 {
             return Err(format!("recovered commit {c}, expected {acked} or {}", acked + 1));
         }
-        let got = store.graph().canonical_bytes();
+        let got = to_bytes(store.graph());
         if got != oracle[c as usize] {
             return Err(format!("state at commit {c} is not bit-identical to oracle"));
         }
@@ -182,7 +182,7 @@ fn kill_at_every_io_boundary_recovers_bit_identical() {
         for i in (c + 1)..=TXNS {
             apply_txn(&mut store, seed, i).map_err(|e| format!("resume txn {i}: {e}"))?;
         }
-        if store.graph().canonical_bytes() != oracle[TXNS as usize] {
+        if to_bytes(store.graph()) != oracle[TXNS as usize] {
             return Err("final state after resume diverges from oracle".into());
         }
         let _ = std::fs::remove_file(&p);
@@ -196,10 +196,10 @@ fn bit_flips_anywhere_never_panic_and_never_serve_silent_corruption() {
     let seed = 7u64;
     let p = tmp("flip-base.db");
     let mut store = KgStore::create(&p, base_graph(), &opts()).unwrap();
-    let mut valid_states: Vec<Vec<u8>> = vec![store.graph().canonical_bytes()];
+    let mut valid_states: Vec<Vec<u8>> = vec![to_bytes(store.graph())];
     for i in 1..=TXNS {
         apply_txn(&mut store, seed, i).unwrap();
-        valid_states.push(store.graph().canonical_bytes());
+        valid_states.push(to_bytes(store.graph()));
     }
     drop(store);
     let pristine = std::fs::read(&p).unwrap();
@@ -216,7 +216,7 @@ fn bit_flips_anywhere_never_panic_and_never_serve_silent_corruption() {
             // A successful open must land on *some* committed state —
             // a flip in the log tail legitimately truncates to a prefix.
             Ok(store) => {
-                let got = store.graph().canonical_bytes();
+                let got = to_bytes(store.graph());
                 assert!(
                     valid_states.contains(&got),
                     "flip at byte {off} silently produced a state that never existed"

@@ -44,12 +44,12 @@ pub use disk::{train_disk, DiskStats};
 pub use eval::{auc, evaluate, ndcg, LinkPredictionMetrics};
 pub use model::ModelKind;
 pub use partition::{dirty_partitions, train_partitioned, training_partitioning, Partitioning};
-pub use reasoning::{evaluate_paths, traverse_answers, PathQuery, PathReasoner};
+pub use reasoning::{traverse_answers, PathQuery, PathReasoner};
 pub use sampler::NegativeSampler;
 pub use table::EmbeddingTable;
 pub use tasks::{
-    batch_score, build_flat_index, build_knn_index, rank_existing_facts, rank_facts,
-    related_entities, warm_cache, FactVerifier, Verification,
+    build_flat_index, build_knn_index, rank_existing_facts, rank_facts, related_entities,
+    warm_cache, FactVerifier, Verification,
 };
 pub use train::{train, Loss, TrainConfig, TrainedModel};
 pub use walk::{train_on_walks, WalkConfig, WalkEmbeddings};

@@ -1345,9 +1345,10 @@ mod tests {
     #[test]
     fn round_matches_the_reference_round() {
         let ds = dataset();
-        let injector = FaultInjector::new(
-            FaultPlan::reliable(77).with_site(SITE_TRAIN_BUCKET, SiteFaults::mixed(0.2, 0.2)),
-        );
+        let injector = FaultInjector::new(FaultPlan::reliable(77).with_site(
+            SITE_TRAIN_BUCKET,
+            SiteFaults { permanent_rate: 0.2, ..SiteFaults::transient(0.2) },
+        ));
         let mut cases: Vec<(ModelKind, usize, bool)> = Vec::new();
         for model in [ModelKind::TransE, ModelKind::DistMult, ModelKind::ComplEx] {
             for workers in [1, 2, 8] {

@@ -22,13 +22,6 @@ pub struct PathQuery {
     pub relations: Vec<PredicateId>,
 }
 
-impl PathQuery {
-    /// One-hop query.
-    pub fn hop(start: EntityId, r: PredicateId) -> Self {
-        Self { start, relations: vec![r] }
-    }
-}
-
 /// Answers path queries against a trained translational model.
 pub struct PathReasoner<'m> {
     model: &'m TrainedModel,
@@ -97,30 +90,6 @@ pub fn traverse_answers(kg: &KnowledgeGraph, q: &PathQuery) -> Vec<EntityId> {
     frontier
 }
 
-/// Hits@k of embedding-based path answering against traversal ground truth
-/// over a set of queries (queries with no true answers are skipped).
-pub fn evaluate_paths(
-    kg: &KnowledgeGraph,
-    reasoner: &PathReasoner<'_>,
-    queries: &[PathQuery],
-    k: usize,
-) -> (f64, usize) {
-    let mut hits = 0usize;
-    let mut total = 0usize;
-    for q in queries {
-        let truth = traverse_answers(kg, q);
-        if truth.is_empty() {
-            continue;
-        }
-        total += 1;
-        let answers = reasoner.answer(q, k);
-        if answers.iter().any(|(e, _)| truth.contains(e)) {
-            hits += 1;
-        }
-    }
-    (if total == 0 { 0.0 } else { hits as f64 / total as f64 }, total)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -129,6 +98,30 @@ mod tests {
     use crate::train::{train, TrainConfig};
     use saga_core::synth::{generate, SynthConfig};
     use saga_graph::{GraphView, ViewDef};
+
+    /// Hits@k of embedding-based path answering against traversal ground truth
+    /// over a set of queries (queries with no true answers are skipped).
+    fn evaluate_paths(
+        kg: &KnowledgeGraph,
+        reasoner: &PathReasoner<'_>,
+        queries: &[PathQuery],
+        k: usize,
+    ) -> (f64, usize) {
+        let mut hits = 0usize;
+        let mut total = 0usize;
+        for q in queries {
+            let truth = traverse_answers(kg, q);
+            if truth.is_empty() {
+                continue;
+            }
+            total += 1;
+            let answers = reasoner.answer(q, k);
+            if answers.iter().any(|(e, _)| truth.contains(e)) {
+                hits += 1;
+            }
+        }
+        (if total == 0 { 0.0 } else { hits as f64 / total as f64 }, total)
+    }
 
     fn setup() -> (saga_core::synth::SynthKg, TrainedModel) {
         let s = generate(&SynthConfig::tiny(251));
@@ -149,7 +142,10 @@ mod tests {
             .people
             .iter()
             .find(|&&p| {
-                let spouses = traverse_answers(&s.kg, &PathQuery::hop(p, s.preds.spouse));
+                let spouses = traverse_answers(
+                    &s.kg,
+                    &PathQuery { start: p, relations: vec![s.preds.spouse] },
+                );
                 !spouses.is_empty()
                     && spouses.iter().any(|&sp| !s.kg.objects(sp, s.preds.born_in).is_empty())
             })
@@ -167,8 +163,12 @@ mod tests {
     fn one_hop_answers_beat_chance() {
         let (s, m) = setup();
         let reasoner = PathReasoner::new(&m);
-        let queries: Vec<PathQuery> =
-            s.people.iter().take(60).map(|&p| PathQuery::hop(p, s.preds.born_in)).collect();
+        let queries: Vec<PathQuery> = s
+            .people
+            .iter()
+            .take(60)
+            .map(|&p| PathQuery { start: p, relations: vec![s.preds.born_in] })
+            .collect();
         let (hits_at_20, total) = evaluate_paths(&s.kg, &reasoner, &queries, 20);
         assert!(total >= 30);
         // Chance of hitting the right place in 20 tries over ~280 entities
@@ -196,7 +196,7 @@ mod tests {
     fn oov_query_yields_empty() {
         let (_, m) = setup();
         let reasoner = PathReasoner::new(&m);
-        let q = PathQuery::hop(EntityId(u64::MAX - 9), PredicateId(0));
+        let q = PathQuery { start: EntityId(u64::MAX - 9), relations: vec![PredicateId(0)] };
         assert!(reasoner.answer(&q, 5).is_empty());
     }
 

@@ -122,15 +122,6 @@ pub fn related_entities(
         .collect()
 }
 
-/// Batch inference (paper Fig. 3): scores a batch of candidate triples in
-/// one call, `None` for out-of-vocabulary ids.
-pub fn batch_score(
-    model: &TrainedModel,
-    candidates: &[(EntityId, PredicateId, EntityId)],
-) -> Vec<Option<f32>> {
-    candidates.iter().map(|&(s, p, o)| model.score_triple(s, p, o)).collect()
-}
-
 /// Convenience: ranks the existing objects of `(subject, predicate)` in the
 /// KG (the paper's "occupation of X" example ranks facts already present).
 pub fn rank_existing_facts(
@@ -262,14 +253,8 @@ mod tests {
     #[test]
     fn batch_score_handles_oov() {
         let (s, _, m) = setup();
-        let out = batch_score(
-            &m,
-            &[
-                (s.scenario.benicio, s.preds.occupation, s.occupations[3]),
-                (saga_core::EntityId(u64::MAX - 1), s.preds.occupation, s.occupations[3]),
-            ],
-        );
-        assert!(out[0].is_some());
-        assert!(out[1].is_none());
+        let oov = saga_core::EntityId(u64::MAX - 1);
+        assert!(m.score_triple(s.scenario.benicio, s.preds.occupation, s.occupations[3]).is_some());
+        assert!(m.score_triple(oov, s.preds.occupation, s.occupations[3]).is_none());
     }
 }

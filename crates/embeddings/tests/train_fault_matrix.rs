@@ -174,9 +174,10 @@ fn permanent_bucket_faults_quarantine_pairs_and_complete() {
     let ds = dataset();
     let cfg = cfg(13);
     let (_, base_stats) = train_partitioned(&ds, &cfg, NUM_PARTS, 2);
-    let injector = FaultInjector::new(
-        FaultPlan::reliable(77).with_site(SITE_TRAIN_BUCKET, SiteFaults::mixed(0.0, 0.35)),
-    );
+    let injector = FaultInjector::new(FaultPlan::reliable(77).with_site(
+        SITE_TRAIN_BUCKET,
+        SiteFaults { permanent_rate: 0.35, ..SiteFaults::transient(0.0) },
+    ));
     let mut log = TrainCheckpointLog::open(&wal_path("permanent-35pct")).expect("open log");
     let run = CheckpointedTrainer::new(cfg, NUM_PARTS, 2)
         .with_faults(&injector)

@@ -5,7 +5,7 @@
 //! - [`pattern`] — index-dispatched triple-pattern scans;
 //! - [`view`] — declarative views, filters over the graph's keys (the fact
 //!   filtering of paper Sec. 2 and the static knowledge asset of Sec. 5);
-//! - [`traverse`] — CSR adjacency, k-hop neighbourhoods, seeded random walks
+//! - [`traverse`] — CSR adjacency, seeded random walks
 //!   and the pre-computed traversal corpora used for related-entity
 //!   embeddings;
 //! - [`mod@profile`] — predicate statistics, coverage and staleness analysis
@@ -27,8 +27,5 @@ pub use lookup::PointLookupIndex;
 pub use pattern::{scan, TriplePattern};
 pub use profile::{missing_facts, profile, stale_facts, GraphProfile, MissingFact, StaleFact};
 pub use query::{solve, Clause, ConjunctiveQuery, Term};
-pub use traverse::{
-    co_visit_counts, k_hop, personalized_pagerank, precompute_walk_corpus, related_by_walks,
-    Adjacency,
-};
+pub use traverse::{co_visit_counts, precompute_walk_corpus, related_by_walks, Adjacency};
 pub use view::{Edge, GraphView, ViewDef};

@@ -12,8 +12,8 @@
 //! that reach a response body.
 //!
 //! The index is an immutable snapshot tagged with the store's commit
-//! counter; [`PointLookupIndex::is_current`] lets a server detect staleness
-//! and rebuild after ingestion commits, which matches the paper's serving
+//! counter; comparing [`PointLookupIndex::commit`] with the store's lets a
+//! server detect staleness and rebuild after ingestion commits, which matches the paper's serving
 //! design of immutable index generations swapped behind the front-end.
 
 use saga_core::{EntityId, KnowledgeGraph, TripleKey};
@@ -87,11 +87,6 @@ impl PointLookupIndex {
     pub fn commit(&self) -> u64 {
         self.commit
     }
-
-    /// True when no commits landed since this index was built.
-    pub fn is_current(&self, kg: &KnowledgeGraph) -> bool {
-        self.commit == kg.current_commit()
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +99,7 @@ mod tests {
         let kg = saga_core::synth::generate(&SynthConfig::tiny(11)).kg;
         let idx = PointLookupIndex::build(&kg);
         assert_eq!(idx.len(), kg.num_triples());
-        assert!(idx.is_current(&kg));
+        assert_eq!(idx.commit(), kg.current_commit());
         for e in 0..kg.num_entities() as u64 {
             let e = EntityId(e);
             let via_store: Vec<_> =
@@ -125,6 +120,6 @@ mod tests {
         let pred = kg.ontology().predicates().next().expect("ontology has predicates").id;
         kg.insert(saga_core::Triple::new(subj, pred, saga_core::Value::from("stale-probe")));
         kg.commit();
-        assert!(!idx.is_current(&kg));
+        assert_ne!(idx.commit(), kg.current_commit());
     }
 }

@@ -1,5 +1,5 @@
-//! Graph traversals: CSR adjacency, k-hop neighbourhoods, seeded random
-//! walks and co-visit statistics.
+//! Graph traversals: CSR adjacency, seeded random walks and co-visit
+//! statistics.
 //!
 //! The paper (Sec. 2) notes that for specialized related-entity embeddings
 //! Saga "pre-computes graph traversals" with the graph engine's scalable
@@ -65,33 +65,6 @@ impl Adjacency {
     }
 }
 
-/// Entities reachable from `seed` within `k` hops (excluding the seed),
-/// with their hop distance. Stops after `limit` entities.
-pub fn k_hop(adj: &Adjacency, seed: EntityId, k: usize, limit: usize) -> Vec<(EntityId, usize)> {
-    let mut dist: HashMap<EntityId, usize> = HashMap::new();
-    let mut queue = std::collections::VecDeque::new();
-    dist.insert(seed, 0);
-    queue.push_back(seed);
-    let mut out = Vec::new();
-    while let Some(cur) = queue.pop_front() {
-        let d = dist[&cur];
-        if d == k {
-            continue;
-        }
-        for &(nb, _, _) in adj.neighbors(cur) {
-            if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(nb) {
-                e.insert(d + 1);
-                out.push((nb, d + 1));
-                if out.len() >= limit {
-                    return out;
-                }
-                queue.push_back(nb);
-            }
-        }
-    }
-    out
-}
-
 /// Runs `walks` random walks of length `len` from `seed` and counts visits
 /// per entity (seed excluded). Deterministic in `rng_seed`.
 pub fn co_visit_counts(
@@ -133,56 +106,6 @@ pub fn related_by_walks(
     v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     v.truncate(k);
     v
-}
-
-/// Personalized PageRank via power iteration: the stationary distribution
-/// of a random walk that restarts at `seed` with probability `1 - damping`.
-/// Returns the top `k` entities (seed excluded). Deterministic and exact up
-/// to `iterations` — the heavier-weight alternative to sampled walks for
-/// relatedness ground truth.
-pub fn personalized_pagerank(
-    adj: &Adjacency,
-    seed: EntityId,
-    damping: f64,
-    iterations: usize,
-    k: usize,
-) -> Vec<(EntityId, f64)> {
-    let n = adj.num_entities();
-    if seed.index() >= n {
-        return Vec::new();
-    }
-    let mut rank = vec![0.0f64; n];
-    rank[seed.index()] = 1.0;
-    let mut next = vec![0.0f64; n];
-    for _ in 0..iterations {
-        next.iter_mut().for_each(|x| *x = 0.0);
-        next[seed.index()] = 1.0 - damping;
-        for (u, r) in rank.iter().enumerate() {
-            if *r == 0.0 {
-                continue;
-            }
-            let nbs = adj.neighbors(EntityId(u as u64));
-            if nbs.is_empty() {
-                // Dangling mass returns to the seed.
-                next[seed.index()] += damping * r;
-                continue;
-            }
-            let share = damping * r / nbs.len() as f64;
-            for &(v, _, _) in nbs {
-                next[v.index()] += share;
-            }
-        }
-        std::mem::swap(&mut rank, &mut next);
-    }
-    let mut scored: Vec<(EntityId, f64)> = rank
-        .into_iter()
-        .enumerate()
-        .filter(|&(i, r)| r > 0.0 && i != seed.index())
-        .map(|(i, r)| (EntityId(i as u64), r))
-        .collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    scored.truncate(k);
-    scored
 }
 
 /// Pre-computes a walk corpus: for each listed entity, `walks` walks of
@@ -249,23 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn k_hop_respects_distance_and_limit() {
-        let s = generate(&SynthConfig::tiny(11));
-        let adj = store_adjacency(&s.kg);
-        let seed = s.scenario.mj_player;
-        let one = k_hop(&adj, seed, 1, usize::MAX);
-        let direct: std::collections::HashSet<EntityId> =
-            adj.neighbors(seed).iter().map(|x| x.0).collect();
-        assert_eq!(one.len(), direct.len());
-        assert!(one.iter().all(|(e, d)| *d == 1 && direct.contains(e)));
-
-        let two = k_hop(&adj, seed, 2, usize::MAX);
-        assert!(two.len() >= one.len());
-        let limited = k_hop(&adj, seed, 3, 5);
-        assert_eq!(limited.len(), 5);
-    }
-
-    #[test]
     fn walks_are_deterministic_and_local() {
         let s = generate(&SynthConfig::tiny(11));
         let adj = store_adjacency(&s.kg);
@@ -295,32 +201,6 @@ mod tests {
                 assert!(adj.neighbors(pair[0]).iter().any(|x| x.0 == pair[1]));
             }
         }
-    }
-
-    #[test]
-    fn ppr_mass_concentrates_near_the_seed() {
-        let s = generate(&SynthConfig::tiny(11));
-        let adj = store_adjacency(&s.kg);
-        let seed = s.scenario.benicio;
-        let ppr = personalized_pagerank(&adj, seed, 0.85, 20, 50);
-        assert!(!ppr.is_empty());
-        assert!(ppr.windows(2).all(|w| w[0].1 >= w[1].1), "sorted by rank");
-        // The top PPR entity is a direct neighbour of the seed.
-        let direct: std::collections::HashSet<EntityId> =
-            adj.neighbors(seed).iter().map(|x| x.0).collect();
-        assert!(direct.contains(&ppr[0].0));
-        // PPR broadly agrees with sampled walks.
-        let walks: std::collections::HashSet<EntityId> =
-            related_by_walks(&adj, seed, 400, 3, 20, 9).into_iter().map(|(e, _)| e).collect();
-        let overlap = ppr.iter().take(20).filter(|(e, _)| walks.contains(e)).count();
-        assert!(overlap >= 8, "ppr/walk overlap {overlap}/20");
-    }
-
-    #[test]
-    fn ppr_out_of_range_seed_is_empty() {
-        let s = generate(&SynthConfig::tiny(11));
-        let adj = store_adjacency(&s.kg);
-        assert!(personalized_pagerank(&adj, EntityId(u64::MAX >> 2), 0.85, 5, 10).is_empty());
     }
 
     #[test]

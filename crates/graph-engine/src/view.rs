@@ -47,11 +47,6 @@ pub struct ViewDef {
 }
 
 impl ViewDef {
-    /// An empty definition with only a name set.
-    pub fn named(name: impl Into<String>) -> Self {
-        Self { name: name.into(), ..Self::default() }
-    }
-
     /// The standard embedding-training view: entity-entity edges only, noise
     /// predicates removed, rare predicates pruned (paper Sec. 2).
     pub fn embedding_training(min_predicate_frequency: usize) -> Self {
@@ -367,8 +362,11 @@ mod tests {
     #[test]
     fn skipping_literal_keys_keeps_the_view() {
         let s = generate(&SynthConfig::tiny(5));
-        let mut noise_filtered = ViewDef::named("noise-filtered");
-        noise_filtered.exclude_noise_predicates = true;
+        let noise_filtered = ViewDef {
+            name: "noise-filtered".into(),
+            exclude_noise_predicates: true,
+            ..ViewDef::default()
+        };
         for def in [ViewDef::embedding_training(2), noise_filtered] {
             let got = GraphView::materialize(&s.kg, def.clone());
             Reference::materialize(&s.kg, &def).assert_same_as(&got);
@@ -386,7 +384,7 @@ mod tests {
         let mut def = if rng.gen_bool(0.2) {
             ViewDef::static_knowledge_asset(rng.gen_range(0.0f32..0.8))
         } else {
-            ViewDef::named("random")
+            ViewDef { name: "random".into(), ..ViewDef::default() }
         };
         if rng.gen_bool(0.3) {
             let n = rng.gen_range(1..=num_preds as usize);
@@ -425,8 +423,11 @@ mod tests {
     #[test]
     fn include_predicate_allowlist() {
         let s = generate(&SynthConfig::tiny(5));
-        let mut def = ViewDef::named("occupations-only");
-        def.include_predicates = Some([s.preds.occupation].into_iter().collect());
+        let def = ViewDef {
+            name: "occupations-only".into(),
+            include_predicates: Some([s.preds.occupation].into_iter().collect()),
+            ..ViewDef::default()
+        };
         let v = GraphView::materialize(&s.kg, def);
         assert!(!v.is_empty());
         assert!(v.triples().all(|t| t.predicate == s.preds.occupation));

@@ -87,14 +87,9 @@ pub fn parse_value(kg: &KnowledgeGraph, range: ValueKind, text: &str) -> Option<
     }
 }
 
-/// Checks whether the page's opening links the subject's name to the target
-/// entity (rather than a homonym).
-pub fn confirm_subject(service: &AnnotationService, page: &WebPage, subject: EntityId) -> bool {
-    lead_links_subject(service, page, subject, &mut String::new(), &mut AnnotateScratch::new())
-}
-
-/// [`confirm_subject`] with reused buffers: the page's opening (title, then
-/// first paragraph) is written into `lead` and annotated with `scratch`.
+/// Checks whether the page's opening (title, then first paragraph) links
+/// the subject's name to `subject` rather than a homonym. The opening is
+/// written into `lead` and annotated with `scratch`.
 fn lead_links_subject<'a>(
     service: &'a AnnotationService,
     page: &WebPage,
@@ -129,7 +124,7 @@ pub struct TargetExtractor<'a> {
     confirmations: u64,
     /// Buffers of the lead annotations.
     scratch: AnnotateScratch<'a>,
-    /// The page opening [`confirm_subject`] annotates.
+    /// The page opening the lead annotation reads.
     lead: String,
     /// The normalized sentence of the contextual pass.
     sentence: String,
@@ -175,7 +170,7 @@ impl<'a> TargetExtractor<'a> {
         self.confirmations
     }
 
-    /// [`confirm_subject`] for `page`, computed at the first candidate that
+    /// [`lead_links_subject`] for `page`, computed at the first candidate that
     /// needs it and cached in `lead` for the rest of the page.
     fn confirmed(&mut self, page: &WebPage, lead: &mut Option<bool>) -> bool {
         *lead.get_or_insert_with(|| {
@@ -476,7 +471,13 @@ mod tests {
         let pinfo = kg.ontology().predicate(predicate);
         let surface_forms: Vec<String> =
             kg.entity(subject).surface_forms().map(normalize_phrase).collect();
-        let confirmed = confirm_subject(service, page, subject);
+        let confirmed = lead_links_subject(
+            service,
+            page,
+            subject,
+            &mut String::new(),
+            &mut AnnotateScratch::new(),
+        );
         let candidate = |value_text: String, value, extractor, confidence, subject_confirmed| {
             ExtractedCandidate {
                 doc: page.id,

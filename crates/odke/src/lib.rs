@@ -19,8 +19,7 @@ pub mod synthesize;
 
 pub use corroborate::{featurize, Corroborator, EvidenceFeatures, ScoredValue};
 pub use extract::{
-    confirm_subject, extract_from_page, parse_value, ExtractedCandidate, ExtractorKind,
-    TargetExtractor,
+    extract_from_page, parse_value, ExtractedCandidate, ExtractorKind, TargetExtractor,
 };
 pub use profiler::{select_targets, FactTarget, ProfilerConfig, TargetReason};
 pub use querylog::{generate_query_log, unanswered_targets, QueryRecord};

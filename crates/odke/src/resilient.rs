@@ -63,11 +63,6 @@ impl RunCheckpoint {
         self.done.contains_key(&index)
     }
 
-    /// Number of targets processed so far.
-    pub fn completed(&self) -> usize {
-        self.done.len()
-    }
-
     fn apply(&mut self, entry: CheckpointEntry) {
         self.docs_fetched.extend(entry.docs);
         self.facts_written += entry.facts_delta;

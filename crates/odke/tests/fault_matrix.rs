@@ -129,7 +129,7 @@ fn killed_run_resumes_to_the_uninterrupted_report() {
         .with_max_targets(5);
     let partial =
         partial_runner.run(&mut kg2, &svc, &targets, &mut checkpoint, None).expect("no log I/O");
-    assert_eq!(checkpoint.completed(), 5, "the run was killed after 5 targets");
+    assert_eq!(checkpoint.done.len(), 5, "the run was killed after 5 targets");
     assert_eq!(partial.outcomes.len(), 5);
 
     let resume_runner = ResilientOdke::new(&source, OdkeConfig::default())
@@ -166,7 +166,7 @@ fn wal_checkpoint_survives_a_kill_and_replays() {
     let mut kg = s.kg.clone();
     {
         let (mut log, mut checkpoint) = CheckpointLog::open(&path).expect("fresh WAL");
-        assert_eq!(checkpoint.completed(), 0);
+        assert_eq!(checkpoint.done.len(), 0);
         let runner = ResilientOdke::new(&source, OdkeConfig::default())
             .with_retry(patient())
             .with_breakers(breakers)
@@ -176,7 +176,7 @@ fn wal_checkpoint_survives_a_kill_and_replays() {
 
     // Second process: replay the WAL, resume only the incomplete targets.
     let (mut log, mut checkpoint) = CheckpointLog::open(&path).expect("replayable WAL");
-    assert_eq!(checkpoint.completed(), 4, "replay recovers the finished targets");
+    assert_eq!(checkpoint.done.len(), 4, "replay recovers the finished targets");
     let runner = ResilientOdke::new(&source, OdkeConfig::default())
         .with_retry(patient())
         .with_breakers(breakers);
@@ -222,7 +222,7 @@ fn torn_journal_tail_drops_only_the_unfinished_entry() {
 
     // Second process: the torn entry is gone, the four before it replay.
     let (mut log, mut checkpoint) = CheckpointLog::open(&path).expect("a torn tail is recoverable");
-    assert_eq!(checkpoint.completed(), 4, "only the unfinished entry is dropped");
+    assert_eq!(checkpoint.done.len(), 4, "only the unfinished entry is dropped");
     let runner = ResilientOdke::new(&source, OdkeConfig::default())
         .with_retry(patient())
         .with_breakers(breakers);
@@ -242,9 +242,11 @@ fn torn_journal_tail_drops_only_the_unfinished_entry() {
 #[test]
 fn permanent_search_outage_quarantines_instead_of_aborting() {
     let (s, c, svc, search, targets) = setup();
-    let injector = FaultInjector::new(
-        FaultPlan::reliable(3).with_site(SITE_SEARCH, SiteFaults::mixed(0.0, 1.0)),
-    );
+    let injector =
+        FaultInjector::new(FaultPlan::reliable(3).with_site(
+            SITE_SEARCH,
+            SiteFaults { permanent_rate: 1.0, ..SiteFaults::transient(0.0) },
+        ));
     let source = FaultySource::new(ReliableSource::new(&search, &c), &injector);
     let runner = ResilientOdke::new(&source, OdkeConfig::default()).with_retry(patient());
     let mut kg = s.kg.clone();

@@ -49,6 +49,6 @@ pub use sources::{
 };
 pub use spill::{SpillSorter, SpillStats};
 pub use sync::{
-    gossip_until_stable, gossip_until_stable_lossy, offload_compute, sync_pair, sync_pair_lossy,
-    Device, DeviceId, DeviceTier, LossyLink, SourceOp, SyncPolicy, SyncReport, ViewArtifact,
+    gossip_until_stable, offload_compute, sync_pair, sync_pair_lossy, Device, DeviceId, DeviceTier,
+    LossyLink, SourceOp, SyncPolicy, SyncReport, ViewArtifact,
 };

@@ -278,45 +278,6 @@ pub fn sync_pair_lossy(a: &mut Device, b: &mut Device, link: &mut LossyLink) -> 
     report
 }
 
-/// Whether every device pair agrees on the sources both of them sync.
-fn gossip_converged(devices: &[Device]) -> bool {
-    for i in 0..devices.len() {
-        for j in i + 1..devices.len() {
-            let shared: Vec<SourceKind> = SourceKind::ALL
-                .into_iter()
-                .filter(|s| devices[i].policy.syncs(*s) && devices[j].policy.syncs(*s))
-                .collect();
-            if devices[i].fingerprint(&shared) != devices[j].fingerprint(&shared) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Gossip over a lossy link until every pair agrees on its shared sources
-/// (a "no ops moved" round is not proof of convergence when the link can
-/// drop an entire exchange). Returns the rounds used; `max_rounds` means
-/// the gossip may not have converged.
-pub fn gossip_until_stable_lossy(
-    devices: &mut [Device],
-    link: &mut LossyLink,
-    max_rounds: usize,
-) -> usize {
-    for round in 1..=max_rounds {
-        for i in 0..devices.len() {
-            for j in i + 1..devices.len() {
-                let (left, right) = devices.split_at_mut(j);
-                sync_pair_lossy(&mut left[i], &mut right[0], link);
-            }
-        }
-        if gossip_converged(devices) {
-            return round;
-        }
-    }
-    max_rounds
-}
-
 /// Runs gossip rounds over all device pairs until no ops move; returns the
 /// number of rounds needed.
 pub fn gossip_until_stable(devices: &mut [Device], max_rounds: usize) -> usize {
@@ -363,6 +324,45 @@ pub fn offload_compute(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether every device pair agrees on the sources both of them sync.
+    fn gossip_converged(devices: &[Device]) -> bool {
+        for i in 0..devices.len() {
+            for j in i + 1..devices.len() {
+                let shared: Vec<SourceKind> = SourceKind::ALL
+                    .into_iter()
+                    .filter(|s| devices[i].policy.syncs(*s) && devices[j].policy.syncs(*s))
+                    .collect();
+                if devices[i].fingerprint(&shared) != devices[j].fingerprint(&shared) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Gossip over a lossy link until every pair agrees on its shared sources
+    /// (a "no ops moved" round is not proof of convergence when the link can
+    /// drop an entire exchange). Returns the rounds used; `max_rounds` means
+    /// the gossip may not have converged.
+    fn gossip_until_stable_lossy(
+        devices: &mut [Device],
+        link: &mut LossyLink,
+        max_rounds: usize,
+    ) -> usize {
+        for round in 1..=max_rounds {
+            for i in 0..devices.len() {
+                for j in i + 1..devices.len() {
+                    let (left, right) = devices.split_at_mut(j);
+                    sync_pair_lossy(&mut left[i], &mut right[0], link);
+                }
+            }
+            if gossip_converged(devices) {
+                return round;
+            }
+        }
+        max_rounds
+    }
 
     fn obs(source: SourceKind, id: u64, name: &str) -> PersonObservation {
         PersonObservation {

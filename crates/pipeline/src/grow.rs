@@ -27,15 +27,15 @@
 //!    delta run writes when it returns the model (`saga_embeddings`
 //!    `checkpoint`, "Checkpoint granularity"); the workdir keeps that
 //!    newest `delta-train-N.wal` and drops the ones it supersedes;
-//! 7. publish: assemble the canonical snapshot of the store's graph
-//!    ([`crate::publish_snapshot`]) and return its bytes.
+//! 7. publish: write the canonical snapshot image of the store's graph
+//!    ([`crate::published_bytes`]) and return it.
 //!
 //! If the store's retained deltas no longer cover the cursor
 //! ([`DeltaPull::Lapsed`]) the driver falls back to a full retrain +
 //! index rebuild and resyncs — lapsing costs work, never correctness.
 //!
 //! The contract proved by `tests/equivalence.rs`: the published snapshot
-//! ([`crate::publish_snapshot`]) of the incremental path is bit-identical
+//! ([`crate::published_bytes`]) of the incremental path is bit-identical
 //! to a batch rebuild on the final corpus, the maintained ANN index
 //! matches a scratch-built one, and the amount of work scales with the
 //! churn fraction, not the corpus size.
@@ -139,7 +139,8 @@ pub struct GrowthReport {
     pub links_added: usize,
     /// Stale `mentioned_in` links removed.
     pub links_removed: usize,
-    /// Facts the store commit added or refreshed.
+    /// Facts the store commit removed, added or refreshed (batch: the
+    /// facts ODKE wrote).
     pub facts_changed: usize,
     /// Embedding partitions retrained.
     pub partitions_retrained: usize,
@@ -495,6 +496,7 @@ fn remove_superseded_train_logs(workdir: &Path, newest: &Path) {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use saga_core::persist::codec::to_bytes;
     use saga_core::{
         Cardinality, EntityBuilder, Ontology, PredicateId, Value, ValueKind, Volatility,
     };
@@ -721,7 +723,7 @@ mod tests {
             assert_eq!(store.last_commit(), reference.last_commit());
             let deltas = |s: &KgStore| format!("{:?}", s.changes_since(0));
             assert_eq!(deltas(&store), deltas(&reference));
-            assert!(store.graph().canonical_bytes() == reference.graph().canonical_bytes());
+            assert!(to_bytes(store.graph()) == to_bytes(reference.graph()));
             drop((store, reference));
             let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
             assert!(read("walk.store") == read("reference.store"), "store files differ");

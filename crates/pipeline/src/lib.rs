@@ -10,8 +10,8 @@
 //!   processing only what changed — every stage chained off the shared
 //!   [`saga_core::delta`] contract, with the [`saga_core::KgStore`]
 //!   commit-delta cursor as the single feed driving the model layers;
-//! - [`publish_snapshot`] renders the grown graph as a canonical,
-//!   history-free artifact, the form in which the two paths are provably
+//! - [`published_bytes`] renders the grown graph as a canonical,
+//!   history-free image, the form in which the two paths are provably
 //!   equivalent (see `tests/equivalence.rs`).
 
 #![warn(missing_docs)]
@@ -21,4 +21,4 @@ pub mod grow;
 pub mod publish;
 
 pub use grow::{grow_batch, grow_incremental, GrowthConfig, GrowthReport, GrowthState};
-pub use publish::{publish_snapshot, published_bytes};
+pub use publish::published_bytes;

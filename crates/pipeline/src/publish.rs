@@ -4,11 +4,10 @@
 //! *converges* to the batch rebuild. The two paths necessarily differ in
 //! bookkeeping — commit counters, `observed_at` stamps, and the insertion
 //! order of interned literals and sources all record *how* the graph was
-//! built, not *what* it says. [`publish_snapshot`] strips that history: the
-//! result holds exactly the same entities, ontology and facts (with their
+//! built, not *what* it says. [`published_bytes`] strips that history: the
+//! image holds exactly the same entities, ontology and facts (with their
 //! sources and confidences) in a canonical order, so two graphs with the
-//! same content publish to bit-identical
-//! [`KnowledgeGraph::canonical_bytes`]. This mirrors the paper's serving
+//! same content publish to bit-identical bytes. This mirrors the paper's serving
 //! story (Sec. 3.2): what ships to the serving fleet is a versioned,
 //! reproducible artifact, not the builder's working state.
 //!
@@ -32,25 +31,17 @@
 //! random histories, on the shapes the linear passes special-case, and on
 //! literals whose content order is not their value order.
 
-use saga_core::persist::codec::{BinCodec, Reader};
 use saga_core::KnowledgeGraph;
-
-/// Renders `kg` as a canonical published snapshot: the graph
-/// [`published_bytes`] is the image of.
-///
-/// The result holds the same ontology, the same entity records (in dense
-/// id order), and the same committed facts with the same source names and
-/// confidences — but with sources interned in sorted-name order, literals
-/// numbered in content order, and all `observed_at` stamps collapsed into
-/// one publish commit. Any two graphs with equal content yield snapshots
-/// with equal [`canonical_bytes`](KnowledgeGraph::canonical_bytes).
-pub fn publish_snapshot(kg: &KnowledgeGraph) -> KnowledgeGraph {
-    KnowledgeGraph::dec(&mut Reader::new(&published_bytes(kg)))
-        .expect("an image written a moment ago decodes")
-}
 
 /// The canonical bytes of `kg`'s published snapshot — the value the
 /// equivalence proofs compare, and what every growth pass returns.
+///
+/// The image holds the same ontology, the same entity records (in dense
+/// id order), and the same committed facts with the same source names and
+/// confidences — but with sources interned in sorted-name order, literals
+/// numbered in content order, and all `observed_at` stamps collapsed into
+/// one publish commit. Any two graphs with equal content publish equal
+/// bytes.
 pub fn published_bytes(kg: &KnowledgeGraph) -> Vec<u8> {
     kg.canonicalized_bytes()
 }
@@ -59,12 +50,20 @@ pub fn published_bytes(kg: &KnowledgeGraph) -> Vec<u8> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use saga_core::persist::codec::{to_bytes, BinCodec, Reader};
     use saga_core::synth::{generate, SynthConfig};
     use saga_core::{
         fact_content_key, Cardinality, Date, EntityBuilder, EntityId, Ontology, PredicateId,
         SourceId, Triple, Value, ValueKind, Volatility,
     };
     use saga_testkit::{check, SplitMix64};
+
+    /// The published snapshot of `kg`: the graph [`published_bytes`] is the
+    /// image of.
+    fn publish_snapshot(kg: &KnowledgeGraph) -> KnowledgeGraph {
+        KnowledgeGraph::dec(&mut Reader::new(&published_bytes(kg)))
+            .expect("an image written a moment ago decodes")
+    }
 
     /// What a published snapshot *is*: every committed fact, decoded and
     /// inserted in content order into a fresh graph that interned the used
@@ -105,7 +104,7 @@ mod tests {
         let s = generate(&SynthConfig::tiny(41));
         let a = publish_snapshot(&s.kg);
         // Publishing a published snapshot changes nothing.
-        assert_eq!(a.canonical_bytes(), publish_snapshot(&a).canonical_bytes());
+        assert_eq!(to_bytes(&a), to_bytes(&publish_snapshot(&a)));
         assert_eq!(a.num_triples(), s.kg.num_triples());
         assert_eq!(a.num_entities(), s.kg.num_entities());
     }
@@ -122,16 +121,16 @@ mod tests {
             reordered.insert_with(t.clone(), meta.source, meta.confidence);
             reordered.commit();
         }
-        assert_ne!(reordered.canonical_bytes(), s.kg.canonical_bytes());
+        assert_ne!(to_bytes(&reordered), to_bytes(&s.kg));
         assert_eq!(published_bytes(&reordered), published_bytes(&s.kg));
     }
 
     #[test]
     fn assembled_snapshot_equals_reinsertion_on_the_synthetic_graph() {
         let s = generate(&SynthConfig::tiny(47));
-        let reference = publish_by_reinsertion(&s.kg).canonical_bytes();
+        let reference = to_bytes(&publish_by_reinsertion(&s.kg));
         assert_eq!(published_bytes(&s.kg), reference);
-        assert_eq!(publish_snapshot(&s.kg).canonical_bytes(), reference);
+        assert_eq!(to_bytes(&publish_snapshot(&s.kg)), reference);
     }
 
     // ---- differential: assembled ≡ re-inserted, on graphs with a history
@@ -247,10 +246,10 @@ mod tests {
     /// re-inserted one, and the graph it decodes to.
     fn assert_assembles_as_reinserted(kg: &KnowledgeGraph) {
         let bytes = published_bytes(kg);
-        assert!(bytes == publish_by_reinsertion(kg).canonical_bytes(), "assembled ≠ re-inserted");
+        assert!(bytes == to_bytes(&publish_by_reinsertion(kg)), "assembled ≠ re-inserted");
         let published = publish_snapshot(kg);
         published.check_invariants().unwrap();
-        assert!(bytes == published.canonical_bytes());
+        assert!(bytes == to_bytes(&published));
         assert!(bytes == published_bytes(&published), "not idempotent");
     }
 
@@ -431,10 +430,10 @@ mod tests {
             let shuffle_seed = rng.gen_range(0u64..1_000);
             let kg = build(&facts, &removed, &commit_at, &source_order);
             let bytes = published_bytes(&kg);
-            assert!(bytes == publish_by_reinsertion(&kg).canonical_bytes());
+            assert!(bytes == to_bytes(&publish_by_reinsertion(&kg)));
             // The decoder rebuilds a graph that these bytes are the image of.
             let published = publish_snapshot(&kg);
-            assert!(bytes == published.canonical_bytes());
+            assert!(bytes == to_bytes(&published));
             assert_eq!(published.check_invariants(), Ok(()));
             assert_eq!(published.num_triples(), kg.num_triples());
             for k in kg.keys() {

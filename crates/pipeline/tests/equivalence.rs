@@ -9,6 +9,7 @@
 //! without losing convergence.
 
 use saga_core::obs::Registry;
+use saga_core::persist::codec::to_bytes;
 use saga_core::synth::{generate, SynthConfig, SynthKg};
 use saga_core::DocId;
 use saga_embeddings::{build_flat_index, ModelKind, TrainConfig};
@@ -380,13 +381,13 @@ fn pins_held_across_chained_intervals_keep_their_bytes() {
     let (mut state, boot) =
         grow_batch(&s.kg, &corpus, &cfg, 2, &workdir("pinned-chain"), &reg).expect("bootstrap");
     let pin = state.store.pin();
-    let mut pins = vec![(pin.canonical_bytes(), boot.published, pin)];
+    let mut pins = vec![(to_bytes(&*pin), boot.published, pin)];
     for (i, pct) in [5u32, 30, 1, 15].into_iter().enumerate() {
         churn(&mut corpus, &s, &truth, pct, 800 + i as u64);
         let rep = grow_incremental(&mut state, &corpus, &cfg, 2, &reg).expect("chained pass");
         assert!(!rep.lapsed && rep.facts_changed > 0, "interval {i} committed nothing");
         for (version, (image, published, pin)) in pins.iter().enumerate() {
-            assert!(pin.canonical_bytes() == *image, "interval {i} wrote version {version}");
+            assert!(to_bytes(&**pin) == *image, "interval {i} wrote version {version}");
             let republished = saga_pipeline::published_bytes(pin);
             assert!(
                 republished == *published,
@@ -395,7 +396,7 @@ fn pins_held_across_chained_intervals_keep_their_bytes() {
         }
         let pin = state.store.pin();
         assert!(saga_pipeline::published_bytes(&pin) == rep.published);
-        pins.push((pin.canonical_bytes(), rep.published, pin));
+        pins.push((to_bytes(&*pin), rep.published, pin));
     }
 
     let (_, batch) =

@@ -27,7 +27,8 @@ use std::time::Duration;
 use super::transport::{FrameConn, MemConn, MemListener, Transport};
 
 /// Per-class fault rates in `[0, 1]`; they partition the unit interval, so
-/// their sum must stay ≤ 1 (the remainder is clean delivery).
+/// their sum must stay ≤ 1 (the remainder is clean delivery). The default
+/// turns every class off.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChaosConfig {
     /// Seed for every delivery decision.
@@ -47,81 +48,8 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// All classes off.
-    pub fn clean(seed: u64) -> Self {
-        ChaosConfig { seed, ..Default::default() }
-    }
-
-    /// One class at `rate`, everything else off.
-    pub fn single(seed: u64, class: FaultClass, rate: f64) -> Self {
-        let mut c = ChaosConfig::clean(seed);
-        match class {
-            FaultClass::Drop => c.drop = rate,
-            FaultClass::Duplicate => c.duplicate = rate,
-            FaultClass::Delay => c.delay = rate,
-            FaultClass::Torn => c.torn = rate,
-            FaultClass::BitFlip => c.bit_flip = rate,
-            FaultClass::Disconnect => c.disconnect = rate,
-        }
-        c
-    }
-
-    /// A storm mixing every class at a modest rate.
-    pub fn mixed(seed: u64) -> Self {
-        ChaosConfig {
-            seed,
-            drop: 0.06,
-            duplicate: 0.06,
-            delay: 0.06,
-            torn: 0.04,
-            bit_flip: 0.06,
-            disconnect: 0.04,
-        }
-    }
-
     fn total(&self) -> f64 {
         self.drop + self.duplicate + self.delay + self.torn + self.bit_flip + self.disconnect
-    }
-}
-
-/// The injectable fault classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultClass {
-    /// Silent frame loss.
-    Drop,
-    /// Double delivery.
-    Duplicate,
-    /// Delivery delay.
-    Delay,
-    /// Torn frame + dead connection.
-    Torn,
-    /// Single bit flip.
-    BitFlip,
-    /// Connection killed (server-kill-mid-request on the response path).
-    Disconnect,
-}
-
-/// All classes, for matrix sweeps.
-pub const ALL_FAULT_CLASSES: [FaultClass; 6] = [
-    FaultClass::Drop,
-    FaultClass::Duplicate,
-    FaultClass::Delay,
-    FaultClass::Torn,
-    FaultClass::BitFlip,
-    FaultClass::Disconnect,
-];
-
-impl FaultClass {
-    /// Stable lowercase name for artifacts and test labels.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultClass::Drop => "drop",
-            FaultClass::Duplicate => "duplicate",
-            FaultClass::Delay => "delay",
-            FaultClass::Torn => "torn",
-            FaultClass::BitFlip => "bit_flip",
-            FaultClass::Disconnect => "disconnect",
-        }
     }
 }
 
@@ -400,7 +328,15 @@ mod tests {
 
     #[test]
     fn verdicts_are_deterministic_in_frame_bytes() {
-        let cfg = ChaosConfig::mixed(42);
+        let cfg = ChaosConfig {
+            seed: 42,
+            drop: 0.06,
+            duplicate: 0.06,
+            delay: 0.06,
+            torn: 0.04,
+            bit_flip: 0.06,
+            disconnect: 0.04,
+        };
         for id in 0..200u64 {
             let f = frame(id);
             let a = matches!(verdict(&cfg, DIR_SEND, &f), Verdict::Deliver);
@@ -412,7 +348,10 @@ mod tests {
     #[test]
     fn clean_config_never_mutates() {
         let listener = MemListener::new();
-        let t = ChaosTransport::new(listener.clone(), ChaosConfig::clean(7));
+        let t = ChaosTransport::new(
+            listener.clone(),
+            ChaosConfig { seed: 7, ..ChaosConfig::default() },
+        );
         let mut client = t.connect().unwrap();
         let mut server = listener.accept(Duration::from_millis(100)).unwrap().unwrap();
         for id in 0..50u64 {
@@ -427,8 +366,10 @@ mod tests {
     #[test]
     fn heavy_drop_rate_actually_drops() {
         let listener = MemListener::new();
-        let t =
-            ChaosTransport::new(listener.clone(), ChaosConfig::single(3, FaultClass::Drop, 0.9));
+        let t = ChaosTransport::new(
+            listener.clone(),
+            ChaosConfig { seed: 3, drop: 0.9, ..ChaosConfig::default() },
+        );
         let mut client = t.connect().unwrap();
         let _server = listener.accept(Duration::from_millis(100)).unwrap().unwrap();
         for id in 0..100u64 {

@@ -26,7 +26,7 @@ pub mod server;
 pub mod transport;
 pub mod wire;
 
-pub use chaos::{ChaosConfig, ChaosStats, ChaosTransport, FaultClass, ALL_FAULT_CLASSES};
+pub use chaos::{ChaosConfig, ChaosStats, ChaosTransport};
 pub use client::{ClientConfig, ClientStats, SagaClient};
 pub use server::{oracle_lookup, oracle_search, NetServer, NetServerConfig, NetServerStats};
 pub use transport::{

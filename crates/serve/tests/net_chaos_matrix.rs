@@ -12,7 +12,7 @@
 
 use saga_core::obs::Registry;
 use saga_core::SagaError;
-use saga_serve::net::chaos::{ChaosConfig, ChaosTransport, ALL_FAULT_CLASSES};
+use saga_serve::net::chaos::{ChaosConfig, ChaosTransport};
 use saga_serve::net::client::{ClientConfig, SagaClient};
 use saga_serve::net::server::{oracle_lookup, oracle_search, NetServer, NetServerConfig};
 use saga_serve::net::transport::MemListener;
@@ -23,6 +23,37 @@ use std::time::Duration;
 const WORLD_SEED: u64 = 11;
 const FAULT_RATE: f64 = 0.3;
 const CHAOS_SEEDS: std::ops::RangeInclusive<u64> = 1..=5;
+
+/// The fault classes, by the name [`single`] turns each on with.
+const ALL_FAULT_CLASSES: [&str; 6] =
+    ["drop", "duplicate", "delay", "torn", "bit_flip", "disconnect"];
+
+/// One fault class at `rate`, everything else off.
+fn single(seed: u64, class: &str, rate: f64) -> ChaosConfig {
+    let clean = ChaosConfig { seed, ..ChaosConfig::default() };
+    match class {
+        "drop" => ChaosConfig { drop: rate, ..clean },
+        "duplicate" => ChaosConfig { duplicate: rate, ..clean },
+        "delay" => ChaosConfig { delay: rate, ..clean },
+        "torn" => ChaosConfig { torn: rate, ..clean },
+        "bit_flip" => ChaosConfig { bit_flip: rate, ..clean },
+        "disconnect" => ChaosConfig { disconnect: rate, ..clean },
+        _ => unreachable!("no fault class {class}"),
+    }
+}
+
+/// A storm mixing every class at a modest rate.
+fn mixed(seed: u64) -> ChaosConfig {
+    ChaosConfig {
+        seed,
+        drop: 0.06,
+        duplicate: 0.06,
+        delay: 0.06,
+        torn: 0.04,
+        bit_flip: 0.06,
+        disconnect: 0.04,
+    }
+}
 
 fn server_cfg() -> NetServerConfig {
     NetServerConfig::small(WORLD_SEED)
@@ -114,7 +145,7 @@ fn chaos_matrix_yields_correct_results_or_typed_errors() {
 
     // Sanity: a clean cell must answer everything correctly with zero
     // faults fired — the oracle and the server agree absent chaos.
-    let clean = run_cell(ChaosConfig::clean(0), &oracle, "clean");
+    let clean = run_cell(ChaosConfig::default(), &oracle, "clean");
     assert_eq!(clean.correct, 4, "fault-free run must serve every call");
     assert_eq!(clean.faults_fired, 0);
 
@@ -125,12 +156,12 @@ fn chaos_matrix_yields_correct_results_or_typed_errors() {
 
     for seed in CHAOS_SEEDS {
         for (i, &class) in ALL_FAULT_CLASSES.iter().enumerate() {
-            let label = format!("seed{}/{}", seed, class.as_str());
-            let cell = run_cell(ChaosConfig::single(seed, class, FAULT_RATE), &oracle, &label);
+            let label = format!("seed{seed}/{class}");
+            let cell = run_cell(single(seed, class, FAULT_RATE), &oracle, &label);
             per_class_fired[i] += cell.faults_fired;
             per_class_correct[i] += cell.correct;
         }
-        let cell = run_cell(ChaosConfig::mixed(seed), &oracle, &format!("seed{seed}/mixed"));
+        let cell = run_cell(mixed(seed), &oracle, &format!("seed{seed}/mixed"));
         mixed_fired += cell.faults_fired;
         mixed_correct += cell.correct;
     }
@@ -139,15 +170,10 @@ fn chaos_matrix_yields_correct_results_or_typed_errors() {
     // are deterministic, so this cannot flake), and despite the faults the
     // retry loop still landed correct answers for every class.
     for (i, class) in ALL_FAULT_CLASSES.iter().enumerate() {
-        assert!(
-            per_class_fired[i] > 0,
-            "fault class {} never fired across the matrix",
-            class.as_str()
-        );
+        assert!(per_class_fired[i] > 0, "fault class {class} never fired across the matrix");
         assert!(
             per_class_correct[i] > 0,
-            "fault class {} never produced a correct retried response",
-            class.as_str()
+            "fault class {class} never produced a correct retried response"
         );
     }
     assert!(mixed_fired > 0 && mixed_correct > 0, "mixed chaos cells degenerate");
@@ -157,8 +183,8 @@ fn chaos_matrix_yields_correct_results_or_typed_errors() {
 fn chaos_cells_are_reproducible_for_a_seed() {
     // Same seed, same world, same call sequence → identical outcomes.
     let oracle = oracle();
-    let a = run_cell(ChaosConfig::mixed(3), &oracle, "repro-a");
-    let b = run_cell(ChaosConfig::mixed(3), &oracle, "repro-b");
+    let a = run_cell(mixed(3), &oracle, "repro-a");
+    let b = run_cell(mixed(3), &oracle, "repro-b");
     assert_eq!(a.correct, b.correct, "correct-count diverged for identical seeds");
     // Fault verdicts are pure frame-hash functions; only timing-dependent
     // retry truncation could differ, and correct/typed totals must not.

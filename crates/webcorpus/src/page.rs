@@ -101,11 +101,6 @@ impl WebPage {
             out.push(' ');
         }
     }
-
-    /// Prose-only text (what the text extractors see).
-    pub fn prose(&self) -> String {
-        self.paragraphs.join(" ")
-    }
 }
 
 /// Appends `cells` joined by single spaces, as `cells.join(" ")` would.
@@ -146,7 +141,6 @@ mod tests {
         assert!(t.contains("is a writer."));
         assert!(t.contains("Bibliography of Jane Doe"));
         assert!(t.contains("First Book 1999-05-01"));
-        assert_eq!(p.prose(), "Jane Doe is a writer.");
         let mut reused = String::from("stale text from another page");
         p.full_text_into(&mut reused);
         assert_eq!(reused, t);

@@ -6,11 +6,14 @@
 //! cut out by brace matching, together with the files a
 //! `#[cfg(test)] mod name;` declares: a test-only item may sit above product
 //! code, so cutting a file at its first `#[cfg(test)]` would hide callers.
-//! A `pub fn` defined in `crates/*/src` is reached when its name occurs as
-//! an identifier anywhere in that code outside its own definitions, a
-//! comment included. The scan is by name, a net for mechanisms that no
-//! product code names rather than a call graph: two fns that share a name
-//! are reached together.
+//! Comments are blanked too, and so is every `use` item (`pub use` and
+//! `pub(crate) use` included): an import or a re-export names a fn without
+//! calling it, and a real import is still counted where the code uses the
+//! name. A `pub fn` defined in `crates/*/src` is reached when its name
+//! occurs as an identifier anywhere in what is left, outside its own
+//! definitions. The scan is by name, a net for mechanisms that no product
+//! code names rather than a call graph: two fns that share a name are
+//! reached together.
 //!
 //! A mechanism that only tests reach is deleted with its tests, or named in
 //! [`ALLOWED`] with the reason it stays: a hook through which a test checks
@@ -62,6 +65,26 @@ const ALLOWED: &[(&str, &str)] = &[
     (
         "ContextAsset::f32_table_bytes",
         "the f32 tables' size, the other side of the device size test",
+    ),
+    (
+        "ShardedService::captured",
+        "each search's shard hits, which the sharded-merge tests compare with an unsharded scan; \
+         perf-ledger builds the service with `capture` off",
+    ),
+    (
+        "fault::crash_matrix",
+        "the one harness of the engine and trainer kill matrices: it runs every kill point and \
+         reports all that failed",
+    ),
+    (
+        "KillSwitch::armed",
+        "the engine crash matrix arms a kill at each I/O operation of a workload; no product \
+         path crashes its own store",
+    ),
+    (
+        "kernels::force_backend",
+        "the backend-equivalence and zero-alloc gates pin each kernel backend in turn; the \
+         product dispatches to the detected one",
     ),
 ];
 
@@ -136,36 +159,28 @@ fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// One source file as the scan reads it. Both copies keep every char's
-/// position and every newline, and blank the contents of string and char
-/// literals.
-struct Source {
-    /// Comments blanked too: items, `impl` blocks and definitions are read
-    /// from this copy.
-    code: Vec<char>,
-    /// Comments keep their words but lose their punctuation: mentions are
-    /// counted in this copy.
-    words: Vec<char>,
+/// Blanks `s[from..to]`, keeping its newlines so that lines still count.
+fn blank(s: &mut [char], from: usize, to: usize) {
+    for c in &mut s[from..to] {
+        if *c != '\n' {
+            *c = ' ';
+        }
+    }
 }
 
-fn lex(src: &str) -> Source {
+/// One source file as the scan reads it: every char keeps its position,
+/// and comments and the contents of string and char literals are blanked.
+fn lex(src: &str) -> Vec<char> {
     let s: Vec<char> = src.chars().collect();
-    let (mut code, mut words) = (s.clone(), s.clone());
-    let blank = |v: &mut Vec<char>, from: usize, to: usize, keep_words: bool| {
-        for c in &mut v[from..to] {
-            if *c != '\n' && !(keep_words && is_ident(*c)) {
-                *c = ' ';
-            }
-        }
-    };
+    let mut code = s.clone();
     let mut i = 0;
     while i < s.len() {
         let prev_ident = i > 0 && is_ident(s[i - 1]);
-        // (blanked range, where to go on, whether it is a comment)
-        let (from, to, next, comment) = match s[i] {
+        // (blanked range, where to go on)
+        let (from, to, next) = match s[i] {
             '/' if s.get(i + 1) == Some(&'/') => {
                 let end = (i..s.len()).find(|&j| s[j] == '\n').unwrap_or(s.len());
-                (i, end, end, true)
+                (i, end, end)
             }
             '/' if s.get(i + 1) == Some(&'*') => {
                 let (mut depth, mut j) = (1, i + 2);
@@ -178,7 +193,7 @@ fn lex(src: &str) -> Source {
                         j += 1;
                     }
                 }
-                (i, j, j, true)
+                (i, j, j)
             }
             // A raw string `r#"…"#` (or `br"…"`), else an identifier.
             'r' if !prev_ident || (s[i - 1] == 'b' && (i < 2 || !is_ident(s[i - 2]))) => {
@@ -193,31 +208,30 @@ fn lex(src: &str) -> Source {
                         && s[j + 1..].iter().take(hashes).filter(|&&c| c == '#').count() == hashes
                 };
                 let end = (body..s.len()).find(|&j| closes(j)).unwrap_or(s.len());
-                (body, end, end + 1 + hashes, false)
+                (body, end, end + 1 + hashes)
             }
             '"' => {
                 let mut j = i + 1;
                 while j < s.len() && s[j] != '"' {
                     j += if s[j] == '\\' { 2 } else { 1 };
                 }
-                (i + 1, j.min(s.len()), j + 1, false)
+                (i + 1, j.min(s.len()), j + 1)
             }
             // A char literal; a lifetime or label is left as it is.
             '\'' if s.get(i + 1) == Some(&'\\') || s.get(i + 2) == Some(&'\'') => {
                 let first = if s[i + 1] == '\\' { i + 3 } else { i + 2 };
                 let end = (first..s.len()).find(|&j| s[j] == '\'').unwrap_or(s.len());
-                (i + 1, end, end + 1, false)
+                (i + 1, end, end + 1)
             }
             _ => {
                 i += 1;
                 continue;
             }
         };
-        blank(&mut code, from, to, false);
-        blank(&mut words, from, to, comment);
+        blank(&mut code, from, to);
         i = next;
     }
-    Source { code, words }
+    code
 }
 
 /// Index just past the bracket that closes the one at `open`.
@@ -253,16 +267,15 @@ fn skip_ws(s: &[char], mut i: usize) -> usize {
 }
 
 /// Blanks every `#[cfg(test)]` item of `src` (the attribute, any
-/// attributes after it, and the item up to its closing brace or semicolon)
-/// in both copies. Returns the modules that such items declare out of line
+/// attributes after it, and the item up to its closing brace or semicolon).
+/// Returns the modules that such items declare out of line
 /// (`#[cfg(test)] mod name;`).
-fn strip_test_items(src: &mut Source) -> Vec<String> {
+fn strip_test_items(s: &mut [char]) -> Vec<String> {
     const ATTR: &str = "#[cfg(test)]";
     let attr: Vec<char> = ATTR.chars().collect();
     let mut test_mods = Vec::new();
     let mut i = 0;
-    while i + attr.len() <= src.code.len() {
-        let s = &src.code;
+    while i + attr.len() <= s.len() {
         if s[i..i + attr.len()] != attr[..] {
             i += 1;
             continue;
@@ -292,14 +305,30 @@ fn strip_test_items(src: &mut Source) -> Vec<String> {
                 test_mods.push(words[p + 1].to_string());
             }
         }
-        for c in src.code[i..end].iter_mut().chain(&mut src.words[i..end]) {
-            if *c != '\n' {
-                *c = ' ';
-            }
-        }
+        blank(s, i, end);
         i = end;
     }
     test_mods
+}
+
+/// Blanks every `use` item of `s` (`pub use` and `pub(crate) use` too)
+/// from the keyword up to its semicolon, which stays as an item boundary:
+/// an import or a re-export names a fn but calls nothing.
+fn blank_use_items(s: &mut [char]) {
+    let ids = idents(s);
+    for (k, (at, word)) in ids.iter().enumerate() {
+        if word != "use" {
+            continue;
+        }
+        // An item follows an item boundary or a visibility; `+ use<'a>`
+        // does not.
+        let before = s[..*at].iter().rev().find(|c| !c.is_whitespace());
+        let after_pub = k > 0 && ids[k - 1].1 == "pub" && before == Some(&'b');
+        if after_pub || matches!(before, None | Some('}' | ';' | '{' | ']' | ')')) {
+            let end = (*at..s.len()).find(|&j| s[j] == ';').unwrap_or(s.len());
+            blank(s, *at, end);
+        }
+    }
 }
 
 /// Identifiers of `s` with their start offsets.
@@ -389,35 +418,26 @@ fn module_of(file: &Path) -> String {
     named.file_stem().and_then(|s| s.to_str()).unwrap_or("").to_string()
 }
 
-/// Scans the repository at `root`.
-fn scan(root: &Path) -> Scan {
-    let files = product_files(root);
-    let mut texts = Vec::new();
-    let mut excluded = BTreeSet::new();
-    for (file, checked) in &files {
-        let src = fs::read_to_string(file).expect("read source");
-        let mut s = lex(&src);
-        for m in strip_test_items(&mut s) {
-            let dir = if is_module_root(file) {
-                file.parent().expect("file in a dir").to_path_buf()
-            } else {
-                file.with_extension("")
-            };
-            excluded.insert(dir.join(format!("{m}.rs")));
-            excluded.insert(dir.join(&m).join("mod.rs"));
-        }
-        texts.push((file.clone(), *checked, s));
-    }
-    let mut scan = Scan { defs: BTreeMap::new(), uses: BTreeMap::new() };
-    for (file, checked, src) in texts.iter().filter(|(f, ..)| !excluded.contains(f)) {
-        for (_, w) in idents(&src.words) {
-            *scan.uses.entry(w).or_default() += 1;
+/// Reads one file as [`lex`], [`strip_test_items`] and [`blank_use_items`]
+/// leave it. Returns it and the test modules it declares out of line.
+fn read_source(src: &str) -> (Vec<char>, Vec<String>) {
+    let mut s = lex(src);
+    let test_mods = strip_test_items(&mut s);
+    blank_use_items(&mut s);
+    (s, test_mods)
+}
+
+impl Scan {
+    /// Counts the mentions of `s`, the text of `file` as [`read_source`]
+    /// leaves it, and with `checked` also its `pub fn` definitions.
+    fn add(&mut self, file: &Path, checked: bool, s: &[char]) {
+        let ids = idents(s);
+        for (_, w) in &ids {
+            *self.uses.entry(w.clone()).or_default() += 1;
         }
         if !checked {
-            continue;
+            return;
         }
-        let s = &src.code;
-        let ids = idents(s);
         let impls = impl_blocks(s, &ids);
         for k in 0..ids.len() {
             if ids[k].1 != "pub" {
@@ -442,12 +462,35 @@ fn scan(root: &Path) -> Scan {
                 .max_by_key(|(open, ..)| *open)
                 .map_or_else(|| module_of(file), |(.., ty)| ty.clone());
             let line = s[..*at].iter().filter(|&&c| c == '\n').count() + 1;
-            scan.defs.entry(name.clone()).or_default().push(Def {
+            self.defs.entry(name.clone()).or_default().push(Def {
                 key: format!("{owner}::{name}"),
-                file: file.strip_prefix(root).unwrap_or(file).to_path_buf(),
+                file: file.to_path_buf(),
                 line,
             });
         }
+    }
+}
+
+/// Scans the repository at `root`.
+fn scan(root: &Path) -> Scan {
+    let mut texts = Vec::new();
+    let mut excluded = BTreeSet::new();
+    for (file, checked) in product_files(root) {
+        let (s, test_mods) = read_source(&fs::read_to_string(&file).expect("read source"));
+        for m in test_mods {
+            let dir = if is_module_root(&file) {
+                file.parent().expect("file in a dir").to_path_buf()
+            } else {
+                file.with_extension("")
+            };
+            excluded.insert(dir.join(format!("{m}.rs")));
+            excluded.insert(dir.join(&m).join("mod.rs"));
+        }
+        texts.push((file, checked, s));
+    }
+    let mut scan = Scan { defs: BTreeMap::new(), uses: BTreeMap::new() };
+    for (file, checked, s) in texts.iter().filter(|(f, ..)| !excluded.contains(f)) {
+        scan.add(file.strip_prefix(root).unwrap_or(file), *checked, s);
     }
     scan
 }
@@ -507,16 +550,55 @@ mod tests { fn t() { tested(); after(""); } }
 #[cfg(test)]
 mod reference;
 "##;
-    let mut s = lex(src);
-    assert_eq!(strip_test_items(&mut s), ["reference"]);
-    let code: Vec<String> = idents(&s.code).into_iter().map(|(_, w)| w).collect();
-    let words: Vec<String> = idents(&s.words).into_iter().map(|(_, w)| w).collect();
-    for kept in ["helper", "documented_here", "block_comment_word", "in_a_doc_example"] {
-        assert!(words.contains(&kept.to_string()), "the mention {kept} was lost");
-    }
-    assert!(!code.contains(&"in_a_doc_example".to_string()), "a doc example is no definition");
+    let (s, test_mods) = read_source(src);
+    assert_eq!(test_mods, ["reference"]);
+    let words: Vec<String> = idents(&s).into_iter().map(|(_, w)| w).collect();
+    assert!(words.contains(&"helper".to_string()), "the call to helper was lost");
     assert_eq!(words.iter().filter(|w| *w == "after").count(), 1, "code after a test item was cut");
-    for gone in ["tested", "only_test", "tests", "reference"] {
+    for gone in [
+        "documented_here",
+        "block_comment_word",
+        "in_a_doc_example",
+        "tested",
+        "only_test",
+        "tests",
+        "reference",
+    ] {
         assert!(!words.contains(&gone.to_string()), "{gone} survived the scan");
     }
+}
+
+#[test]
+fn comments_and_use_items_reach_nothing_but_an_imported_call_does() {
+    let src = r#"
+use crate::a::{called_by_import, line_commented};
+pub use crate::b::{reexported, doc_commented};
+pub(crate) use crate::c::block_commented as renamed;
+use std::fmt;
+pub fn called_by_import() {}
+pub fn line_commented() {}
+pub fn doc_commented() {}
+pub fn block_commented() {}
+pub fn reexported() {}
+// line_commented();
+/// Calls [`doc_commented`].
+/* block_commented(); */
+pub fn shipped() -> impl fmt::Debug + use<> { called_by_import() }
+impl Thing {}
+"#;
+    let (s, _) = read_source(src);
+    let mut scan = Scan { defs: BTreeMap::new(), uses: BTreeMap::new() };
+    scan.add(Path::new("crates/x/src/lib.rs"), true, &s);
+    let unreached: BTreeSet<&str> = scan.unreached().map(|d| d.key.as_str()).collect();
+    let expected = [
+        "x::block_commented",
+        "x::doc_commented",
+        "x::line_commented",
+        "x::reexported",
+        "x::shipped",
+    ];
+    assert_eq!(unreached, BTreeSet::from(expected));
+    assert_eq!(scan.uses["fmt"], 1, "a name the code uses stays counted after its import");
+    let impls = impl_blocks(&s, &idents(&s));
+    assert_eq!(impls.len(), 1, "a blanked use item must leave its item boundary");
 }
