@@ -5,6 +5,7 @@ use crate::automaton::{PatternId, PhraseAutomaton};
 use saga_core::text::normalize_phrase;
 use saga_core::{EntityId, KnowledgeGraph};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One candidate entity for a surface form.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,17 +96,18 @@ impl AliasTable {
     }
 
     /// Compiles the table into an automaton; returns the automaton and the
-    /// pattern→form mapping.
-    pub fn compile(&self) -> (PhraseAutomaton, Vec<String>) {
+    /// pattern→form mapping. A form is shared: a mention and its link hold
+    /// the same `Arc`.
+    pub fn compile(&self) -> (PhraseAutomaton, Vec<Arc<str>>) {
         let mut automaton = PhraseAutomaton::new();
-        let mut forms: Vec<String> = self.forms.keys().cloned().collect();
+        let mut forms: Vec<&String> = self.forms.keys().collect();
         forms.sort(); // deterministic pattern ids
         let mut pattern_forms = Vec::with_capacity(forms.len());
         for form in forms {
             let tokens: Vec<&str> = form.split(' ').collect();
             let pid: PatternId = automaton.add_pattern(&tokens);
             debug_assert_eq!(pid as usize, pattern_forms.len());
-            pattern_forms.push(form);
+            pattern_forms.push(Arc::from(form.as_str()));
         }
         automaton.build();
         (automaton, pattern_forms)

@@ -8,9 +8,10 @@
 //! Fig. 2), and graph-embedding coherence with co-mentioned entities.
 //!
 //! Cost model: linking allocates only what it outputs — the
-//! [`LinkedMention`] vector, and per linked mention its form and its
-//! runner-up list. Everything else lives in a [`LinkScratch`] that a pass
-//! reuses from document to document.
+//! [`LinkedMention`] vector. A linked mention owns no heap memory: its form
+//! is the automaton's shared pattern form, and only the best candidate is
+//! kept. Everything else lives in a [`LinkScratch`] that a pass reuses from
+//! document to document.
 //!
 //! A T2 context vector is the hashed bag of the tokens in a window around
 //! the mention. Windows of neighbouring mentions overlap — on a page of a
@@ -26,6 +27,7 @@ use saga_core::kernels;
 use saga_core::text::{embed_slots_into, hash_slot, TokenBuf};
 use saga_core::EntityId;
 use saga_embeddings::TrainedModel;
+use std::sync::Arc;
 
 /// Deployment tier of the linker (cheap → expensive).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -91,26 +93,26 @@ impl LinkerConfig {
     }
 }
 
-/// A resolved mention.
+/// A resolved mention: the best-scoring candidate of a detected mention.
+/// It owns no heap memory, so cloning one copies no text.
 #[derive(Debug, Clone)]
 pub struct LinkedMention {
     /// Byte offset of the span start.
     pub start: usize,
     /// Byte offset one past the span end.
     pub end: usize,
-    /// Normalized surface form.
-    pub form: String,
+    /// Normalized surface form, shared with the automaton that detected
+    /// the mention.
+    pub form: Arc<str>,
     /// The entity concerned.
     pub entity: EntityId,
     /// Score; higher is better.
     pub score: f32,
-    /// Runner-up candidates `(entity, score)`, best first.
-    pub alternatives: Vec<(EntityId, f32)>,
 }
 
 /// The linker's reusable buffers: every token's hash slot, the context
-/// vector, the coherence anchors and the scored candidates. Contents never
-/// carry from one [`link_mentions`] call to the next.
+/// vector and the coherence anchors. Contents never carry from one
+/// [`link_mentions`] call to the next.
 #[derive(Debug, Default)]
 pub struct LinkScratch {
     /// Each token's `(dimension, sign)` for this document, filled on first
@@ -118,7 +120,6 @@ pub struct LinkScratch {
     slots: Vec<Option<(usize, f32)>>,
     ctx: Vec<f32>,
     anchors: Vec<EntityId>,
-    scored: Vec<(EntityId, f32)>,
 }
 
 impl LinkScratch {
@@ -187,9 +188,8 @@ pub fn link_mentions(
             let emb = scratch.context(tokens, m, cfg.context_window, cfg.feature_dim);
             kernels::l2_norm(emb)
         });
-        let LinkScratch { ctx: emb, anchors, scored, .. } = &mut *scratch;
-        scored.clear();
-        scored.extend(m.candidates.iter().map(|c| {
+        let LinkScratch { ctx: emb, anchors, .. } = &mut *scratch;
+        let scored = m.candidates.iter().map(|c| {
             let mut score = cfg.w_name * c.name_prior;
             if cfg.tier >= Tier::T1Popularity {
                 score += cfg.w_popularity * c.popularity;
@@ -205,21 +205,21 @@ pub fn link_mentions(
                 }
             }
             (c.entity, score)
-        }));
-        // A form lists an entity once, so the order is total and an
-        // unstable sort is the stable one.
-        scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let (entity, score) = scored[0];
+        });
+        // Highest score first, ties to the lower entity id. A form lists an
+        // entity once, so the order is total and the best is unique.
+        let (entity, score) = scored
+            .min_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)))
+            .expect("a mention with no candidate was skipped");
         if score < cfg.min_score {
             continue;
         }
         out.push(LinkedMention {
             start: m.start,
             end: m.end,
-            form: m.form.to_owned(),
+            form: Arc::clone(m.form),
             entity,
             score,
-            alternatives: scored[1..].to_vec(),
         });
     }
     out
@@ -265,7 +265,7 @@ mod tests {
     fn link(
         text: &str,
         a: &PhraseAutomaton,
-        forms: &[String],
+        forms: &[Arc<str>],
         table: &AliasTable,
         cfg: &LinkerConfig,
         features: &EmbeddingCache,
@@ -294,12 +294,12 @@ mod tests {
 
         let basketball = "Michael Jordan the basketball player won another championship ring.";
         let l1 = link(basketball, &a, &forms, &table, &cfg, &features);
-        let link1 = l1.iter().find(|l| l.form == "michael jordan").unwrap();
+        let link1 = l1.iter().find(|l| &*l.form == "michael jordan").unwrap();
         assert_eq!(link1.entity, s.scenario.mj_player, "basketball context → player");
 
         let academia = "Michael Jordan published new machine learning and statistics research with his professor colleagues.";
         let l2 = link(academia, &a, &forms, &table, &cfg, &features);
-        let link2 = l2.iter().find(|l| l.form == "michael jordan").unwrap();
+        let link2 = l2.iter().find(|l| &*l.form == "michael jordan").unwrap();
         assert_eq!(link2.entity, s.scenario.mj_professor, "academic context → professor");
     }
 
@@ -313,9 +313,9 @@ mod tests {
         // Even in academic context, T1 picks the (more popular) player.
         let academia = "Michael Jordan published machine learning research.";
         let l = link(academia, &a, &forms, &table, &cfg, &features);
-        let link = l.iter().find(|l| l.form == "michael jordan").unwrap();
+        let link = l.iter().find(|l| &*l.form == "michael jordan").unwrap();
         assert_eq!(link.entity, s.scenario.mj_player);
-        assert!(!link.alternatives.is_empty());
+        assert!(table.candidates("michael jordan").len() > 1, "the mention is ambiguous");
     }
 
     #[test]
@@ -337,7 +337,7 @@ mod tests {
         let toks = TokenBuf::of("alpha beta Michael Jordan gamma delta");
         let mut m = Vec::new();
         detect_mentions(&toks, &a, &forms, &table, &mut Vec::new(), &mut m);
-        let mention = m.iter().find(|x| x.form == "michael jordan").unwrap();
+        let mention = m.iter().find(|x| &**x.form == "michael jordan").unwrap();
         let mut scratch = LinkScratch::new();
         scratch.slots.resize(toks.len(), None);
         let ctx = scratch.context(&toks, mention, 10, 64);

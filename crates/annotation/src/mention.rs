@@ -4,12 +4,14 @@
 //! automaton writes its matches into a reused buffer, leftmost-longest
 //! selection compacts them in place, and a [`Mention`] borrows its form
 //! from the automaton's pattern list and its candidates from the alias
-//! table, so a mention costs no copy of either; the linker copies a form
-//! only for a mention it links.
+//! table, so a mention costs no copy of either. A linked mention shares
+//! its form: the linker clones the pattern's `Arc`, which counts a
+//! reference and copies no text.
 
 use crate::alias::{AliasTable, Candidate};
 use crate::automaton::{leftmost_longest, PhraseAutomaton, PhraseMatch};
 use saga_core::text::TokenBuf;
+use std::sync::Arc;
 
 /// A detected mention with its candidate entities (unresolved), borrowing
 /// its form and candidates from the tables it was detected with.
@@ -23,8 +25,8 @@ pub struct Mention<'a> {
     pub start_tok: usize,
     /// Exclusive end token index.
     pub end_tok: usize,
-    /// Normalized surface form.
-    pub form: &'a str,
+    /// Normalized surface form, the automaton's pattern form.
+    pub form: &'a Arc<str>,
     /// Candidate entities from the alias table.
     pub candidates: &'a [Candidate],
 }
@@ -37,7 +39,7 @@ pub struct Mention<'a> {
 pub fn detect_mentions<'a>(
     tokens: &TokenBuf,
     automaton: &PhraseAutomaton,
-    pattern_forms: &'a [String],
+    pattern_forms: &'a [Arc<str>],
     aliases: &'a AliasTable,
     matches: &mut Vec<PhraseMatch>,
     out: &mut Vec<Mention<'a>>,
@@ -46,7 +48,7 @@ pub fn detect_mentions<'a>(
     leftmost_longest(matches);
     out.clear();
     out.extend(matches.iter().map(|m| {
-        let form = pattern_forms[m.pattern as usize].as_str();
+        let form = &pattern_forms[m.pattern as usize];
         Mention {
             start: tokens.start(m.start_tok),
             end: tokens.end(m.end_tok - 1),
@@ -67,7 +69,7 @@ mod tests {
     fn detect<'a>(
         tokens: &TokenBuf,
         a: &PhraseAutomaton,
-        forms: &'a [String],
+        forms: &'a [Arc<str>],
         table: &'a AliasTable,
     ) -> Vec<Mention<'a>> {
         let mut out = Vec::new();
@@ -85,9 +87,9 @@ mod tests {
         assert!(mentions.len() >= 2);
         let mj = &mentions[0];
         assert_eq!(&text[mj.start..mj.end], "Michael Jordan");
-        assert_eq!(mj.form, "michael jordan");
+        assert_eq!(&**mj.form, "michael jordan");
         assert_eq!(mj.candidates.len(), 2);
-        let alias = mentions.iter().find(|m| m.form == "mj").expect("alias detected");
+        let alias = mentions.iter().find(|m| &**m.form == "mj").expect("alias detected");
         assert_eq!(&text[alias.start..alias.end], "MJ");
     }
 
@@ -110,6 +112,6 @@ mod tests {
         // "Benicio del Toro" with stylized accents still matches.
         let text = "Benício del Toro stars tonight";
         let mentions = detect(&TokenBuf::of(text), &a, &forms, &table);
-        assert!(mentions.iter().any(|m| m.form == "benicio del toro"));
+        assert!(mentions.iter().any(|m| &**m.form == "benicio del toro"));
     }
 }

@@ -479,7 +479,7 @@ mod tests {
         (out, stats)
     }
 
-    type MentionBits = (usize, usize, String, EntityId, u32, Vec<(EntityId, u32)>);
+    type MentionBits = (usize, usize, String, EntityId, u32);
 
     /// Every field of every annotation, scores as bits, by document.
     fn annotation_bits(a: &AnnotatedCorpus) -> BTreeMap<DocId, (u64, Vec<MentionBits>)> {
@@ -490,10 +490,7 @@ mod tests {
                 let mentions = ad
                     .mentions
                     .iter()
-                    .map(|m| {
-                        let alts = m.alternatives.iter().map(|&(e, s)| (e, s.to_bits())).collect();
-                        (m.start, m.end, m.form.clone(), m.entity, m.score.to_bits(), alts)
-                    })
+                    .map(|m| (m.start, m.end, m.form.to_string(), m.entity, m.score.to_bits()))
                     .collect();
                 (doc, (ad.version, mentions))
             })

@@ -1,7 +1,8 @@
 //! The annotation path as it was before the pass reused buffers: owned
 //! tokens, a fresh match list, a copied form and candidate list per
-//! mention, and a context vector, score list and hash per window token per
-//! mention. Kept as the oracle the buffer-reusing path is tested against.
+//! mention and per link, and a context vector, a sorted score list and a
+//! hash per window token per mention. Kept as the oracle the
+//! buffer-reusing path is tested against.
 
 use crate::alias::{AliasTable, Candidate};
 use crate::automaton::{PhraseAutomaton, PhraseMatch};
@@ -12,6 +13,7 @@ use saga_core::kernels;
 use saga_core::text::{hash_embed, tokenize, Token};
 use saga_core::EntityId;
 use saga_embeddings::TrainedModel;
+use std::sync::Arc;
 
 /// A mention that owns its form and candidates.
 #[derive(Debug, Clone)]
@@ -20,7 +22,7 @@ pub(crate) struct OwnedMention {
     pub end: usize,
     pub start_tok: usize,
     pub end_tok: usize,
-    pub form: String,
+    pub form: Arc<str>,
     pub candidates: Vec<Candidate>,
 }
 
@@ -62,7 +64,7 @@ fn leftmost_longest(mut matches: Vec<PhraseMatch>) -> Vec<PhraseMatch> {
 pub(crate) fn detect_mentions(
     text: &str,
     automaton: &PhraseAutomaton,
-    pattern_forms: &[String],
+    pattern_forms: &[Arc<str>],
     aliases: &AliasTable,
 ) -> (Vec<OwnedMention>, Vec<Token>) {
     let tokens = tokenize(text);
@@ -76,7 +78,7 @@ pub(crate) fn detect_mentions(
                 end: tokens[m.end_tok - 1].end,
                 start_tok: m.start_tok,
                 end_tok: m.end_tok,
-                form: form.clone(),
+                form: Arc::from(&**form),
                 candidates: aliases.candidates(form).to_vec(),
             }
         })
@@ -177,25 +179,21 @@ pub(crate) fn link_mentions(
         out.push(LinkedMention {
             start: m.start,
             end: m.end,
-            form: m.form.clone(),
+            form: Arc::from(&*m.form),
             entity,
             score,
-            alternatives: scored[1..].to_vec(),
         });
     }
     out
 }
 
-/// Every field of a linked mention, scores as bits.
-pub(crate) type LinkBits = (usize, usize, String, EntityId, u32, Vec<(EntityId, u32)>);
+/// Every field of a linked mention, the score as bits.
+pub(crate) type LinkBits = (usize, usize, String, EntityId, u32);
 
 /// [`LinkBits`] of every link, in order.
 pub(crate) fn link_bits(links: &[LinkedMention]) -> Vec<LinkBits> {
     links
         .iter()
-        .map(|l| {
-            let alts = l.alternatives.iter().map(|&(e, s)| (e, s.to_bits())).collect();
-            (l.start, l.end, l.form.clone(), l.entity, l.score.to_bits(), alts)
-        })
+        .map(|l| (l.start, l.end, l.form.to_string(), l.entity, l.score.to_bits()))
         .collect()
 }

@@ -280,6 +280,7 @@ impl<'a> ResilientAnnotator<'a> {
 mod tests {
     use super::*;
     use crate::linker::LinkerConfig;
+    use crate::reference::LinkBits;
     use saga_core::fault::{FaultPlan, SiteFaults};
     use saga_core::synth::{generate, SynthConfig};
     use saga_webcorpus::{generate_corpus, CorpusConfig};
@@ -345,8 +346,8 @@ mod tests {
     }
 
     /// The pass — one scratch per worker, reused page after page — links
-    /// every page exactly as the reference per-call path does (score bits,
-    /// runner-ups, spans, forms) at every tier, with a delta automaton and
+    /// every page exactly as the reference per-call path does (spans, forms,
+    /// entities, score bits) at every tier, with a delta automaton and
     /// graph coherence, at 1, 2 and 8 workers; and a degraded T1 pass of a
     /// T2 deployment equals the reference at T1.
     #[test]
@@ -360,7 +361,8 @@ mod tests {
                 .collect();
             let linked: Vec<_> = want.iter().flatten().map(|l| l.3).collect();
             assert!(delta_ids.iter().all(|id| linked.contains(id)), "{tier:?}: delta links");
-            assert!(want.iter().flatten().any(|l| !l.5.is_empty()), "{tier:?}: runner-ups");
+            let ambiguous = |l: &LinkBits| svc.aliases().candidates(&l.2).len() > 1;
+            assert!(want.iter().flatten().any(ambiguous), "{tier:?}: ambiguous links");
             for workers in [1, 2, 8] {
                 let (out, _) = crate::pipeline::annotate_corpus(&svc, &c, workers);
                 for (page, want) in c.pages.iter().zip(&want) {

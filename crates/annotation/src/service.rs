@@ -7,8 +7,9 @@
 //! the page text, the tokens, the matches, the main and delta mentions, the
 //! linker's slots, context vector, anchors and scores — lives in an
 //! [`AnnotateScratch`] that a pass worker keeps for its whole share of the
-//! pass, so annotating a page allocates only the links it returns: the
-//! output vector and, per link, its form and its runner-up list.
+//! pass, so annotating a page allocates only the vector of links it
+//! returns: a link owns no heap memory (its form shares the automaton's
+//! pattern form).
 
 use crate::alias::AliasTable;
 use crate::automaton::{PhraseAutomaton, PhraseMatch};
@@ -20,6 +21,7 @@ use saga_core::{EntityId, KnowledgeGraph, TypeId};
 use saga_embeddings::TrainedModel;
 use saga_webcorpus::WebPage;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Computes an entity's text-feature embedding from its name, description
 /// and type name — the "textual features of the KG entities (e.g., name,
@@ -36,10 +38,10 @@ pub fn entity_feature_embedding(kg: &KnowledgeGraph, entity: EntityId, dim: usiz
 /// feature cache (+ optional graph embeddings for coherence).
 pub struct AnnotationService {
     aliases: AliasTable,
-    main: (PhraseAutomaton, Vec<String>),
-    /// Delta automaton for entities added since the last merge.
-    delta: Option<(PhraseAutomaton, Vec<String>)>,
-    delta_forms: Vec<String>,
+    main: (PhraseAutomaton, Vec<Arc<str>>),
+    /// Delta automaton for entities added since the last merge, and its
+    /// pattern forms.
+    delta: Option<(PhraseAutomaton, Vec<Arc<str>>)>,
     features: EmbeddingCache,
     kge: Option<TrainedModel>,
     cfg: LinkerConfig,
@@ -52,8 +54,8 @@ pub struct AnnotationService {
 /// The reusable buffers of one annotation worker. Mentions borrow from the
 /// service they were detected by, hence the lifetime: a scratch serves one
 /// service. Contents never carry from one document to the next; only the
-/// capacity does, so a warm scratch annotates without allocating anything
-/// but its output.
+/// capacity does, so a warm scratch annotates a page with one allocation:
+/// the vector of links it returns.
 #[derive(Debug, Default)]
 pub struct AnnotateScratch<'a> {
     /// The page text [`AnnotationService::annotate_page_into`] renders.
@@ -105,17 +107,7 @@ impl AnnotationService {
             let tname = kg.ontology().type_info(e.entity_type).name.clone();
             entity_types.insert(e.id.raw(), (e.entity_type, tname));
         }
-        Self {
-            aliases,
-            main,
-            delta: None,
-            delta_forms: Vec::new(),
-            features,
-            kge: None,
-            cfg,
-            entity_types,
-            rebuilds: 1,
-        }
+        Self { aliases, main, delta: None, features, kge: None, cfg, entity_types, rebuilds: 1 }
     }
 
     /// Attaches a trained graph-embedding model for coherence scoring.
@@ -143,20 +135,18 @@ impl AnnotationService {
         self.features.put(entity.raw(), entity_feature_embedding(kg, entity, self.cfg.feature_dim));
         let ty = kg.entity(entity).entity_type;
         self.entity_types.insert(entity.raw(), (ty, kg.ontology().type_info(ty).name.clone()));
-        let e = kg.entity(entity);
-        for form in e.surface_forms() {
+        let mut forms = self.delta.take().map(|(_, forms)| forms).unwrap_or_default();
+        for form in kg.entity(entity).surface_forms() {
             let norm = saga_core::text::normalize_phrase(form);
-            if !norm.is_empty() && !self.delta_forms.contains(&norm) {
-                self.delta_forms.push(norm);
+            if !norm.is_empty() && !forms.iter().any(|f| **f == *norm) {
+                forms.push(Arc::from(norm));
             }
         }
         // Rebuild only the (small) delta automaton.
         let mut a = PhraseAutomaton::new();
-        let mut forms = Vec::with_capacity(self.delta_forms.len());
-        for f in &self.delta_forms {
+        for f in &forms {
             let toks: Vec<&str> = f.split(' ').collect();
             a.add_pattern(&toks);
-            forms.push(f.clone());
         }
         a.build();
         self.delta = Some((a, forms));
@@ -169,7 +159,6 @@ impl AnnotationService {
         }
         self.main = self.aliases.compile();
         self.delta = None;
-        self.delta_forms.clear();
         self.rebuilds += 1;
     }
 
@@ -182,9 +171,10 @@ impl AnnotationService {
     }
 
     /// Detects and links mentions in `text` at `tier`, reusing `scratch`'s
-    /// buffers: allocates only the returned links. A `tier` other than the
-    /// configured one is the degradation path, for when a tier's backing
-    /// resources (e.g. the embedding cache behind T2) are unavailable.
+    /// buffers: allocates only the returned vector of links. A `tier` other
+    /// than the configured one is the degradation path, for when a tier's
+    /// backing resources (e.g. the embedding cache behind T2) are
+    /// unavailable.
     pub fn annotate_into<'a>(
         &'a self,
         text: &str,
@@ -275,6 +265,10 @@ fn merge_mentions<'a>(main: &mut Vec<Mention<'a>>, extra: &[Mention<'a>]) {
 /// per-mention linker buffers.
 #[cfg(test)]
 impl AnnotationService {
+    pub(crate) fn aliases(&self) -> &AliasTable {
+        &self.aliases
+    }
+
     pub(crate) fn reference_annotate(&self, text: &str, tier: Tier) -> Vec<LinkedMention> {
         use crate::reference;
         let (main, main_forms) = &self.main;
@@ -302,7 +296,7 @@ mod tests {
         let s = generate(&SynthConfig::tiny(161));
         let svc = AnnotationService::build(&s.kg, LinkerConfig::tier(Tier::T2Contextual));
         let links = svc.annotate("Michael Jordan the legendary basketball champion highlights");
-        let mj = links.iter().find(|l| l.form == "michael jordan").unwrap();
+        let mj = links.iter().find(|l| &*l.form == "michael jordan").unwrap();
         assert_eq!(mj.entity, s.scenario.mj_player);
     }
 
@@ -347,7 +341,7 @@ mod tests {
         let inst = links.iter().find(|l| l.entity == id);
         assert!(inst.is_some(), "longer delta mention wins: {links:?}");
         assert!(
-            !links.iter().any(|l| l.form == "michael jordan"),
+            !links.iter().any(|l| &*l.form == "michael jordan"),
             "shorter overlapped mention suppressed"
         );
     }
@@ -357,7 +351,7 @@ mod tests {
         let s = generate(&SynthConfig::tiny(161));
         let svc = AnnotationService::build(&s.kg, LinkerConfig::tier(Tier::T2Contextual));
         let typed = svc.annotate_typed("Michael Jordan the legendary basketball champion");
-        let mj = typed.iter().find(|t| t.mention.form == "michael jordan").unwrap();
+        let mj = typed.iter().find(|t| &*t.mention.form == "michael jordan").unwrap();
         assert_eq!(mj.entity_type, s.types.athlete);
         assert_eq!(mj.type_name, "athlete");
     }
@@ -370,7 +364,7 @@ mod tests {
         assert!(distilled.feature_cache_bytes() * 2 < full.feature_cache_bytes());
         // Distilled still disambiguates the flagship homonym.
         let links = distilled.annotate("Michael Jordan the legendary basketball champion");
-        let mj = links.iter().find(|l| l.form == "michael jordan").unwrap();
+        let mj = links.iter().find(|l| &*l.form == "michael jordan").unwrap();
         assert_eq!(mj.entity, s.scenario.mj_player);
     }
 

@@ -2,13 +2,12 @@
 //!
 //! A pass worker keeps one `AnnotateScratch` for its whole share of a pass.
 //! Once the scratch has seen every page, annotating a page again allocates
-//! at most `1 + 2 × links`: the output vector, and per linked mention its
-//! form and its runner-up list. Tokens, matches, mentions, hash slots,
-//! context vectors, anchors and scores all live in the scratch, so a page
-//! with no link allocates at most the (then empty) output vector, and
-//! nothing grows with the page's tokens or candidates. It holds at every
-//! tier, with a delta automaton merging into the main one, and with graph
-//! coherence scoring.
+//! at most once: the output vector. A linked mention owns no heap memory
+//! (its form shares the automaton's pattern form), and tokens, matches,
+//! mentions, hash slots, context vectors and anchors all live in the
+//! scratch, so nothing grows with the page's tokens, candidates or links.
+//! It holds at every tier, with a delta automaton merging into the main
+//! one, and with graph coherence scoring.
 //!
 //! Link sync allocates per call, not per dirty entity or link held:
 //! reconciling a dirty set whose links do not change allocates the same few
@@ -117,10 +116,9 @@ fn a_warm_scratch_allocates_only_the_links_it_returns() {
         }
         for page in &corpus.pages {
             let (allocs, out) = count_allocs(|| svc.annotate_page_into(page, tier, &mut scratch));
-            let bound = 1 + 2 * out.len() as u64;
             assert!(
-                allocs <= bound,
-                "{tier:?}: {allocs} allocations for {} links on {:?} (bound {bound})",
+                allocs <= 1,
+                "{tier:?}: {allocs} allocations for {} links on {:?} (bound 1)",
                 out.len(),
                 page.id
             );

@@ -49,9 +49,16 @@ fn dense<T: Ord>(vocabulary: &[T], x: &T) -> u32 {
     vocabulary.binary_search(x).expect("the vocabulary holds every id of its edges") as u32
 }
 
-/// The sorted, deduplicated entity and relation vocabularies of `edges`.
+/// The sorted, deduplicated entity and relation vocabularies of `edges`,
+/// one allocation each.
+///
+/// A run of edges with one head adds that head once, so a view's edges, in
+/// SPO order, copy each distinct head once instead of once per edge.
 fn vocabularies(edges: &[Edge]) -> (Vec<EntityId>, Vec<PredicateId>) {
-    let mut entities: Vec<EntityId> = edges.iter().flat_map(|e| [e.head, e.tail]).collect();
+    let heads = edges.chunk_by(|a, b| a.head == b.head).map(|run| run[0].head);
+    let mut entities = Vec::with_capacity(edges.len() + heads.clone().count());
+    entities.extend(edges.iter().map(|e| e.tail));
+    entities.extend(heads);
     entities.sort_unstable();
     entities.dedup();
     let mut relations: Vec<PredicateId> = edges.iter().map(|e| e.relation).collect();
@@ -162,9 +169,21 @@ mod tests {
     }
 
     impl HashedSet {
+        /// The vocabularies as they were first built: every id of every
+        /// edge copied, sorted and deduplicated.
+        fn vocabularies(edges: &[Edge]) -> (Vec<EntityId>, Vec<PredicateId>) {
+            let mut entities: Vec<EntityId> = edges.iter().flat_map(|e| [e.head, e.tail]).collect();
+            entities.sort_unstable();
+            entities.dedup();
+            let mut relations: Vec<PredicateId> = edges.iter().map(|e| e.relation).collect();
+            relations.sort_unstable();
+            relations.dedup();
+            (entities, relations)
+        }
+
         /// The dense id maps of the sorted vocabularies of `edges`.
         fn indexes(edges: &[Edge]) -> (Index<EntityId>, Index<PredicateId>) {
-            let (entities, relations) = vocabularies(edges);
+            let (entities, relations) = Self::vocabularies(edges);
             let entity_index = entities.iter().enumerate().map(|(i, &e)| (e, i as u32)).collect();
             let rel_index = relations.iter().enumerate().map(|(i, &r)| (r, i as u32)).collect();
             (entity_index, rel_index)
@@ -189,7 +208,7 @@ mod tests {
         }
 
         fn from_edges(edges: &[Edge], valid_frac: f64, test_frac: f64, seed: u64) -> Self {
-            let (entities, relations) = vocabularies(edges);
+            let (entities, relations) = Self::vocabularies(edges);
             let (entity_index, rel_index) = Self::indexes(edges);
             let mut triples = Self::densify(edges, &entity_index, &rel_index);
             let all_triples: HashSet<DenseTriple> = triples.iter().copied().collect();
@@ -206,7 +225,7 @@ mod tests {
 
         fn from_split_edges(train: &[Edge], valid: &[Edge], test: &[Edge]) -> Self {
             let all: Vec<Edge> = train.iter().chain(valid).chain(test).copied().collect();
-            let (entities, relations) = vocabularies(&all);
+            let (entities, relations) = Self::vocabularies(&all);
             let (entity_index, rel_index) = Self::indexes(&all);
             let train = Self::densify(train, &entity_index, &rel_index);
             let valid = Self::densify(valid, &entity_index, &rel_index);
@@ -324,6 +343,28 @@ mod tests {
         }
         let empty = TrainingSet::from_edges(&[], 0.1, 0.1, 1);
         HashedSet::from_edges(&[], 0.1, 0.1, 1).assert_same_as(&empty);
+    }
+
+    /// The vocabularies equal the copying reference's on random edge lists:
+    /// heads sorted or not, with repeated edges, ids shared between heads
+    /// and tails, and the empty list.
+    #[test]
+    fn vocabularies_match_the_copying_reference() {
+        saga_testkit::check(256, 0x70cab, |rng| {
+            let n = rng.gen_range(0..40usize);
+            let ids = rng.gen_range(1..30u64);
+            let mut edges: Vec<Edge> = (0..n)
+                .map(|_| Edge {
+                    head: EntityId(rng.gen_range(0..ids)),
+                    relation: PredicateId(rng.gen_range(0..5u32)),
+                    tail: EntityId(rng.gen_range(0..ids)),
+                })
+                .collect();
+            if rng.gen_bool(0.5) {
+                edges.sort_unstable_by_key(|e| (e.head, e.relation, e.tail));
+            }
+            assert_eq!(vocabularies(&edges), HashedSet::vocabularies(&edges), "{edges:?}");
+        });
     }
 
     /// A view's edges, in SPO order, skip the sort: they build the set the

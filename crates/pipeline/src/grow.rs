@@ -454,22 +454,28 @@ fn retrain_delta(
     report.buckets_trained = run.report.buckets_trained;
     state.model = run.model.expect("no kill hooks installed; delta run completes");
     // ANN maintenance: upsert rows that moved (or are new), tombstone rows
-    // whose entity left the model vocabulary.
-    let mut live = BTreeSet::new();
-    for (i, &e) in state.model.entity_ids.iter().enumerate() {
+    // whose entity left the model vocabulary (in ascending id order), and
+    // add the new ids to the live set, which is patched, not rebuilt.
+    let GrowthState { model, index, indexed, .. } = state;
+    for (i, &e) in model.entity_ids.iter().enumerate() {
         let id = e.raw();
-        live.insert(id);
-        let row = state.model.entities.row(i);
-        if state.index.get(id) != Some(row) {
-            state.index.upsert(id, row);
+        let row = model.entities.row(i);
+        if index.get(id) != Some(row) {
+            index.upsert(id, row);
             report.ann_upserts += 1;
         }
     }
-    for &id in state.indexed.difference(&live) {
-        state.index.remove(id);
-        report.ann_deletes += 1;
+    indexed.retain(|&id| {
+        let live = model.entity_index(EntityId(id)).is_some();
+        if !live {
+            index.remove(id);
+            report.ann_deletes += 1;
+        }
+        live
+    });
+    for &e in &model.entity_ids {
+        indexed.insert(e.raw());
     }
-    state.indexed = live;
     delta_scope.counter("ann_upserts").add(report.ann_upserts as u64);
     delta_scope.counter("ann_deletes").add(report.ann_deletes as u64);
 

@@ -11,7 +11,7 @@
 use saga_core::obs::Registry;
 use saga_core::persist::codec::to_bytes;
 use saga_core::synth::{generate, SynthConfig, SynthKg};
-use saga_core::DocId;
+use saga_core::{DocId, EntityBuilder};
 use saga_embeddings::{build_flat_index, ModelKind, TrainConfig};
 use saga_odke::{FactTarget, OdkeConfig, TargetReason};
 use saga_pipeline::{grow_batch, grow_incremental, GrowthConfig, GrowthReport, GrowthState};
@@ -403,4 +403,65 @@ fn pins_held_across_chained_intervals_keep_their_bytes() {
         grow_batch(&s.kg, &corpus, &cfg, 2, &workdir("pinned-chain-batch"), &Registry::new())
             .expect("batch rebuild");
     assert!(pins.last().expect("a pin").1 == batch.published, "the chain diverged from batch");
+}
+
+/// An entity leaves the training vocabulary. A place that no fact names
+/// joins the graph; the first interval's fact churn moves a target subject
+/// there, the second moves it away again, and with it the place's only
+/// edge. The second interval deletes the place's ANN row, and the
+/// maintained live set and index equal those of a scratch rebuild over the
+/// same model and of a batch rebuild over the final corpus.
+#[test]
+fn an_entity_leaving_the_vocabulary_leaves_the_index() {
+    let (mut s, mut corpus, truth) = fixture();
+    let place = s.kg.add_entity(
+        EntityBuilder::new("Zorblattville", s.types.place).description("a town").popularity(0.3),
+    );
+    let lives_in = s.preds.lives_in;
+    // The subject a one-fact churn moves: the first rendered `lives_in`.
+    let subject = truth.rendered_facts.iter().find(|f| f.2 == lives_in).expect("a fact").1;
+    let mut cfg = config(&s, &truth);
+    if !cfg.targets.iter().any(|t| t.entity == subject) {
+        cfg.targets.push(FactTarget {
+            entity: subject,
+            predicate: lives_in,
+            reason: TargetReason::CoverageGap,
+            importance: 1.0,
+        });
+    }
+    let reg = Registry::new();
+    let (mut state, _) =
+        grow_batch(&s.kg, &corpus, &cfg, 2, &workdir("vocab-inc"), &reg).expect("bootstrap");
+    assert!(!state.indexed.contains(&place.raw()), "no fact names the new place yet");
+
+    // Interval 1: the new place is the only one the churn can pick.
+    let places = std::mem::replace(&mut s.places, vec![place]);
+    apply_fact_churn(&mut corpus, &s, &truth, 1, 31);
+    s.places = places;
+    let rep = grow_incremental(&mut state, &corpus, &cfg, 2, &reg).expect("first pass");
+    assert!(!rep.lapsed);
+    assert!(state.indexed.contains(&place.raw()), "the subject moved to the new place");
+    assert_ann_parity(&state);
+
+    // Interval 2: the evidence names the new place; the churn moves the
+    // subject on to one of the world's places.
+    let mut moved = truth.clone();
+    for fact in moved.rendered_facts.iter_mut().filter(|f| f.1 == subject && f.2 == lives_in) {
+        fact.3 = s.kg.entity(place).name.clone();
+    }
+    apply_fact_churn(&mut corpus, &s, &moved, 1, 32);
+    let rep = grow_incremental(&mut state, &corpus, &cfg, 2, &reg).expect("second pass");
+    assert!(!rep.lapsed);
+    assert!(rep.ann_deletes > 0, "the place's row stays live: {rep:?}");
+    assert!(!state.indexed.contains(&place.raw()), "the place is still in the live set");
+    assert_eq!(state.index.get(place.raw()), None, "the place's row is still searchable");
+    assert_ann_parity(&state);
+    assert_eq!(state.index.live_len(), build_flat_index(&state.model).live_len());
+
+    let (batch_state, batch) =
+        grow_batch(&s.kg, &corpus, &cfg, 2, &workdir("vocab-batch"), &Registry::new())
+            .expect("batch rebuild");
+    assert_eq!(rep.published, batch.published, "the intervals diverged from batch");
+    assert_eq!(state.indexed, batch_state.indexed, "live sets differ from batch");
+    assert_eq!(state.index.live_len(), batch_state.index.live_len());
 }

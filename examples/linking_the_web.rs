@@ -25,7 +25,7 @@ fn main() {
         "Michael Jordan machine learning statistics students",
     ] {
         let links = svc.annotate(query);
-        let top = links.iter().find(|l| l.form == "michael jordan");
+        let top = links.iter().find(|l| &*l.form == "michael jordan");
         if let Some(l) = top {
             let e = synth.kg.entity(l.entity);
             println!("  '{query}'\n      → {} ({})", e.name, e.description);

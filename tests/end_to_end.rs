@@ -107,7 +107,7 @@ fn annotation_service_consumes_trained_embeddings_for_coherence() {
     let a = with_kge.annotate(text);
     let b = without.annotate(text);
     let pick = |links: &[saga_annotation::LinkedMention]| {
-        links.iter().find(|l| l.form == "michael jordan").map(|l| l.entity)
+        links.iter().find(|l| &*l.form == "michael jordan").map(|l| l.entity)
     };
     assert_eq!(pick(&a), Some(synth.scenario.mj_player));
     assert_eq!(pick(&b), Some(synth.scenario.mj_player));
